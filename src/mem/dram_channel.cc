@@ -15,6 +15,16 @@ DramChannel::DramChannel(sim::EventQueue &events, const DramConfig &config)
               "channel needs at least one bank");
     tt_assert(config_.row_bytes % kLineBytes == 0,
               "row size must be a whole number of lines");
+    // Rank refreshes are staggered across the interval (the first
+    // refresh falls one full interval after start-up).
+    const sim::Tick period = config_.t_refi;
+    for (int r = 0; r < config_.ranks; ++r) {
+        Rank &rank = ranks_[static_cast<std::size_t>(r)];
+        rank.refresh_offset = static_cast<sim::Tick>(r) * period /
+                              static_cast<sim::Tick>(config_.ranks);
+        rank.window_start = rank.refresh_offset + period;
+        rank.next_refresh_end = rank.window_start + config_.t_rfc;
+    }
 }
 
 void
@@ -43,10 +53,11 @@ void
 DramChannel::submit(DramRequest request)
 {
     Pending pending;
-    pending.req = std::move(request);
+    mapAddress(request.line_addr, pending.bank, pending.row);
     pending.arrival = events_.now();
-    mapAddress(pending.req.line_addr, pending.bank, pending.row);
-    queue_.push_back(std::move(pending));
+    pending.is_write = request.is_write;
+    pending.slot = completions_.put(std::move(request.on_complete));
+    queue_.push_back(pending);
     ++in_flight_;
     maybeSchedulePick();
 }
@@ -79,20 +90,19 @@ DramChannel::refreshAdjust(int rank, sim::Tick t)
 {
     if (config_.disable_refresh)
         return t;
-    // Rank refreshes are staggered: rank r refreshes during
-    // [offset_r + k*tREFI, offset_r + k*tREFI + tRFC) for k >= 1
-    // (the first refresh falls one full interval after start-up).
+    Rank &state = ranks_[static_cast<std::size_t>(rank)];
     const sim::Tick period = config_.t_refi;
-    const sim::Tick offset =
-        static_cast<sim::Tick>(rank) * period /
-        static_cast<sim::Tick>(config_.ranks);
-    if (t < offset + period)
-        return t;
-    const sim::Tick k = (t - offset) / period;
-    const sim::Tick window_start = offset + k * period;
-    if (t < window_start + config_.t_rfc) {
+    if (t < state.refresh_offset + period)
+        return t; // before the first refresh
+    // Command ticks move by nanoseconds, refresh windows by
+    // microseconds: the cached window is almost always the one.
+    if (t < state.window_start || t - state.window_start >= period)
+        state.window_start =
+            state.refresh_offset +
+            (t - state.refresh_offset) / period * period;
+    if (t < state.window_start + config_.t_rfc) {
         ++stats_.refresh_stalls;
-        return window_start + config_.t_rfc;
+        return state.window_start + config_.t_rfc;
     }
     return t;
 }
@@ -102,20 +112,17 @@ DramChannel::applyRefreshToBanks(int rank, sim::Tick now)
 {
     if (config_.disable_refresh)
         return;
-    // If a refresh window for this rank completed since we last
-    // looked, it precharged every row in the rank.
-    const sim::Tick period = config_.t_refi;
-    const sim::Tick offset =
-        static_cast<sim::Tick>(rank) * period /
-        static_cast<sim::Tick>(config_.ranks);
-    if (now < offset + period + config_.t_rfc)
-        return; // the first refresh (k = 1) has not completed yet
-    const sim::Tick k = (now - offset - config_.t_rfc) / period;
-    const sim::Tick last_end = offset + k * period + config_.t_rfc;
     Rank &state = ranks_[static_cast<std::size_t>(rank)];
-    if (last_end <= state.refresh_applied_until)
-        return;
-    state.refresh_applied_until = last_end;
+    if (now < state.next_refresh_end)
+        return; // no refresh completed since we last looked
+    // The latest refresh window to complete precharged every row in
+    // the rank.
+    const sim::Tick period = config_.t_refi;
+    const sim::Tick last_end =
+        state.refresh_offset +
+        (now - state.refresh_offset - config_.t_rfc) / period * period +
+        config_.t_rfc;
+    state.next_refresh_end = last_end + period;
     const int first = rank * config_.banks_per_rank;
     for (int b = first; b < first + config_.banks_per_rank; ++b) {
         Bank &bank = banks_[static_cast<std::size_t>(b)];
@@ -152,7 +159,7 @@ DramChannel::pick()
         }
     }
 
-    Pending chosen = std::move(queue_[best]);
+    const Pending chosen = queue_[best];
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
 
     Bank &bank = banks_[static_cast<std::size_t>(chosen.bank)];
@@ -181,7 +188,7 @@ DramChannel::pick()
     if (last_rank_ >= 0 && last_rank_ != rank_index) {
         bus_ready += config_.t_rtrs;
         ++stats_.rank_switches;
-    } else if (last_was_write_ && !chosen.req.is_write) {
+    } else if (last_was_write_ && !chosen.is_write) {
         bus_ready += config_.t_wtr;
         ++stats_.write_read_turnarounds;
     }
@@ -196,7 +203,7 @@ DramChannel::pick()
         ++stats_.row_hits;
     else
         ++stats_.row_conflicts;
-    if (chosen.req.is_write)
+    if (chosen.is_write)
         ++stats_.writes;
     else
         ++stats_.reads;
@@ -221,32 +228,36 @@ DramChannel::pick()
         // precharge into the bank busy time).
         bank.row_open = false;
         bank.ready = data_end + config_.t_rp +
-                     (chosen.req.is_write ? config_.t_wr : 0);
+                     (chosen.is_write ? config_.t_wr : 0);
         bank.hit_streak = 0;
     } else {
         bank.row_open = true;
         bank.open_row = chosen.row;
         bank.ready = data_end;
     }
-    bank.last_was_write = chosen.req.is_write;
+    bank.last_was_write = chosen.is_write;
 
     bus_free_ = data_end;
     last_rank_ = rank_index;
-    last_was_write_ = chosen.req.is_write;
+    last_was_write_ = chosen.is_write;
 
     // Both directions complete a CAS latency after the data slot:
     // reads when the data returns, stores when the line's ownership
     // round trip finishes (ordinary cached stores read-for-ownership
     // before retiring, so their visible cost mirrors a read).
     const sim::Tick done = data_end + config_.t_cl;
-    auto callback = std::move(chosen.req.on_complete);
-    events_.schedule(done, [this, cb = std::move(callback)] {
-        --in_flight_;
-        if (cb)
-            cb();
-    });
+    events_.schedule(done, [this, slot = chosen.slot] { complete(slot); });
 
     maybeSchedulePick();
+}
+
+void
+DramChannel::complete(std::uint32_t slot)
+{
+    --in_flight_;
+    sim::Callback cb = completions_.take(slot);
+    if (cb)
+        cb();
 }
 
 double

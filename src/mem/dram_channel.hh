@@ -25,11 +25,10 @@
 #define TT_MEM_DRAM_CHANNEL_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "mem/dram_config.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 
 namespace tt::mem {
@@ -40,7 +39,7 @@ struct DramRequest
     std::uint64_t line_addr = 0; ///< global line number
     bool is_write = false;
     /** Invoked (at data-return time) when the access completes. */
-    std::function<void()> on_complete;
+    sim::Callback on_complete;
 };
 
 /** Aggregate channel statistics. */
@@ -103,20 +102,30 @@ class DramChannel
         int act_head = 0;
         std::uint64_t act_count = 0; ///< activations issued so far
         sim::Tick last_act = 0;
-        /** End of the last refresh window already applied to banks. */
-        sim::Tick refresh_applied_until = 0;
+        /**
+         * The rank refreshes during [offset + k*tREFI, offset +
+         * k*tREFI + tRFC) for k >= 1; offsets stagger the ranks.
+         */
+        sim::Tick refresh_offset = 0;
+        /** Start of the refresh window refreshAdjust last looked up. */
+        sim::Tick window_start = 0;
+        /** End of the first refresh window not yet applied to banks. */
+        sim::Tick next_refresh_end = 0;
     };
 
+    /** A queued request; its callback waits in completions_. */
     struct Pending
     {
-        DramRequest req;
+        std::uint64_t row = 0;
         sim::Tick arrival = 0;
         int bank = 0;
-        std::uint64_t row = 0;
+        std::uint32_t slot = 0; ///< completions_ slot
+        bool is_write = false;
     };
 
     void maybeSchedulePick();
     void pick();
+    void complete(std::uint32_t slot);
     /** Row-management latency this access would pay right now. */
     sim::Tick prepLatency(const Bank &bank, std::uint64_t row) const;
     /** Push `t` past any refresh window of `rank` covering it. */
@@ -129,7 +138,9 @@ class DramChannel
     DramConfig config_;
     std::vector<Bank> banks_;
     std::vector<Rank> ranks_;
-    std::deque<Pending> queue_;
+    /** Queued requests, oldest first. */
+    std::vector<Pending> queue_;
+    sim::CallbackPool completions_;
     sim::Tick bus_free_ = 0;
     int last_rank_ = -1;          ///< rank of the previous transfer
     bool last_was_write_ = false; ///< direction of previous transfer

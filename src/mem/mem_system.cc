@@ -18,7 +18,7 @@ MemorySystem::MemorySystem(sim::EventQueue &events,
 
 void
 MemorySystem::access(std::uint64_t line_addr, bool is_write,
-                     std::function<void()> on_complete)
+                     sim::Callback on_complete)
 {
     const auto n = static_cast<std::uint64_t>(config_.channels);
     const int channel = static_cast<int>(line_addr % n);
@@ -29,12 +29,15 @@ MemorySystem::access(std::uint64_t line_addr, bool is_write,
     request.is_write = is_write;
     // The front-end (core -> uncore -> controller and back) adds a
     // constant latency to the round trip; apply it on the return
-    // path so channel-level timing stays pure DRAM.
-    request.on_complete = [this, cb = std::move(on_complete)]() mutable {
-        if (!cb)
-            return;
-        events_.scheduleIn(config_.frontend_latency, std::move(cb));
-    };
+    // path so channel-level timing stays pure DRAM. The requester's
+    // callback itself is scheduled once the DRAM access completes.
+    if (on_complete) {
+        const std::uint32_t slot = returns_.put(std::move(on_complete));
+        request.on_complete = [this, slot] {
+            events_.scheduleIn(config_.frontend_latency,
+                               returns_.take(slot));
+        };
+    }
     channels_[static_cast<std::size_t>(channel)]->submit(
         std::move(request));
 }

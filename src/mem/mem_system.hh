@@ -12,13 +12,13 @@
 #define TT_MEM_MEM_SYSTEM_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "mem/dram_channel.hh"
 #include "mem/dram_config.hh"
 #include "mem/llc.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 
 namespace tt::mem {
@@ -43,11 +43,11 @@ class MemorySystem
 
     /**
      * Issue one line access that misses the LLC (all DRAM traffic in
-     * this model flows through here); `on_complete` fires when the
-     * data is back at the requesting core.
+     * this model flows through here); `on_complete` (may be null)
+     * fires when the data is back at the requesting core.
      */
     void access(std::uint64_t line_addr, bool is_write,
-                std::function<void()> on_complete);
+                sim::Callback on_complete);
 
     SharedLlc &llc() { return llc_; }
     const SharedLlc &llc() const { return llc_; }
@@ -68,6 +68,8 @@ class MemorySystem
     MemSystemConfig config_;
     SharedLlc llc_;
     std::vector<std::unique_ptr<DramChannel>> channels_;
+    /** Requester callbacks waiting for their DRAM access. */
+    sim::CallbackPool returns_;
 };
 
 } // namespace tt::mem

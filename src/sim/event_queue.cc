@@ -1,8 +1,16 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace tt::sim {
+
+EventQueue::~EventQueue()
+{
+    for (Entry &entry : heap_)
+        entry.fn.release();
+}
 
 EventId
 EventQueue::schedule(Tick when, Callback cb)
@@ -11,36 +19,34 @@ EventQueue::schedule(Tick when, Callback cb)
               when, ", now=", now_, ")");
     tt_assert(cb, "scheduling an empty callback");
     const EventId id = next_id_++;
-    heap_.push(Entry{when, id, std::move(cb)});
+    heap_.push_back(Entry{when, id, cb.take()});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     return id;
-}
-
-EventId
-EventQueue::scheduleIn(Tick delta, Callback cb)
-{
-    return schedule(now_ + delta, std::move(cb));
 }
 
 void
 EventQueue::deschedule(EventId id)
 {
-    cancelled_.insert(id);
+    for (Entry &entry : heap_) {
+        if (entry.id == id) {
+            entry.fn.release();
+            return;
+        }
+    }
 }
 
 bool
 EventQueue::runOne()
 {
     while (!heap_.empty()) {
-        Entry entry = std::move(const_cast<Entry &>(heap_.top()));
-        heap_.pop();
-        auto cancelled = cancelled_.find(entry.id);
-        if (cancelled != cancelled_.end()) {
-            cancelled_.erase(cancelled);
-            continue;
-        }
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        Entry entry = heap_.back();
+        heap_.pop_back();
+        if (entry.fn.op == nullptr)
+            continue; // descheduled
         now_ = entry.when;
         ++executed_;
-        entry.fn();
+        entry.fn.run();
         return true;
     }
     return false;

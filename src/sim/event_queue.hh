@@ -2,21 +2,27 @@
  * @file
  * Deterministic discrete-event queue.
  *
- * Events at the same tick execute in scheduling (FIFO) order, so a
- * simulation is exactly reproducible run to run. Cancellation is
- * lazy: descheduled events stay in the heap but are skipped when
- * popped.
+ * Events execute in (tick, schedule sequence) order: events at the
+ * same tick run first-scheduled first, so a simulation is exactly
+ * reproducible run to run.
+ *
+ * The heap holds plain records -- tick, id and a Thunk -- that move
+ * with memcpy. The per-line callables of the cores, the memory
+ * system and the DRAM channels live inline in those records (see
+ * callback.hh), so scheduling and running them never allocates; only
+ * callables that do not fit (timers wrapping a std::function, large
+ * captures) are boxed. Descheduling marks the pending record in
+ * place, and popping it skips it: no side table is probed per event.
  */
 
 #ifndef TT_SIM_EVENT_QUEUE_HH
 #define TT_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/ticks.hh"
 
 namespace tt::sim {
@@ -28,7 +34,10 @@ using EventId = std::uint64_t;
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    EventQueue() = default;
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+    ~EventQueue();
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -37,12 +46,21 @@ class EventQueue
     EventId schedule(Tick when, Callback cb);
 
     /** Schedule `cb` `delta` ticks from now. */
-    EventId scheduleIn(Tick delta, Callback cb);
+    EventId
+    scheduleIn(Tick delta, Callback cb)
+    {
+        return schedule(now_ + delta, std::move(cb));
+    }
 
-    /** Cancel a pending event; no-op if already executed. */
+    /**
+     * Cancel a pending event; no-op if it already executed or was
+     * already cancelled. Scans the pending events: cancellation is
+     * rare (timers at drain), so no lookup structure is kept for it.
+     */
     void deschedule(EventId id);
 
-    /** True when no live events remain. */
+    /** True when nothing is pending (cancelled events count until
+     *  their tick is reached). */
     bool
     empty() const
     {
@@ -73,24 +91,25 @@ class EventQueue
     {
         Tick when;
         EventId id;
-        // Shared so heap swaps move a refcount, not the closure.
-        mutable Callback fn;
+        Thunk fn; ///< empty once descheduled
+    };
 
+    /** Heap order: the entry that must run later sorts first. */
+    struct Later
+    {
         bool
-        operator>(const Entry &other) const
+        operator()(const Entry &a, const Entry &b) const
         {
-            if (when != other.when)
-                return when > other.when;
-            return id > other.id; // FIFO among equal ticks
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.id > b.id; // FIFO among equal ticks
         }
     };
 
     Tick now_ = 0;
     EventId next_id_ = 0;
     std::uint64_t executed_ = 0;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        heap_;
-    std::unordered_set<EventId> cancelled_;
+    std::vector<Entry> heap_;
 };
 
 } // namespace tt::sim

@@ -1,12 +1,15 @@
 /**
  * @file
  * Unit tests of the discrete-event kernel: ordering, FIFO tie
- * breaking, cancellation, re-entrant scheduling and the runaway
- * budget.
+ * breaking across inline and boxed callables, cancellation,
+ * re-entrant scheduling and the runaway budget.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -14,8 +17,52 @@
 
 namespace {
 
+using tt::sim::Callback;
+using tt::sim::EventId;
 using tt::sim::EventQueue;
 using tt::sim::Tick;
+
+/** How the queue stores a test event's callable. */
+enum class Storage
+{
+    kInline,      ///< small trivially copyable lambda
+    kStdFunction, ///< boxed: std::function is not trivially copyable
+    kLargeCapture ///< boxed: capture larger than the inline bytes
+};
+
+/** Schedule `body` (a small lambda) at `when`, stored as `storage`. */
+template <class Body>
+EventId
+scheduleAs(EventQueue &q, Tick when, Storage storage, Body body)
+{
+    static_assert(Callback::kInline<Body>);
+    switch (storage) {
+    case Storage::kInline:
+        return q.schedule(when, body);
+    case Storage::kStdFunction:
+        return q.schedule(when, std::function<void()>(body));
+    case Storage::kLargeCapture: {
+        const std::array<std::uint64_t, 4> pad{};
+        auto large = [body, pad] { body(); };
+        static_assert(!Callback::kInline<decltype(large)>);
+        return q.schedule(when, large);
+    }
+    }
+    return 0;
+}
+
+/** Storage of the i-th event: `pattern` repeated. */
+Storage
+storageOf(const std::vector<Storage> &pattern, int i)
+{
+    return pattern[static_cast<std::size_t>(i) % pattern.size()];
+}
+
+const std::vector<Storage> kAllInline{Storage::kInline};
+const std::vector<Storage> kInterleaved{
+    Storage::kInline, Storage::kStdFunction, Storage::kInline,
+    Storage::kLargeCapture};
+const std::vector<Storage> kAllLarge{Storage::kLargeCapture};
 
 TEST(EventQueue, RunsInTimeOrder)
 {
@@ -29,15 +76,24 @@ TEST(EventQueue, RunsInTimeOrder)
     EXPECT_EQ(q.now(), 30u);
 }
 
-TEST(EventQueue, FifoAmongEqualTicks)
+/** Parameter: the storage pattern of the events under test. */
+class EventQueueStorage
+    : public ::testing::TestWithParam<std::vector<Storage>>
+{
+};
+
+TEST_P(EventQueueStorage, FifoAmongEqualTicks)
 {
     EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 16; ++i)
-        q.schedule(5, [&order, i] { order.push_back(i); });
+        scheduleAs(q, 5, storageOf(GetParam(), i),
+                   [&order, i] { order.push_back(i); });
     q.run();
+    ASSERT_EQ(order.size(), 16u);
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(q.executed(), 16u);
 }
 
 TEST(EventQueue, ScheduleInIsRelative)
@@ -62,17 +118,39 @@ TEST(EventQueue, DescheduleSkipsEvent)
     EXPECT_EQ(q.executed(), 0u);
 }
 
-TEST(EventQueue, DescheduleOneOfMany)
+TEST_P(EventQueueStorage, DescheduleOneOfMany)
 {
     EventQueue q;
     std::vector<int> order;
-    q.schedule(1, [&] { order.push_back(1); });
-    const auto id = q.schedule(2, [&] { order.push_back(2); });
-    q.schedule(3, [&] { order.push_back(3); });
-    q.deschedule(id);
+    // Kinds mixed at one tick: the descheduled event sits between
+    // survivors of every storage in the pattern.
+    std::vector<EventId> ids;
+    for (int i = 0; i < 8; ++i)
+        ids.push_back(scheduleAs(q, 7, storageOf(GetParam(), i),
+                                 [&order, i] { order.push_back(i); }));
+    q.schedule(2, [&] { order.push_back(-1); });
+    q.deschedule(ids[5]);
+    q.deschedule(ids[5]); // twice is the same as once
     q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 3}));
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 6, 7}));
+    EXPECT_EQ(q.executed(), 8u);
+
+    // Descheduling events that already ran changes nothing: a later
+    // event still runs, at its tick, and counts.
+    q.deschedule(ids[0]);
+    q.deschedule(ids[5]);
+    scheduleAs(q, 9, storageOf(GetParam(), 1),
+               [&order] { order.push_back(9); });
+    q.run();
+    EXPECT_EQ(order.back(), 9);
+    EXPECT_EQ(q.now(), 9u);
+    EXPECT_EQ(q.executed(), 9u);
 }
+
+// kInterleaved deschedules a std::function, kAllLarge a large capture.
+INSTANTIATE_TEST_SUITE_P(Kernel, EventQueueStorage,
+                         ::testing::Values(kAllInline, kInterleaved,
+                                           kAllLarge));
 
 TEST(EventQueue, ReentrantSchedulingAtSameTick)
 {

@@ -2,13 +2,50 @@
  * @file
  * Tests of the simulated core and machine: task latency composition,
  * MLP window behaviour, compute-cycle timing, SMT slowdown, demand
- * misses on LLC overflow, and context mapping.
+ * misses on LLC overflow, context mapping, and an allocation-free
+ * per-line path.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "cpu/machine_config.hh"
 #include "cpu/sim_machine.hh"
+
+namespace {
+
+/** Heap allocations made through global operator new so far. */
+std::atomic<std::uint64_t> g_allocations{0};
+
+} // namespace
+
+// Counting replacements for this test binary: the array and nothrow
+// forms forward here by default. Kept out of line so GCC's
+// -Wmismatched-new-delete does not pair an inlined free() with the
+// new-expression that allocated the pointer.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 
@@ -149,6 +186,35 @@ TEST(SimCore, DistinctContextsOfOneCoreAreIndependentSlots)
     EXPECT_FALSE(machine.busy(1)); // other core free
     machine.events().run();
     EXPECT_FALSE(machine.busy(0));
+}
+
+/** Heap allocations made while one memory task of `lines` lines runs
+ *  alone on a fresh machine. */
+std::uint64_t
+allocationsForMemoryTask(std::uint64_t lines)
+{
+    SimMachine machine(MachineConfig::i7_860_1dimm());
+    const Task task = memoryTask(lines * tt::mem::kLineBytes);
+    bool done = false;
+    const std::uint64_t before = g_allocations.load();
+    machine.run(0, task, 0.0, [&done] { done = true; });
+    machine.events().run();
+    const std::uint64_t after = g_allocations.load();
+    EXPECT_TRUE(done);
+    return after - before;
+}
+
+TEST(SimCore, MemoryTaskAllocationsDoNotGrowWithLength)
+{
+    // Every line passes through the event queue, the memory system
+    // and a DRAM channel; none of them may allocate per line. Storage
+    // they grow once (heap, slot pools) is the same for both lengths:
+    // the MLP window bounds it.
+    const std::uint64_t short_task = allocationsForMemoryTask(64);
+    const std::uint64_t long_task = allocationsForMemoryTask(4096);
+    EXPECT_LE(long_task, short_task)
+        << "64 lines: " << short_task << " allocations, 4096 lines: "
+        << long_task;
 }
 
 TEST(SimCoreDeath, DoubleDispatchPanics)

@@ -473,7 +473,7 @@ TEST(Span, HostObservabilityOverheadUnderThreePercent)
     ASSERT_FALSE(result.failed);
     EXPECT_TRUE(serving);
 
-    const double overhead_seconds =
+    [[maybe_unused]] const double overhead_seconds =
         1e-9 *
         static_cast<double>(
             metrics.counter("obs.overhead.trace_record_ns") +
@@ -481,9 +481,15 @@ TEST(Span, HostObservabilityOverheadUnderThreePercent)
             metrics.counter("obs.overhead.sampler_ns") +
             metrics.counter("obs.overhead.live_export_ns"));
     ASSERT_GT(result.seconds, 0.0);
+    // The budget only means something on uninstrumented builds: the
+    // sanitizers slow the recording paths (atomics, registry strings)
+    // far more than the task bodies, so the ratio is not the one
+    // users pay. Everything else here still runs under them.
+#if !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
     EXPECT_LT(overhead_seconds / result.seconds, 0.03)
         << "observability cost " << overhead_seconds * 1e3
         << " ms of " << result.seconds * 1e3 << " ms makespan";
+#endif
     EXPECT_GT(metrics.counter("obs.overhead.trace_record_ns"), 0);
 }
 
