@@ -74,7 +74,7 @@ main(int argc, char **argv)
     const auto addRow = [&bench_json](const std::string &experiment,
                                       const std::string &variant,
                                       double speedup,
-                                      const tt::simrt::RunResult &run) {
+                                      const tt::exec::RunResult &run) {
         bench_json.beginRow();
         bench_json.value("experiment", experiment);
         bench_json.value("variant", variant);

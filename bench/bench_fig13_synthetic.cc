@@ -52,13 +52,13 @@ runPoint(const tt::cpu::MachineConfig &machine, double ratio,
     const auto graph = tt::workloads::buildSyntheticSim(machine, params);
 
     const int n = machine.contexts();
-    std::vector<tt::simrt::RunResult> runs;
+    std::vector<tt::exec::RunResult> runs;
     for (int k = 1; k <= n; ++k) {
         tt::core::StaticMtlPolicy policy(k, n);
         runs.push_back(tt::simrt::runOnce(machine, graph, policy));
     }
 
-    const tt::simrt::RunResult &base = runs.back(); // MTL = n
+    const tt::exec::RunResult &base = runs.back(); // MTL = n
     Point point{ratio, n, 1.0, 1.0};
     double best_speedup = 0.0;
     for (int k = 1; k <= n; ++k) {

@@ -173,7 +173,7 @@ BM_HostRuntimePairDispatch(benchmark::State &state)
         });
         const auto graph = std::move(builder).build();
         tt::core::ConventionalPolicy policy(1);
-        tt::runtime::RuntimeOptions opts;
+        tt::exec::EngineOptions opts;
         opts.threads = 1;
         opts.pin_affinity = false;
         tt::runtime::Runtime runtime(graph, policy, opts);
@@ -238,7 +238,7 @@ BM_HostDispatchThroughput(benchmark::State &state)
         });
         const auto graph = std::move(builder).build();
         tt::core::ConventionalPolicy policy(threads);
-        tt::runtime::RuntimeOptions opts;
+        tt::exec::EngineOptions opts;
         opts.threads = threads;
         opts.pin_affinity = false;
         tt::runtime::Runtime runtime(graph, policy, opts);

@@ -41,7 +41,7 @@ main(int argc, char **argv)
     params.footprint_bytes = 256 * 1024;
     params.pairs = 96;
 
-    tt::runtime::RuntimeOptions options;
+    tt::exec::EngineOptions options;
     options.threads = threads;
 
     // Conventional: memory tasks never throttled.

@@ -117,21 +117,21 @@ void
 Engine::activatePhaseLocked(int phase, double now)
 {
     current_phase_ = phase;
-    // Count first, publish the barrier count, then enqueue: in pull
-    // mode a ring push is instantly poppable by a worker whose
-    // completion decrements phase_remaining_, so the count must be
-    // final before the first task escapes.
+    // Count first, publish the barrier count, then enqueue: a worker
+    // thread can pop a ring push instantly and its completion
+    // decrements phase_remaining_, so the count must be final before
+    // the first task escapes.
     int count = 0;
     for (const Task &task : graph_.tasks())
         if (task.phase == phase)
             ++count;
     phase_remaining_.store(count, std::memory_order_seq_cst);
-    // Snapshot the initially-ready set BEFORE the first enqueue. In
-    // pull mode an enqueued task is instantly poppable: a worker can
-    // run and complete it lock-free while this loop is still
-    // scanning, releasing a same-phase compute successor whose
-    // deps_left_ then reads zero -- tripping the memory-only
-    // invariant, which holds for the pre-activation state only.
+    // Snapshot the initially-ready set BEFORE the first enqueue. An
+    // enqueued task is instantly poppable: a worker thread can run
+    // and complete it lock-free while this loop is still scanning,
+    // releasing a same-phase compute successor whose deps_left_ then
+    // reads zero -- tripping the memory-only invariant, which holds
+    // for the pre-activation state only.
     std::vector<const Task *> initially_ready;
     for (const Task &task : graph_.tasks()) {
         if (task.phase != phase)
@@ -148,33 +148,20 @@ Engine::activatePhaseLocked(int phase, double now)
         // instant its memory task became runnable. Open before
         // the enqueue -- the completing worker appends to it.
         openSpan(task->pair, 0, now);
-        enqueueMemoryReady(task->id);
+        enqueueReady(task->id);
     }
     tt_assert(count > 0 || graph_.empty(), "phase ", phase,
               " has no tasks");
 }
 
 void
-Engine::enqueueMemoryReady(TaskId id)
+Engine::enqueueReady(TaskId id)
 {
-    if (!pull_mode_) {
-        ready_memory_.push_back(id);
-        return;
-    }
-    const bool ok = ready_memory_ring_->tryPush(id);
-    tt_assert(ok, "memory ready ring overflow (sized to task count)");
-    wakeWorkers();
-}
-
-void
-Engine::enqueueComputeReady(TaskId id)
-{
-    if (!pull_mode_) {
-        ready_compute_.push_back(id);
-        return;
-    }
-    const bool ok = ready_compute_ring_->tryPush(id);
-    tt_assert(ok, "compute ready ring overflow (sized to task count)");
+    auto &ring = graph_.task(id).kind == TaskKind::Memory
+                     ? *ready_memory_
+                     : *ready_compute_;
+    const bool ok = ring.tryPush(id);
+    tt_assert(ok, "ready ring overflow (sized to the pair count)");
     wakeWorkers();
 }
 
@@ -328,12 +315,12 @@ Engine::admitJobLocked(const load::JobSpec &job)
         // on the host (see docs/robustness.md).
         job_arrival_stamp_[pair] = backend_->now();
         job_slo_[pair] = job.slo_seconds;
-        // Span first, enqueue second: a pull-mode worker can pop the
+        // Span first, enqueue second: a worker thread can pop the
         // task the instant it is in the ring and append attempts to
         // the (pair-serialized) open span.
         openSpan(job.pair, job.priority, job_arrival_stamp_[pair]);
         open_span_[pair].decision = out.decision;
-        enqueueMemoryReady(graph_.memoryTaskOf(job.pair));
+        enqueueReady(graph_.memoryTaskOf(job.pair));
     }
 
     if (out.state != backpressure_) {
@@ -343,6 +330,8 @@ Engine::admitJobLocked(const load::JobSpec &job)
                          static_cast<double>(out.state));
         policy_.onBackpressure(backend_->now(), out.state,
                                out.backlog);
+        // The policy may re-pin its MTL on a SHED transition.
+        refreshMtlCacheLocked();
     }
 
     healthJobVerdictLocked(job, record);
@@ -355,62 +344,62 @@ Engine::tryScheduleLocked()
         return; // workers pull their own work off the rings
     if (run_failed_.load(std::memory_order_relaxed) || finished_)
         return; // aborting: let in-flight tasks drain, dispatch nothing
-    while (true) {
-        // Lowest-numbered idle context: on the sim backend this fills
-        // distinct physical cores before SMT siblings (see
-        // SimMachine::coreOf); on the host it is simply deterministic.
-        int context = -1;
-        const int n = static_cast<int>(context_busy_.size());
-        for (int c = 0; c < n; ++c) {
-            if (!context_busy_[static_cast<std::size_t>(c)]) {
-                context = c;
-                break;
-            }
-        }
-        if (context < 0)
+    // Lowest-numbered idle context first: on the sim backend this
+    // fills distinct physical cores before SMT siblings (see
+    // SimMachine::coreOf); elsewhere it is simply deterministic.
+    // Admissibility does not depend on the context, so the first
+    // refusal ends the scan.
+    const int n = static_cast<int>(running_.size());
+    for (int c = 0; c < n; ++c) {
+        if (running_[static_cast<std::size_t>(c)].load(
+                std::memory_order_relaxed) != stream::kInvalidTask)
+            continue;
+        AttemptSpec spec;
+        if (!tryDispatch(c, spec))
             return;
-
-        if (!ready_compute_.empty()) {
-            const TaskId id = ready_compute_.front();
-            ready_compute_.pop_front();
-            dispatchLocked(context, id);
-            continue;
-        }
-        if (!ready_memory_.empty() &&
-            mem_in_flight_ < policy_.currentMtl()) {
-            const TaskId id = ready_memory_.front();
-            ready_memory_.pop_front();
-            dispatchLocked(context, id);
-            continue;
-        }
-        return;
+        backend_->startAttempt(c, spec);
     }
 }
 
-void
-Engine::dispatchLocked(int context, TaskId id)
+bool
+Engine::tryDispatch(int context, AttemptSpec &spec)
 {
-    const Task &task = graph_.task(id);
-    context_busy_[static_cast<std::size_t>(context)] = true;
-    running_[static_cast<std::size_t>(context)].store(
-        id, std::memory_order_relaxed);
-
-    const int mtl = policy_.currentMtl();
-    task_mtl_[static_cast<std::size_t>(id)] = mtl;
-    if (task.kind == TaskKind::Memory) {
-        ++mem_in_flight_;
-        peak_mem_in_flight_ =
-            std::max(peak_mem_in_flight_, mem_in_flight_);
-        tt_assert(mem_in_flight_ <= policy_.currentMtl(),
-                  "MTL restriction violated by the scheduler");
-        pair_mem_mtl_[static_cast<std::size_t>(task.pair)] = mtl;
+    const auto c = static_cast<std::size_t>(context);
+    const int mtl = mtl_cache_.load(std::memory_order_seq_cst);
+    TaskId id = stream::kInvalidTask;
+    // Compute first: compute is never throttled (Sec. V).
+    if (!ready_compute_->tryPop(id)) {
+        if (ready_memory_->emptyApprox())
+            return false;
+        // The push scan is the only dispatcher, so it can probe the
+        // gate exactly and never records a full MTL as a rejection;
+        // concurrent workers rely on tryAcquire's conservative fold.
+        if (!pull_mode_ && gate_->current() >= mtl)
+            return false;
+        if (!gate_->tryAcquire(c, mtl))
+            return false;
+        if (!ready_memory_->tryPop(id)) {
+            // Another worker drained the ring between the probe and
+            // the pop; give the slot back.
+            gate_->release(c);
+            return false;
+        }
     }
-
-    startAttemptLocked(context, id);
+    const Task &task = graph_.task(id);
+    running_[c].store(id, std::memory_order_relaxed);
+    inflight_attempts_.fetch_add(1, std::memory_order_seq_cst);
+    // Fresh dispatches are always attempt 0: failed tasks never
+    // requeue (the retry stays reserved on its context), so these
+    // slots are quiescent for everyone else.
+    task_mtl_[static_cast<std::size_t>(id)] = mtl;
+    if (task.kind == TaskKind::Memory)
+        pair_mem_mtl_[static_cast<std::size_t>(task.pair)] = mtl;
+    spec = attemptSpec(id);
+    return true;
 }
 
-void
-Engine::startAttemptLocked(int context, TaskId id)
+AttemptSpec
+Engine::attemptSpec(TaskId id) const
 {
     AttemptSpec spec;
     spec.task = id;
@@ -422,45 +411,41 @@ Engine::startAttemptLocked(int context, TaskId id)
         spec.faults = plan->forTask(id, spec.attempt);
         spec.stall_seconds = plan->config().stall_seconds;
     }
-    backend_->startAttempt(context, spec);
+    return spec;
 }
 
 void
 Engine::onAttemptDone(int context, const AttemptOutcome &outcome)
 {
-    if (pull_mode_) {
-        const TaskId id = running_[static_cast<std::size_t>(context)]
-                              .load(std::memory_order_relaxed);
-        // Fast path: a successful memory attempt in a healthy run
-        // completes without the scheduler mutex. Everything it
-        // touches is worker-owned, pair-serialized or atomic.
-        if (!outcome.failed &&
-            graph_.task(id).kind == TaskKind::Memory &&
-            !run_failed_.load(std::memory_order_acquire)) {
-            completeMemoryFast(context, id, outcome);
-            return;
-        }
-        std::lock_guard lock(mutex_);
-        if (!outcome.failed) {
-            completePullSlowLocked(context, id, outcome);
-            maybeFinishLocked();
-        } else {
-            handlePullFailureLocked(context, id, outcome);
-        }
-        return;
-    }
-
-    std::lock_guard lock(mutex_);
     const TaskId id = running_[static_cast<std::size_t>(context)].load(
         std::memory_order_relaxed);
-
-    if (!outcome.failed) {
-        completeLocked(context, id, outcome);
+    if (!outcome.failed && graph_.task(id).kind == TaskKind::Memory &&
+        !run_failed_.load(std::memory_order_acquire)) {
+        completeAttempt(context, id, outcome);
+        // A worker thread pulls its next attempt itself. It needs the
+        // lock only when the run aborted meanwhile: the failing path
+        // may have seen this attempt still in flight and skipped the
+        // finish check.
+        if (pull_mode_ && !run_failed_.load(std::memory_order_seq_cst))
+            return;
+        std::lock_guard lock(mutex_);
         tryScheduleLocked();
         maybeFinishLocked();
         return;
     }
+    std::lock_guard lock(mutex_);
+    if (outcome.failed)
+        failAttemptLocked(context, id, outcome);
+    else
+        completeAttempt(context, id, outcome);
+    tryScheduleLocked();
+    maybeFinishLocked();
+}
 
+void
+Engine::failAttemptLocked(int context, TaskId id,
+                          const AttemptOutcome &outcome)
+{
     const int attempt = attempts_[static_cast<std::size_t>(id)];
     if (!run_failed_.load(std::memory_order_relaxed) &&
         attempt < options_.max_task_retries) {
@@ -476,8 +461,9 @@ Engine::onAttemptDone(int context, const AttemptOutcome &outcome)
         if (MetricsRegistry *metrics = options_.metrics)
             metrics->add("runtime.task_retries", 1);
         retry_log_.push_back(RetryRecord{id, attempt});
-        // The context stays reserved through the backoff so the retry
-        // cannot be starved out by fresh dispatches.
+        // The context stays reserved through the backoff (its gate
+        // slot included, for memory tasks), so the retry cannot be
+        // starved out by fresh dispatches.
         auto &pending = pending_retry_[static_cast<std::size_t>(context)];
         pending.active.store(true, std::memory_order_relaxed);
         pending.token = backend_->after(
@@ -486,10 +472,16 @@ Engine::onAttemptDone(int context, const AttemptOutcome &outcome)
     }
 
     spanAttempt(id, context, outcome, true, 0.0);
-    failTaskLocked(context, id, outcome.error);
+    ++task_failures_;
+    if (MetricsRegistry *metrics = options_.metrics)
+        metrics->add("runtime.task_failures", 1);
+    abandonAttemptLocked(context);
+    markRunFailedLocked("task " + std::to_string(id) +
+                        " failed after " +
+                        std::to_string(options_.max_task_retries) +
+                        " retries: " + outcome.error);
     closeSpan(graph_.task(id).pair, outcome.end,
-                    obs::SpanOutcome::Failed);
-    maybeFinishLocked();
+              obs::SpanOutcome::Failed);
 }
 
 void
@@ -498,38 +490,26 @@ Engine::onRetryTimer(int context)
     std::lock_guard lock(mutex_);
     auto &pending = pending_retry_[static_cast<std::size_t>(context)];
     if (!pending.active.load(std::memory_order_relaxed) || finished_)
-        return; // already cancelled / abandoned by a failed run
+        return; // cancelled (a failed run abandoned the reservation)
     pending.active.store(false, std::memory_order_relaxed);
     pending.token = 0;
-    const TaskId id = running_[static_cast<std::size_t>(context)].load(
-        std::memory_order_relaxed);
-    if (run_failed_.load(std::memory_order_relaxed)) {
-        abandonContextLocked(context, id);
-        maybeFinishLocked();
+    if (!pull_mode_) {
+        backend_->startAttempt(
+            context,
+            attemptSpec(running_[static_cast<std::size_t>(context)].load(
+                std::memory_order_relaxed)));
         return;
     }
-    startAttemptLocked(context, id);
-}
-
-void
-Engine::onRetryTimerPull(int worker)
-{
-    std::lock_guard lock(mutex_);
-    auto &pending = pending_retry_[static_cast<std::size_t>(worker)];
-    if (!pending.active.load(std::memory_order_relaxed) || finished_)
-        return; // cancelled (failed run abandoned the reservation)
-    pending.active.store(false, std::memory_order_relaxed);
-    pending.token = 0;
-    // Hand the stashed retry to its owning worker. The worker checks
+    // Hand the retry to its owning worker. The worker checks
     // run_failed_ itself and abandons instead of re-running if the
-    // run aborted between grant and fire.
-    retry_ready_[static_cast<std::size_t>(worker)].store(
+    // run aborted between this hand-off and its pickup.
+    retry_ready_[static_cast<std::size_t>(context)].store(
         true, std::memory_order_seq_cst);
     wakeWorkers();
 }
 
 void
-Engine::recordAttemptEvent(int worker, TaskId id,
+Engine::recordAttemptEvent(int context, TaskId id,
                            const AttemptOutcome &outcome)
 {
     const Task &task = graph_.task(id);
@@ -542,7 +522,7 @@ Engine::recordAttemptEvent(int worker, TaskId id,
     event.pair = task.pair;
     event.phase = task.phase;
     event.is_memory = task.kind == TaskKind::Memory;
-    event.worker = worker;
+    event.worker = context;
     event.start = outcome.start;
     event.end = outcome.end;
     event.mtl = task_mtl_[static_cast<std::size_t>(id)];
@@ -553,29 +533,22 @@ Engine::recordAttemptEvent(int worker, TaskId id,
         // merged into one event.
         event.has_counters = true;
         event.counters = outcome.counters;
-        if (pull_mode_) {
-            // Worker-local aggregation, folded after the workers
-            // joined (finishResult) -- no synchronisation needed.
-            auto &wc =
-                worker_counters_[static_cast<std::size_t>(worker)];
-            wc.saw = true;
-            wc.totals += outcome.counters;
-        } else {
-            saw_counters_ = true;
-            counter_totals_ += outcome.counters;
-        }
+        // Context-local aggregation, folded in finishResult.
+        auto &wc = worker_counters_[static_cast<std::size_t>(context)];
+        wc.saw = true;
+        wc.totals += outcome.counters;
     }
     {
         const std::uint64_t t0 = wallNanos();
-        tracer_->ring(worker).record(event);
+        tracer_->ring(context).record(event);
         obs_trace_record_ns_.fetch_add(wallNanos() - t0,
                                        std::memory_order_relaxed);
     }
-    spanAttempt(id, worker, outcome, false, 0.0);
+    spanAttempt(id, context, outcome, false, 0.0);
 }
 
 void
-Engine::completePairLocked(int worker, TaskId id, double start,
+Engine::completePairLocked(int context, TaskId id, double start,
                            double end)
 {
     const Task &task = graph_.task(id);
@@ -606,19 +579,8 @@ Engine::completePairLocked(int worker, TaskId id, double start,
         std::isfinite(sample.tc)) {
         const std::string suffix =
             ".mtl=" + std::to_string(sample.mtl);
-        if (metric_shards_.has_value()) {
-            metric_shards_->observe(
-                static_cast<std::size_t>(worker),
-                "runtime.tm_seconds" + suffix, sample.tm);
-            metric_shards_->observe(
-                static_cast<std::size_t>(worker),
-                "runtime.tc_seconds" + suffix, sample.tc);
-        } else {
-            options_.metrics->observe("runtime.tm_seconds" + suffix,
-                                      sample.tm);
-            options_.metrics->observe("runtime.tc_seconds" + suffix,
-                                      sample.tc);
-        }
+        observeMetric(context, "runtime.tm_seconds" + suffix, sample.tm);
+        observeMetric(context, "runtime.tc_seconds" + suffix, sample.tc);
     }
     policy_.onPairMeasured(sample);
     refreshMtlCacheLocked();
@@ -652,23 +614,10 @@ Engine::completePairLocked(int worker, TaskId id, double start,
         if (options_.metrics != nullptr) {
             const Histogram::Options opts{
                 .min_value = 1e-6, .growth = 2.0, .buckets = 32};
-            if (metric_shards_.has_value()) {
-                metric_shards_->observe(
-                    static_cast<std::size_t>(worker),
-                    "runtime.response_seconds",
-                    std::max(response, 0.0), opts);
-                metric_shards_->observe(
-                    static_cast<std::size_t>(worker),
-                    "runtime.queue_wait_seconds",
-                    std::max(queue_wait, 0.0), opts);
-            } else {
-                options_.metrics->observe("runtime.response_seconds",
-                                          std::max(response, 0.0),
-                                          opts);
-                options_.metrics->observe(
-                    "runtime.queue_wait_seconds",
-                    std::max(queue_wait, 0.0), opts);
-            }
+            observeMetric(context, "runtime.response_seconds",
+                          std::max(response, 0.0), opts);
+            observeMetric(context, "runtime.queue_wait_seconds",
+                          std::max(queue_wait, 0.0), opts);
         }
         const double slo = job_slo_[static_cast<std::size_t>(pair)];
         if (slo > 0.0 && response > slo) {
@@ -684,33 +633,14 @@ Engine::completePairLocked(int worker, TaskId id, double start,
 }
 
 void
-Engine::readyDepthObserve(int worker)
+Engine::observeMetric(int context, const std::string &name,
+                      double value, const Histogram::Options &options)
 {
-    if (options_.metrics == nullptr)
-        return;
-    const Histogram::Options opts{
-        .min_value = 1.0, .growth = 2.0, .buckets = 24};
-    const double mem =
-        pull_mode_
-            ? static_cast<double>(ready_memory_ring_->sizeApprox())
-            : static_cast<double>(ready_memory_.size());
-    const double cmp =
-        pull_mode_
-            ? static_cast<double>(ready_compute_ring_->sizeApprox())
-            : static_cast<double>(ready_compute_.size());
-    if (metric_shards_.has_value()) {
-        metric_shards_->observe(static_cast<std::size_t>(worker),
-                                "runtime.ready_memory_depth", mem,
-                                opts);
-        metric_shards_->observe(static_cast<std::size_t>(worker),
-                                "runtime.ready_compute_depth", cmp,
-                                opts);
-    } else {
-        options_.metrics->observe("runtime.ready_memory_depth", mem,
-                                  opts);
-        options_.metrics->observe("runtime.ready_compute_depth", cmp,
-                                  opts);
-    }
+    if (metric_shards_.has_value())
+        metric_shards_->observe(static_cast<std::size_t>(context), name,
+                                value, options);
+    else
+        options_.metrics->observe(name, value, options);
 }
 
 void
@@ -722,164 +652,54 @@ Engine::unlockSuccessors(TaskId id, double now)
     for (TaskId succ : succs_[static_cast<std::size_t>(id)]) {
         if (deps_left_[static_cast<std::size_t>(succ)].fetch_sub(
                 1, std::memory_order_acq_rel) == 1) {
-            if (graph_.task(succ).kind == TaskKind::Memory) {
-                // A dependency-unlocked memory task starts its
-                // pair's span: runnable from this completion on.
+            // A dependency-unlocked memory task starts its pair's
+            // span: runnable from this completion on.
+            if (graph_.task(succ).kind == TaskKind::Memory)
                 openSpan(graph_.task(succ).pair, 0, now);
-                enqueueMemoryReady(succ);
-            } else {
-                enqueueComputeReady(succ);
-            }
+            enqueueReady(succ);
         }
     }
 }
 
 void
-Engine::completeLocked(int context, TaskId id,
-                       const AttemptOutcome &outcome)
+Engine::completeAttempt(int context, TaskId id,
+                        const AttemptOutcome &outcome)
 {
-    const Task &task = graph_.task(id);
-    const double end = outcome.end;
-    context_busy_[static_cast<std::size_t>(context)] = false;
-    running_[static_cast<std::size_t>(context)].store(
-        stream::kInvalidTask, std::memory_order_relaxed);
+    const auto c = static_cast<std::size_t>(context);
+    const bool memory = graph_.task(id).kind == TaskKind::Memory;
     recordAttemptEvent(context, id, outcome);
-
-    if (task.kind == TaskKind::Memory)
-        --mem_in_flight_;
+    running_[c].store(stream::kInvalidTask, std::memory_order_relaxed);
+    if (memory)
+        gate_->release(c);
     else
-        completePairLocked(context, id, outcome.start, end);
+        completePairLocked(context, id, outcome.start, outcome.end);
 
-    readyDepthObserve(context);
-    unlockSuccessors(id, end);
-
-    // Phase barrier.
-    if (phase_remaining_.fetch_sub(1, std::memory_order_seq_cst) ==
-            1 &&
-        current_phase_ + 1 < graph_.phaseCount()) {
-        tt_assert(ready_memory_.empty() && ready_compute_.empty(),
-                  "ready tasks left at a phase barrier");
-        activatePhaseLocked(current_phase_ + 1, end);
+    if (options_.metrics != nullptr) {
+        const Histogram::Options opts{
+            .min_value = 1.0, .growth = 2.0, .buckets = 24};
+        observeMetric(context, "runtime.ready_memory_depth",
+                      static_cast<double>(ready_memory_->sizeApprox()),
+                      opts);
+        observeMetric(context, "runtime.ready_compute_depth",
+                      static_cast<double>(ready_compute_->sizeApprox()),
+                      opts);
     }
-}
-
-void
-Engine::completeMemoryFast(int worker, TaskId id,
-                           const AttemptOutcome &outcome)
-{
-    // Lock-free memory-task completion (pull mode, healthy run).
-    // Safe without the scheduler mutex because every touched datum is
-    // either worker-owned (running_, trace ring, counter shard),
-    // pair-serialized (the open span -- the pair's compute task
-    // cannot run until the fetch_sub below), or atomic.
-    recordAttemptEvent(worker, id, outcome);
-    gate_->release(static_cast<std::size_t>(worker));
-    running_[static_cast<std::size_t>(worker)].store(
-        stream::kInvalidTask, std::memory_order_relaxed);
-    readyDepthObserve(worker);
     unlockSuccessors(id, outcome.end);
-    // A memory task is never the last of its phase (its compute
-    // successor completes later), so the barrier cannot trip here.
-    phase_remaining_.fetch_sub(1, std::memory_order_seq_cst);
-    inflight_attempts_.fetch_sub(1, std::memory_order_seq_cst);
-    // The freed admission slot may unblock a parked worker.
-    wakeWorkers();
-    if (run_failed_.load(std::memory_order_seq_cst)) {
-        // The run aborted while we completed lock-free; the failing
-        // path may have seen our attempt still in flight, so re-run
-        // the finish check it skipped.
-        std::lock_guard lock(mutex_);
-        maybeFinishLocked();
-    }
-}
 
-void
-Engine::completePullSlowLocked(int worker, TaskId id,
-                               const AttemptOutcome &outcome)
-{
-    // Successful attempt that needs the slow path: a compute (pair)
-    // completion, or any completion draining into a failed run.
-    const Task &task = graph_.task(id);
-    const double end = outcome.end;
-    running_[static_cast<std::size_t>(worker)].store(
-        stream::kInvalidTask, std::memory_order_relaxed);
-    recordAttemptEvent(worker, id, outcome);
-
-    if (task.kind == TaskKind::Memory)
-        gate_->release(static_cast<std::size_t>(worker));
-    else
-        completePairLocked(worker, id, outcome.start, end);
-
-    readyDepthObserve(worker);
-    unlockSuccessors(id, end);
-
+    // Phase barrier. A memory task is never the last of its phase
+    // (its compute successor completes later), so only a compute
+    // completion, which holds mutex_, can trip it.
     if (phase_remaining_.fetch_sub(1, std::memory_order_seq_cst) ==
             1 &&
         current_phase_ + 1 < graph_.phaseCount()) {
-        tt_assert(ready_memory_ring_->emptyApprox() &&
-                      ready_compute_ring_->emptyApprox(),
+        tt_assert(ready_memory_->emptyApprox() &&
+                      ready_compute_->emptyApprox(),
                   "ready tasks left at a phase barrier");
-        activatePhaseLocked(current_phase_ + 1, end);
+        activatePhaseLocked(current_phase_ + 1, outcome.end);
     }
     inflight_attempts_.fetch_sub(1, std::memory_order_seq_cst);
-}
-
-void
-Engine::handlePullFailureLocked(int worker, TaskId id,
-                                const AttemptOutcome &outcome)
-{
-    const auto w = static_cast<std::size_t>(worker);
-    const int attempt = attempts_[static_cast<std::size_t>(id)];
-    if (!run_failed_.load(std::memory_order_relaxed) &&
-        attempt < options_.max_task_retries) {
-        const double backoff =
-            std::min(options_.retry_backoff_seconds *
-                         std::ldexp(1.0, attempt),
-                     50e-3);
-        spanAttempt(id, worker, outcome, true, backoff);
-        ++attempts_[static_cast<std::size_t>(id)];
-        task_retries_.fetch_add(1, std::memory_order_relaxed);
-        if (MetricsRegistry *metrics = options_.metrics)
-            metrics->add("runtime.task_retries", 1);
-        retry_log_.push_back(RetryRecord{id, attempt});
-        // The worker stays reserved through the backoff (its gate
-        // slot included, for memory tasks): the retry cannot be
-        // starved out, and single-thread runs keep the push-mode
-        // schedule exactly.
-        AttemptSpec spec;
-        spec.task = id;
-        spec.attempt = attempts_[static_cast<std::size_t>(id)];
-        spec.rerun_memory_first =
-            graph_.task(id).kind == TaskKind::Compute;
-        const fault::FaultPlan *plan = options_.fault_plan;
-        if (plan != nullptr && plan->enabled()) {
-            spec.faults = plan->forTask(id, spec.attempt);
-            spec.stall_seconds = plan->config().stall_seconds;
-        }
-        retry_spec_[w] = spec;
-        auto &pending = pending_retry_[w];
-        pending.active.store(true, std::memory_order_relaxed);
-        pending.token = backend_->after(
-            backoff, [this, worker] { onRetryTimerPull(worker); });
-        return;
-    }
-
-    spanAttempt(id, worker, outcome, true, 0.0);
-    ++task_failures_;
-    if (MetricsRegistry *metrics = options_.metrics)
-        metrics->add("runtime.task_failures", 1);
-    running_[w].store(stream::kInvalidTask,
-                      std::memory_order_relaxed);
-    if (graph_.task(id).kind == TaskKind::Memory)
-        gate_->release(w);
-    inflight_attempts_.fetch_sub(1, std::memory_order_seq_cst);
-    markRunFailedLocked("task " + std::to_string(id) +
-                        " failed after " +
-                        std::to_string(options_.max_task_retries) +
-                        " retries: " + outcome.error);
-    closeSpan(graph_.task(id).pair, outcome.end,
-              obs::SpanOutcome::Failed);
-    maybeFinishLocked();
+    if (memory)
+        wakeWorkers(); // the freed gate slot may unblock a parked worker
 }
 
 void
@@ -891,50 +711,20 @@ Engine::markRunFailedLocked(const std::string &reason)
     run_failed_.store(true, std::memory_order_seq_cst);
     tt_warn("aborting run: ", failure_reason_);
     abandonPendingRetriesLocked();
-    if (pull_mode_)
-        wakeWorkers(); // parked workers re-evaluate into drain mode
+    wakeWorkers(); // parked workers re-evaluate into drain mode
 }
 
 void
-Engine::failTaskLocked(int context, TaskId id, const std::string &why)
+Engine::abandonAttemptLocked(int context)
 {
-    ++task_failures_;
-    if (MetricsRegistry *metrics = options_.metrics)
-        metrics->add("runtime.task_failures", 1);
-    context_busy_[static_cast<std::size_t>(context)] = false;
-    running_[static_cast<std::size_t>(context)].store(
-        stream::kInvalidTask, std::memory_order_relaxed);
+    // The task never (re-)ran to completion: its reservation -- gate
+    // slot included -- goes back. Only a task that exhausted its
+    // retries counts as a failure, and the caller counts it.
+    const auto c = static_cast<std::size_t>(context);
+    const TaskId id = running_[c].load(std::memory_order_relaxed);
+    running_[c].store(stream::kInvalidTask, std::memory_order_relaxed);
     if (graph_.task(id).kind == TaskKind::Memory)
-        --mem_in_flight_;
-    markRunFailedLocked("task " + std::to_string(id) +
-                        " failed after " +
-                        std::to_string(options_.max_task_retries) +
-                        " retries: " + why);
-}
-
-void
-Engine::abandonContextLocked(int context, TaskId id)
-{
-    // The task never re-ran, so it is abandoned rather than failed:
-    // only the task that exhausted its retries counts as a failure.
-    context_busy_[static_cast<std::size_t>(context)] = false;
-    running_[static_cast<std::size_t>(context)].store(
-        stream::kInvalidTask, std::memory_order_relaxed);
-    if (graph_.task(id).kind == TaskKind::Memory)
-        --mem_in_flight_;
-}
-
-void
-Engine::abandonWorkerAttemptLocked(int worker)
-{
-    const auto w = static_cast<std::size_t>(worker);
-    const TaskId id = running_[w].load(std::memory_order_relaxed);
-    if (id == stream::kInvalidTask)
-        return;
-    running_[w].store(stream::kInvalidTask,
-                      std::memory_order_relaxed);
-    if (graph_.task(id).kind == TaskKind::Memory)
-        gate_->release(w);
+        gate_->release(c);
     inflight_attempts_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
@@ -949,12 +739,7 @@ Engine::abandonPendingRetriesLocked()
         pending.active.store(false, std::memory_order_relaxed);
         backend_->cancel(pending.token);
         pending.token = 0;
-        if (pull_mode_)
-            abandonWorkerAttemptLocked(c);
-        else
-            abandonContextLocked(
-                c, running_[static_cast<std::size_t>(c)].load(
-                       std::memory_order_relaxed));
+        abandonAttemptLocked(c);
     }
 }
 
@@ -970,26 +755,17 @@ Engine::maybeFinishLocked()
         open_loop_ ? next_job_ >= options_.arrival_plan->size() &&
                          done + shed_tasks_ == graph_.taskCount()
                    : done == graph_.taskCount();
-    if (!drained) {
-        if (!run_failed_.load(std::memory_order_relaxed))
-            return;
-        if (pull_mode_) {
-            // inflight_attempts_ covers running bodies *and* retry
-            // reservations, so zero means truly idle.
-            if (inflight_attempts_.load(std::memory_order_seq_cst) !=
-                0)
-                return;
-        } else {
-            for (const bool busy : context_busy_)
-                if (busy)
-                    return; // let in-flight attempts deliver first
-        }
-    }
+    // A failed run finishes once idle: inflight_attempts_ covers
+    // running bodies *and* retry reservations, so zero means every
+    // in-flight attempt has delivered.
+    if (!drained &&
+        (!run_failed_.load(std::memory_order_relaxed) ||
+         inflight_attempts_.load(std::memory_order_seq_cst) != 0))
+        return;
     finished_ = true;
     drain_seconds_ = backend_->now();
     run_complete_.store(true, std::memory_order_seq_cst);
-    if (pull_mode_)
-        wakeWorkers(); // parked workers observe run_complete_, exit
+    wakeWorkers(); // parked workers observe run_complete_, exit
     if (watchdog_token_ != 0) {
         backend_->cancel(watchdog_token_);
         watchdog_token_ = 0;
@@ -1142,13 +918,11 @@ Engine::emitTimeseriesRowLocked()
     obs::TimeseriesSample row;
     row.time = finished_ ? drain_seconds_ : backend_->now();
     row.mtl = policy_.currentMtl();
-    row.mem_in_flight = memInFlightNow();
+    row.mem_in_flight = static_cast<int>(gate_->current());
     row.tasks_done = tasks_done_.load(std::memory_order_relaxed);
     row.pairs_done = static_cast<long>(samples_.size());
-    row.ready_memory = pull_mode_ ? ready_memory_ring_->sizeApprox()
-                                  : ready_memory_.size();
-    row.ready_compute = pull_mode_ ? ready_compute_ring_->sizeApprox()
-                                   : ready_compute_.size();
+    row.ready_memory = ready_memory_->sizeApprox();
+    row.ready_compute = ready_compute_->sizeApprox();
     row.selections = policy_.stats().selections;
     row.degraded = policy_.degraded();
     if (open_loop_) {
@@ -1230,15 +1004,12 @@ Engine::healthTickWindowLocked()
     sample.window = health_tick_window_++;
     sample.time = finished_ ? drain_seconds_ : backend_->now();
 
-    // Hot-path counter deltas since the previous tick window. Push
-    // mode has no gate (the bound check lives under the mutex), so
-    // those detectors stay quiet on the sim backend by construction.
-    long gate_failures = 0;
-    long gate_folds = 0;
-    if (gate_.has_value()) {
-        gate_failures = gate_->admitFailures();
-        gate_folds = gate_->folds();
-    }
+    // Hot-path counter deltas since the previous tick window. The
+    // push scan probes the gate exactly before admitting, so gate
+    // rejections stay 0 on single-dispatcher backends by
+    // construction.
+    const long gate_failures = gate_->admitFailures();
+    const long gate_folds = gate_->folds();
     sample.gate_failures = gate_failures - health_prev_gate_failures_;
     sample.gate_folds = gate_folds - health_prev_gate_folds_;
     health_prev_gate_failures_ = gate_failures;
@@ -1321,22 +1092,13 @@ Engine::publishHealthMetricsLocked()
     health_pub_dropped_ = health_->alertsDropped();
 }
 
-int
-Engine::memInFlightNow() const
-{
-    return pull_mode_ ? static_cast<int>(gate_->current())
-                      : mem_in_flight_;
-}
-
 void
 Engine::refreshMtlCacheLocked()
 {
-    if (!pull_mode_)
-        return;
     // Policies are not thread-safe, so currentMtl() is only read
     // under mutex_ and mirrored here for the lock-free admission
     // bound. The mirror is exact: the policy only changes state
-    // under this same mutex.
+    // under this same mutex, and every such call refreshes it.
     const int mtl = policy_.currentMtl();
     const int prev = mtl_cache_.exchange(mtl, std::memory_order_seq_cst);
     if (mtl > prev)
@@ -1372,9 +1134,9 @@ Engine::workerShouldSleep(int worker) const
         return true; // reserved: only our retry timer can free us
     if (run_failed_.load(std::memory_order_acquire))
         return true; // drain mode: nothing to dispatch, wait for end
-    if (!ready_compute_ring_->emptyApprox())
+    if (!ready_compute_->emptyApprox())
         return false;
-    if (!ready_memory_ring_->emptyApprox() &&
+    if (!ready_memory_->emptyApprox() &&
         gate_->current() < mtl_cache_.load(std::memory_order_seq_cst))
         return false;
     return true;
@@ -1408,30 +1170,6 @@ Engine::parkWorker(int worker)
     parked_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
-void
-Engine::prepareDispatch(int worker, TaskId id, int mtl,
-                        AttemptSpec &spec)
-{
-    const Task &task = graph_.task(id);
-    const auto w = static_cast<std::size_t>(worker);
-    running_[w].store(id, std::memory_order_relaxed);
-    inflight_attempts_.fetch_add(1, std::memory_order_seq_cst);
-    // Fresh dispatches are always attempt 0: failed tasks never
-    // requeue (the retry stays reserved on its worker), so these
-    // slots are quiescent for everyone else.
-    task_mtl_[static_cast<std::size_t>(id)] = mtl;
-    if (task.kind == TaskKind::Memory)
-        pair_mem_mtl_[static_cast<std::size_t>(task.pair)] = mtl;
-    spec = AttemptSpec{};
-    spec.task = id;
-    spec.attempt = 0;
-    const fault::FaultPlan *plan = options_.fault_plan;
-    if (plan != nullptr && plan->enabled()) {
-        spec.faults = plan->forTask(id, 0);
-        spec.stall_seconds = plan->config().stall_seconds;
-    }
-}
-
 bool
 Engine::nextAttempt(int worker, AttemptSpec &spec)
 {
@@ -1443,48 +1181,24 @@ Engine::nextAttempt(int worker, AttemptSpec &spec)
                                      std::memory_order_acq_rel)) {
             // Our granted retry's backoff elapsed: re-run the same
             // task on this worker (the context stayed reserved, so
-            // retries are never starved and single-thread schedules
-            // match push mode exactly).
+            // retries are never starved).
             if (run_failed_.load(std::memory_order_acquire)) {
                 std::lock_guard lock(mutex_);
-                abandonWorkerAttemptLocked(worker);
+                abandonAttemptLocked(worker);
                 maybeFinishLocked();
                 continue;
             }
-            spec = retry_spec_[w];
+            spec = attemptSpec(running_[w].load(std::memory_order_relaxed));
             return true;
         }
-        if (pending_retry_[w].active.load(
-                std::memory_order_acquire)) {
-            // Reserved through a backoff: park, never steal other
-            // work (that would hand the retried task to the wrong
-            // context and break the reservation invariant).
-            parkWorker(worker);
-            continue;
-        }
-        if (!run_failed_.load(std::memory_order_acquire)) {
-            TaskId id = stream::kInvalidTask;
-            // Compute first, exactly like push-mode tryScheduleLocked.
-            if (ready_compute_ring_->tryPop(id)) {
-                prepareDispatch(worker, id,
-                                mtl_cache_.load(
-                                    std::memory_order_seq_cst),
-                                spec);
-                return true;
-            }
-            const int bound =
-                mtl_cache_.load(std::memory_order_seq_cst);
-            if (!ready_memory_ring_->emptyApprox() &&
-                gate_->tryAcquire(w, bound)) {
-                if (ready_memory_ring_->tryPop(id)) {
-                    prepareDispatch(worker, id, bound, spec);
-                    return true;
-                }
-                // Another worker drained the ring between the probe
-                // and the pop; give the slot back.
-                gate_->release(w);
-            }
-        }
+        // A worker reserved through a backoff never steals other work
+        // (that would hand the retried task to the wrong context and
+        // break the reservation invariant); it parks until its retry
+        // fires.
+        if (!pending_retry_[w].active.load(std::memory_order_acquire) &&
+            !run_failed_.load(std::memory_order_acquire) &&
+            tryDispatch(worker, spec))
+            return true;
         parkWorker(worker);
     }
 }
@@ -1500,9 +1214,9 @@ Engine::crashDump()
     if (lock.owns_lock())
         std::fprintf(stderr,
                      "tt: runtime progress: %d/%d tasks done, "
-                     "%d memory tasks in flight\n",
+                     "%ld memory tasks in flight\n",
                      tasks_done_.load(std::memory_order_relaxed),
-                     graph_.taskCount(), memInFlightNow());
+                     graph_.taskCount(), gate_->current());
     else
         std::fprintf(stderr,
                      "tt: runtime progress: scheduler lock held "
@@ -1533,34 +1247,21 @@ Engine::run(ExecutionBackend &backend)
     backend_ = &backend;
     const int contexts = backend.contexts();
     tt_assert(contexts >= 1, "need at least one execution context");
-    context_busy_.assign(static_cast<std::size_t>(contexts), false);
-    running_ =
-        std::vector<std::atomic<TaskId>>(static_cast<std::size_t>(contexts));
+    const auto n_contexts = static_cast<std::size_t>(contexts);
+    running_ = std::vector<std::atomic<TaskId>>(n_contexts);
     for (auto &slot : running_)
         slot.store(stream::kInvalidTask, std::memory_order_relaxed);
-    pending_retry_ =
-        std::vector<PendingRetry>(static_cast<std::size_t>(contexts));
-    pull_mode_ = backend.pullDispatch();
-    if (pull_mode_) {
-        // Rings sized to the whole task count: pushes cannot fail.
-        const auto ring_cap = static_cast<std::size_t>(
-            std::max(graph_.taskCount(), 2));
-        ready_memory_ring_.emplace(ring_cap);
-        ready_compute_ring_.emplace(ring_cap);
-        gate_.emplace(static_cast<std::size_t>(contexts));
-        retry_ready_ = std::vector<std::atomic<bool>>(
-            static_cast<std::size_t>(contexts));
-        retry_spec_.assign(static_cast<std::size_t>(contexts),
-                           AttemptSpec{});
-        worker_counters_.assign(static_cast<std::size_t>(contexts),
-                                WorkerCounters{});
-        if (options_.metrics != nullptr)
-            metric_shards_.emplace(
-                *options_.metrics,
-                static_cast<std::size_t>(contexts));
-    }
-    tracer_.emplace(contexts, ringCapacity(options_, graph_.taskCount()));
+    pending_retry_ = std::vector<PendingRetry>(n_contexts);
+    retry_ready_ = std::vector<std::atomic<bool>>(n_contexts);
+    worker_counters_.assign(n_contexts, WorkerCounters{});
     const auto n_pairs = static_cast<std::size_t>(graph_.pairCount());
+    ready_memory_.emplace(n_pairs);
+    ready_compute_.emplace(n_pairs);
+    gate_.emplace(n_contexts);
+    pull_mode_ = backend.pullDispatch();
+    if (pull_mode_ && options_.metrics != nullptr)
+        metric_shards_.emplace(*options_.metrics, n_contexts);
+    tracer_.emplace(contexts, ringCapacity(options_, graph_.taskCount()));
     span_buffer_.emplace(std::max<std::size_t>(
         1, std::min(options_.span_capacity, n_pairs)));
     open_span_.assign(n_pairs, obs::JobSpan{});
@@ -1645,15 +1346,17 @@ RunResult
 Engine::finishResult()
 {
     std::lock_guard lock(mutex_);
-    // The workers joined before drive() returned, so every shard --
-    // metric, hw-counter -- is quiescent; fold the stragglers.
+    // Every attempt delivered before drive() returned, so every shard
+    // -- metric, hw-counter -- is quiescent; fold the stragglers.
     if (metric_shards_.has_value())
         metric_shards_->fold();
+    bool saw_counters = false;
+    obs::perf::CounterSet counter_totals;
     for (const WorkerCounters &wc : worker_counters_) {
         if (!wc.saw)
             continue;
-        saw_counters_ = true;
-        counter_totals_ += wc.totals;
+        saw_counters = true;
+        counter_totals += wc.totals;
     }
     const int done = tasks_done_.load(std::memory_order_seq_cst);
     RunResult result;
@@ -1676,11 +1379,9 @@ Engine::finishResult()
     result.policy_stats = policy_.stats();
     result.mtl_trace = policy_.mtlTrace();
     result.decisions = policy_.decisions();
-    // Pull mode tracks the peak exactly in the gate (monotonic
-    // CAS-max over the folded shard sum at every successful admit).
-    result.peak_mem_in_flight =
-        pull_mode_ ? static_cast<int>(gate_->peak())
-                   : peak_mem_in_flight_;
+    // The gate tracks the peak (monotonic CAS-max over the folded
+    // shard sum at every successful admit).
+    result.peak_mem_in_flight = static_cast<int>(gate_->peak());
     result.trace = tracer_->merged();
     result.trace_dropped = tracer_->dropped();
     if (span_buffer_.has_value()) {
@@ -1749,8 +1450,8 @@ Engine::finishResult()
         result.phases.push_back(std::move(pr));
     }
 
-    result.has_counters = saw_counters_;
-    result.counters = counter_totals_;
+    result.has_counters = saw_counters;
+    result.counters = counter_totals;
 
     if (health_.has_value()) {
         result.health_enabled = true;
@@ -1806,26 +1507,16 @@ Engine::finishResult()
         metrics->add("obs.overhead.live_export_ns", 0);
         metrics->add("obs.overhead.health_ns",
                      static_cast<std::int64_t>(obs_health_ns_));
-        // Hot-path substrate telemetry. Push mode has no rings, gate
-        // or parking lot; the zero-delta adds / zero sets still
-        // materialize the names so host and sim expose the identical
-        // schema.
-        long gate_failures = 0;
-        long gate_folds = 0;
-        double ring_peak_memory = 0.0;
-        double ring_peak_compute = 0.0;
-        if (pull_mode_) {
-            gate_failures = gate_->admitFailures();
-            gate_folds = gate_->folds();
-            ring_peak_memory = static_cast<double>(
-                ready_memory_ring_->peakApprox());
-            ring_peak_compute = static_cast<double>(
-                ready_compute_ring_->peakApprox());
-        }
-        metrics->add("runtime.gate_admit_failures", gate_failures);
-        metrics->add("runtime.gate_folds", gate_folds);
-        metrics->set("runtime.ring_peak_memory", ring_peak_memory);
-        metrics->set("runtime.ring_peak_compute", ring_peak_compute);
+        // Hot-path substrate telemetry. Backends without worker
+        // threads never park; the zero-delta adds still materialize
+        // the names so host and sim expose the identical schema.
+        metrics->add("runtime.gate_admit_failures",
+                     gate_->admitFailures());
+        metrics->add("runtime.gate_folds", gate_->folds());
+        metrics->set("runtime.ring_peak_memory",
+                     static_cast<double>(ready_memory_->peakApprox()));
+        metrics->set("runtime.ring_peak_compute",
+                     static_cast<double>(ready_compute_->peakApprox()));
         metrics->add("runtime.worker_parks", 0); // shards added real
         metrics->add("runtime.worker_wakes",
                      static_cast<std::int64_t>(wake_notifies_));
@@ -1863,16 +1554,16 @@ Engine::finishResult()
             // the identical metric-name schema either way.
             metrics->add("runtime.perf.llc_misses",
                          static_cast<std::int64_t>(
-                             counter_totals_.llc_misses));
+                             counter_totals.llc_misses));
             metrics->add(
                 "runtime.perf.cycles",
-                static_cast<std::int64_t>(counter_totals_.cycles));
+                static_cast<std::int64_t>(counter_totals.cycles));
             metrics->add("runtime.perf.stalled_cycles",
                          static_cast<std::int64_t>(
-                             counter_totals_.stalled_cycles));
+                             counter_totals.stalled_cycles));
             metrics->add("runtime.perf.instructions",
                          static_cast<std::int64_t>(
-                             counter_totals_.instructions));
+                             counter_totals.instructions));
         }
     }
 

@@ -27,7 +27,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -446,13 +445,14 @@ class ExecutionBackend
     virtual void runDrained() {}
 
     /**
-     * True when this backend's workers *pull* attempts from the
-     * engine (Engine::nextAttempt) instead of having the engine push
-     * them through startAttempt(). Pull-mode runs take the engine's
-     * lock-free fast path: MPMC ready rings, sharded admission gate,
-     * per-worker metric shards. Push mode (sim, mocks) keeps every
-     * transition under the scheduler mutex and stays bit-identical
-     * to the historical behaviour.
+     * Who pops the engine's ready rings. True: this backend runs
+     * worker threads that *pull* attempts themselves
+     * (Engine::nextAttempt) and publish metrics through per-worker
+     * shards. False: the engine pushes attempts through
+     * startAttempt(), scanning idle contexts in ascending order
+     * whenever an attempt completes, a retry fires or work arrives.
+     * The scheduler state -- ready rings, sharded MTL gate, per-
+     * context reservations -- is the same either way.
      */
     virtual bool pullDispatch() const { return false; }
 
@@ -492,21 +492,20 @@ class ExecutionBackend
  * with exponential backoff, clean run failure, watchdog and
  * time-series timers, trace rings and metrics.
  *
- * Thread-safe. Two locking disciplines coexist:
+ * Thread-safe, with one scheduler state for every backend: MPMC
+ * ready rings, a sharded admission gate standing in for the paper's
+ * "counter", atomic dependency/progress counters and per-context
+ * retry reservations. The per-task fast path -- dispatch through
+ * tryDispatch(), MTL admission, memory-task completion, successor
+ * unlock, trace publication -- is lock-free. Only the slow path --
+ * pair sample delivery to the policy, retries, failures, arrivals,
+ * phase barriers, watchdog, finish -- takes the mutex.
  *
- *  - Push mode (sim, mocks): all scheduler state under one mutex,
- *    the paper's "lock and a counter", bit-identical to the
- *    historical engine. Single-threaded backends never contend.
- *
- *  - Pull mode (host threads): the per-task fast path -- ready-task
- *    dispatch, MTL admission, memory-task completion, successor
- *    unlock, trace/metric publication -- is lock-free (MPMC rings,
- *    a sharded admission gate, atomic dependency/progress counters,
- *    per-worker metric shards). Only the slow path -- pair sample
- *    delivery to the policy, retries, failures, arrivals, phase
- *    barriers, watchdog, finish -- takes the (now rarely touched)
- *    mutex. See docs/substrate.md for the full memory-ordering
- *    argument.
+ * Push vs. pull only decides who pops. Worker threads (host) call
+ * tryDispatch() from nextAttempt(); for backends without threads
+ * (sim, mocks) the engine calls it from an ascending idle-context
+ * scan under the mutex, so their schedule is deterministic. See
+ * docs/substrate.md for the memory-ordering argument.
  */
 class Engine
 {
@@ -534,7 +533,7 @@ class Engine
      * over and the worker should exit. Ready tasks come off the MPMC
      * rings; memory admission goes through the sharded gate; a
      * worker whose task is in retry backoff parks until its own
-     * retry fires (the context stays reserved, as in push mode).
+     * retry fires (the context stays reserved).
      */
     bool nextAttempt(int worker, AttemptSpec &spec);
 
@@ -563,20 +562,33 @@ class Engine
     void onArrivalTimer();
     /** Run one job through admission; queue or shed its pair. */
     void admitJobLocked(const load::JobSpec &job);
+    /** Push backends: start attempts on idle contexts, lowest
+     *  first, until nothing is admissible. */
     void tryScheduleLocked();
-    /** Dispatch a fresh (attempt-0) task onto an idle context. */
-    void dispatchLocked(int context, stream::TaskId id);
-    /** Hand the task's current attempt to the backend. */
-    void startAttemptLocked(int context, stream::TaskId id);
-    void completeLocked(int context, stream::TaskId id,
-                        const AttemptOutcome &outcome);
-    /** Exhausted/abandoned attempt: count the failure, abort run. */
-    void failTaskLocked(int context, stream::TaskId id,
-                        const std::string &why);
+    /** Pop the next admissible ready task for `context` -- compute
+     *  first, memory through the MTL gate -- and reserve the
+     *  context for it; false when nothing is admissible now. */
+    bool tryDispatch(int context, AttemptSpec &spec);
+    /** The spec of task `id`'s current attempt. */
+    AttemptSpec attemptSpec(stream::TaskId id) const;
+    /**
+     * Successful attempt: record it, release its context and gate
+     * slot, unlock its successors. A memory completion in a healthy
+     * run calls this without mutex_ -- everything it touches is
+     * context-owned, pair-serialized or atomic; every other
+     * completion (pair sample, phase barrier) holds mutex_.
+     */
+    void completeAttempt(int context, stream::TaskId id,
+                         const AttemptOutcome &outcome);
+    /** Failed attempt: grant a backoff retry (the context stays
+     *  reserved) or, once retries are exhausted, fail the run. */
+    void failAttemptLocked(int context, stream::TaskId id,
+                           const AttemptOutcome &outcome);
     /** Retry backoff timer fired for `context`. */
     void onRetryTimer(int context);
-    /** Free a context whose retry was abandoned by a failed run. */
-    void abandonContextLocked(int context, stream::TaskId id);
+    /** Release the attempt reserved on `context` without completing
+     *  it (exhausted task, or a retry a failed run abandoned). */
+    void abandonAttemptLocked(int context);
     void abandonPendingRetriesLocked();
     /** Finish the run when drained (or failed and idle). */
     void maybeFinishLocked();
@@ -618,36 +630,22 @@ class Engine
     /** Assemble the RunResult after drive() returned. */
     RunResult finishResult();
 
-    // --- pull-mode (lock-free fast path) helpers ---
+    // --- lock-free fast path helpers ---
 
-    /** Route a newly ready task to the deque (push) or ring (pull). */
-    void enqueueMemoryReady(stream::TaskId id);
-    void enqueueComputeReady(stream::TaskId id);
-    /** Stamp dispatch state and build the attempt-0 spec (pull). */
-    void prepareDispatch(int worker, stream::TaskId id, int mtl,
-                         AttemptSpec &spec);
-    /** Lock-free completion of a successful memory attempt (pull). */
-    void completeMemoryFast(int worker, stream::TaskId id,
-                            const AttemptOutcome &outcome);
-    /** Slow-path completion (pair / failed-run drain) in pull mode. */
-    void completePullSlowLocked(int worker, stream::TaskId id,
-                                const AttemptOutcome &outcome);
-    /** Pull-mode failure: retry with backoff or fail the run. */
-    void handlePullFailureLocked(int worker, stream::TaskId id,
-                                 const AttemptOutcome &outcome);
-    /** Retry backoff elapsed for `worker` (pull mode). */
-    void onRetryTimerPull(int worker);
-    /** Drop the reserved attempt of `worker` (failed run, pull). */
-    void abandonWorkerAttemptLocked(int worker);
-    /** Record attempt / unlock successors, mode-agnostic pieces. */
-    void recordAttemptEvent(int worker, stream::TaskId id,
+    /** Push a newly ready task onto its kind's ring. */
+    void enqueueReady(stream::TaskId id);
+    void recordAttemptEvent(int context, stream::TaskId id,
                             const AttemptOutcome &outcome);
     void unlockSuccessors(stream::TaskId id, double now);
     /** Compute-task completion tail: sample, policy, span close. */
-    void completePairLocked(int worker, stream::TaskId id,
+    void completePairLocked(int context, stream::TaskId id,
                             double start, double end);
-    /** Observe ready-queue depths (shards in pull mode). */
-    void readyDepthObserve(int worker);
+    /** Record a histogram observation: into `context`'s metric
+     *  shard when the backend runs worker threads, straight into
+     *  the registry otherwise. */
+    void observeMetric(int context, const std::string &name,
+                       double value,
+                       const Histogram::Options &options = {});
     /** Abort the run once: reason, warn, abandon reservations. */
     void markRunFailedLocked(const std::string &reason);
     /** Publish policy_.currentMtl() to mtl_cache_; wake on raise. */
@@ -658,8 +656,6 @@ class Engine
     bool workerShouldSleep(int worker) const;
     /** Nudge parked workers (ring push, retry fire, MTL raise...). */
     void wakeWorkers();
-    /** Memory tasks currently admitted, either mode. */
-    int memInFlightNow() const;
 
     const stream::TaskGraph &graph_;
     core::SchedulingPolicy &policy_;
@@ -668,38 +664,42 @@ class Engine
 
     std::mutex mutex_;
 
-    /** Per-task unfinished-dependency counts. Push mode decrements
-     *  under mutex_; pull mode uses fetch_sub(acq_rel), whose final
-     *  decrement carries the happens-before edge from predecessor
-     *  completion state (task_start_/task_end_) to the dispatcher. */
+    /** Per-task unfinished-dependency counts, decremented with
+     *  fetch_sub(acq_rel): the final decrement carries the
+     *  happens-before edge from predecessor completion state
+     *  (task_start_/task_end_) to the dispatcher. */
     std::vector<std::atomic<int>> deps_left_;
     std::vector<std::vector<stream::TaskId>> succs_;
-    std::deque<stream::TaskId> ready_memory_;
-    std::deque<stream::TaskId> ready_compute_;
-    std::vector<bool> context_busy_;
+    /** Ready tasks, FIFO per kind, sized to the pair count: a task
+     *  is enqueued at most once (a failed attempt stays reserved on
+     *  its context), so pushes cannot fail. */
+    std::optional<util::MpmcQueue<stream::TaskId>> ready_memory_;
+    std::optional<util::MpmcQueue<stream::TaskId>> ready_compute_;
+    /** Task each context runs, or holds through a retry backoff;
+     *  kInvalidTask when the context is idle. */
     std::vector<std::atomic<stream::TaskId>> running_;
     std::vector<PendingRetry> pending_retry_;
     std::vector<int> attempts_; ///< failed attempts per task
 
-    // --- pull-mode state (engaged iff backend->pullDispatch()) ---
+    /** backend->pullDispatch(): worker threads pop the rings. */
     bool pull_mode_ = false;
-    std::optional<util::MpmcQueue<stream::TaskId>> ready_memory_ring_;
-    std::optional<util::MpmcQueue<stream::TaskId>> ready_compute_ring_;
-    std::optional<util::ShardedGate> gate_; ///< mem_in_flight, sharded
+    std::optional<util::ShardedGate> gate_; ///< memory tasks in flight
+    /** Per-worker metric shards, built only for worker threads: a
+     *  single dispatcher writes the registry directly, and every
+     *  fold() re-allocates the shard entries. */
     std::optional<obs::ShardedMetrics> metric_shards_;
     /** policy_.currentMtl() mirrored after every policy interaction
-     *  (all under mutex_); workers read it lock-free as the
+     *  (all under mutex_); tryDispatch reads it lock-free as the
      *  admission bound. */
     std::atomic<int> mtl_cache_{0};
     /** Dispatched attempts not yet completed/abandoned, including
      *  attempts reserved through a retry backoff. */
     std::atomic<int> inflight_attempts_{0};
-    /** Per-worker "your granted retry is due" flags (set by the
-     *  retry timer, consumed by the owning worker). */
+    /** Per-worker "your granted retry is due" flags (pull mode: set
+     *  by the retry timer, consumed by the owning worker). */
     std::vector<std::atomic<bool>> retry_ready_;
-    std::vector<AttemptSpec> retry_spec_; ///< stashed under mutex_
-    /** Per-worker hw-counter aggregation; folded after the workers
-     *  joined, so the slots need no synchronisation beyond join. */
+    /** Per-context hw-counter aggregation; folded once drive()
+     *  returned, so the slots need no synchronisation beyond it. */
     struct WorkerCounters
     {
         bool saw = false;
@@ -737,8 +737,6 @@ class Engine
     std::vector<double> job_arrival_stamp_; ///< per pair, engine clock
     std::vector<double> job_slo_;           ///< per pair, seconds
 
-    int mem_in_flight_ = 0;      ///< push mode (gate_ in pull mode)
-    int peak_mem_in_flight_ = 0; ///< push mode (gate_ peak in pull)
     int current_phase_ = -1;
     std::atomic<int> phase_remaining_{0};
     std::atomic<int> tasks_done_{0};
@@ -758,7 +756,7 @@ class Engine
     // Per-job causal spans (see obs/span.hh). Appends for one pair
     // are serialized by the pair's own dependency chain (memory
     // completes-before compute dispatches), but *different* pairs'
-    // spans open/close concurrently in pull mode, so the open flags
+    // spans open/close concurrently on worker threads, so the open flags
     // must be independent atomics -- a packed vector<bool> would
     // race on the shared words.
     std::optional<obs::SpanBuffer> span_buffer_;
@@ -805,10 +803,6 @@ class Engine
     /** Sampler rows skipped because the scheduler mutex was busy
      *  (try_to_lock miss); published as obs.timeseries_skipped. */
     std::atomic<std::int64_t> timeseries_skipped_{0};
-
-    // Hardware-counter aggregation (options_.counters only).
-    bool saw_counters_ = false;
-    obs::perf::CounterSet counter_totals_;
 
     // Fault tolerance. run_failed_ is written under mutex_ but read
     // lock-free by sleeping workers and the crash-dump path.

@@ -6,14 +6,13 @@
  * exec::Engine (shared with the simulated runtime), and this class
  * merely binds it to a HostThreadBackend -- one pinned software
  * thread per hardware context, timed with the steady clock. Workers
- * receive attempts under a single scheduler lock; a counter under the
- * same lock enforces the MTL restriction -- exactly the "lock and a
- * counter" mechanism the paper describes. Every finished pair is
- * reported to the policy, so DynamicThrottlePolicy and friends behave
- * identically here and on the simulated machine.
- *
- * RuntimeOptions and HostRunResult are aliases of the unified
- * exec::EngineOptions / exec::RunResult.
+ * pull attempts off the engine's lock-free ready rings; a sharded
+ * admission gate bounds the memory tasks in flight by the policy's
+ * MTL -- the lock-free form of the paper's "lock and a counter".
+ * Every finished pair is reported to the policy, so
+ * DynamicThrottlePolicy and friends behave identically here and on
+ * the simulated machine. Runs take exec::EngineOptions and return
+ * exec::RunResult.
  */
 
 #ifndef TT_RUNTIME_RUNTIME_HH
@@ -24,21 +23,12 @@
 
 namespace tt::runtime {
 
-/** Options controlling the worker pool (unified engine options). */
-using RuntimeOptions = exec::EngineOptions;
-
-/** Measurements from one host run (unified run result). */
-using HostRunResult = exec::RunResult;
-
-/** See exec::toTraceData. */
-using exec::toTraceData;
-
 /** Thread-pool scheduler enforcing the MTL restriction. */
 class Runtime
 {
   public:
     Runtime(const stream::TaskGraph &graph,
-            core::SchedulingPolicy &policy, RuntimeOptions options)
+            core::SchedulingPolicy &policy, exec::EngineOptions options)
         : options_(options), backend_(graph, options_),
           engine_(graph, policy, options_)
     {
@@ -48,10 +38,10 @@ class Runtime
     Runtime &operator=(const Runtime &) = delete;
 
     /** Execute the graph to completion; callable once. */
-    HostRunResult run() { return engine_.run(backend_); }
+    exec::RunResult run() { return engine_.run(backend_); }
 
   private:
-    RuntimeOptions options_;
+    exec::EngineOptions options_;
     HostThreadBackend backend_;
     exec::Engine engine_;
 };

@@ -6,7 +6,7 @@
 
 namespace tt::simrt {
 
-RunResult
+exec::RunResult
 runOnce(const cpu::MachineConfig &config, const stream::TaskGraph &graph,
         core::SchedulingPolicy &policy, MetricsRegistry *metrics)
 {
@@ -26,7 +26,7 @@ offlineExhaustiveSearch(const cpu::MachineConfig &config,
     const int n = config.contexts();
     for (int k = 1; k <= n; ++k) {
         core::StaticMtlPolicy policy(k, n);
-        const RunResult run = runOnce(config, graph, policy);
+        const exec::RunResult run = runOnce(config, graph, policy);
         result.seconds_per_mtl.push_back(run.seconds);
         if (run.seconds < result.best_seconds) {
             result.best_seconds = run.seconds;

@@ -21,8 +21,8 @@
  * the adaptive policies observe exactly what they would observe on
  * the real machine. Configuration (metrics, fault plan, retries,
  * watchdog, time series) comes in through the same
- * exec::EngineOptions the host runtime takes; RunResult is an alias
- * of the unified exec::RunResult.
+ * exec::EngineOptions the host runtime takes, and runs return the
+ * same exec::RunResult.
  */
 
 #ifndef TT_SIMRT_SIM_RUNTIME_HH
@@ -33,15 +33,6 @@
 #include "simrt/sim_backend.hh"
 
 namespace tt::simrt {
-
-/** Everything measured during one simulated run (unified result). */
-using RunResult = exec::RunResult;
-
-/** See exec::toTraceData. */
-using exec::toTraceData;
-
-/** See exec::validateSchedule. */
-using exec::validateSchedule;
 
 /** Scheduler binding one graph + one policy to one machine. */
 class SimRuntime
@@ -74,7 +65,7 @@ class SimRuntime
     SimRuntime &operator=(const SimRuntime &) = delete;
 
     /** Execute the whole graph; callable once. */
-    RunResult run() { return engine_.run(backend_); }
+    exec::RunResult run() { return engine_.run(backend_); }
 
   private:
     exec::EngineOptions options_;
@@ -86,10 +77,10 @@ class SimRuntime
  * Run `graph` once on a fresh machine built from `config`. When
  * `metrics` is non-null the run publishes into it.
  */
-RunResult runOnce(const cpu::MachineConfig &config,
-                  const stream::TaskGraph &graph,
-                  core::SchedulingPolicy &policy,
-                  MetricsRegistry *metrics = nullptr);
+exec::RunResult runOnce(const cpu::MachineConfig &config,
+                        const stream::TaskGraph &graph,
+                        core::SchedulingPolicy &policy,
+                        MetricsRegistry *metrics = nullptr);
 
 /** Result of the paper's Offline Exhaustive Search baseline. */
 struct OfflineSearchResult

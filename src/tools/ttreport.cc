@@ -370,7 +370,7 @@ main(int argc, char **argv)
     std::string policy_display;
     const auto runSim =
         [&](const tt::load::ArrivalPlan *plan)
-        -> tt::simrt::RunResult {
+        -> tt::exec::RunResult {
         auto policy = makePolicy(plan != nullptr);
         policy_display = policy->name();
         tt::cpu::SimMachine sim_machine(machine);
@@ -396,7 +396,7 @@ main(int argc, char **argv)
     constexpr double kKneeAttainment = 0.95;
 
     tt::obs::SloReport slo;
-    std::optional<tt::simrt::RunResult> main_result;
+    std::optional<tt::exec::RunResult> main_result;
     if (arrival_rate > 0.0) {
         slo.valid = true;
         slo.slo_seconds = arrivals.slo_seconds;
@@ -406,7 +406,7 @@ main(int argc, char **argv)
             const tt::load::ArrivalPlan plan =
                 tt::load::buildArrivalPlan(point_config,
                                            graph.pairCount());
-            tt::simrt::RunResult result = runSim(&plan);
+            tt::exec::RunResult result = runSim(&plan);
             if (result.failed) {
                 std::fprintf(stderr,
                              "sweep run at %.0f jobs/s failed: %s\n",
@@ -439,7 +439,7 @@ main(int argc, char **argv)
                 main_result = std::move(result);
         }
     } else {
-        tt::simrt::RunResult result = runSim(nullptr);
+        tt::exec::RunResult result = runSim(nullptr);
         if (result.failed) {
             std::fprintf(stderr, "run failed: %s\n",
                          result.failure_reason.c_str());
@@ -447,7 +447,7 @@ main(int argc, char **argv)
         }
         main_result = std::move(result);
     }
-    const tt::simrt::RunResult &result = *main_result;
+    const tt::exec::RunResult &result = *main_result;
 
     tt::obs::AnalyzeOptions options;
     options.policy = policy_display;
@@ -455,7 +455,7 @@ main(int argc, char **argv)
     options.makespan = result.seconds;
     options.policy_stats = result.policy_stats;
     tt::obs::Report report =
-        tt::obs::analyze(tt::simrt::toTraceData(graph, result),
+        tt::obs::analyze(tt::exec::toTraceData(graph, result),
                          options);
     report.slo = std::move(slo);
 

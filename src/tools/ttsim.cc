@@ -688,7 +688,7 @@ main(int argc, char **argv)
     const bool perf_counters = flags.getBool("perf-counters");
 
     if (host_mode) {
-        tt::runtime::RuntimeOptions options;
+        tt::exec::EngineOptions options;
         options.threads = n;
         options.pin_affinity = !flags.getBool("no-pin");
         options.metrics = &metrics;
@@ -797,7 +797,7 @@ main(int argc, char **argv)
 
         if (!trace_path.empty() &&
             !writeTraceFile(trace_path,
-                            tt::runtime::toTraceData(graph, result)))
+                            tt::exec::toTraceData(graph, result)))
             return 1;
         if (!metrics_path.empty() &&
             !writeMetricsFile(metrics_path, metrics))
@@ -900,7 +900,7 @@ main(int argc, char **argv)
 
     if (!trace_path.empty() &&
         !writeTraceFile(trace_path,
-                        tt::simrt::toTraceData(graph, result)))
+                        tt::exec::toTraceData(graph, result)))
         return 1;
     if (!metrics_path.empty() &&
         !writeMetricsFile(metrics_path, metrics))

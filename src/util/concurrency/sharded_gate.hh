@@ -30,7 +30,7 @@
  * bounded by `bound` (transient over-admissions back out before
  * recording), so peak() never exceeds the largest bound in effect —
  * the property the audit asserts — and is exact whenever admissions
- * are serialized (the deterministic sim/push path).
+ * are serialized (the engine's single-dispatcher push scan).
  */
 
 #ifndef TT_UTIL_CONCURRENCY_SHARDED_GATE_HH
@@ -68,9 +68,6 @@ class ShardedGate
     /** Highest folded count observed at any successful admit. */
     long peak() const;
 
-    /** Monotonically raise peak_ (push-mode bookkeeping reuse). */
-    void notePeak(long value);
-
     /**
      * Total rejected tryAcquire calls (bound full, spurious
      * conservative rejects, and bound <= 0). Relaxed fold across
@@ -84,6 +81,9 @@ class ShardedGate
     std::size_t shards() const { return shards_.size(); }
 
   private:
+    /** Monotonically raise peak_ to `value`. */
+    void notePeak(long value);
+
     struct alignas(64) Shard
     {
         std::atomic<long> count{0};

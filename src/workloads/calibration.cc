@@ -71,7 +71,7 @@ memSecondsPerByte(const cpu::MachineConfig &config, std::uint64_t bytes,
     const stream::TaskGraph graph = std::move(builder).build();
 
     core::StaticMtlPolicy policy(1, config.contexts());
-    const simrt::RunResult run = simrt::runOnce(config, graph, policy);
+    const exec::RunResult run = simrt::runOnce(config, graph, policy);
     tt_assert(run.avg_tm > 0.0, "calibration produced zero task time");
 
     const double result = run.avg_tm / static_cast<double>(bytes);

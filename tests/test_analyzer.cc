@@ -168,7 +168,7 @@ TEST(Analyzer, QueueFitDegenerateWithoutConcurrencyVariation)
 /** One seeded adaptive sim run shared by the end-to-end tests. */
 struct PhasedRun
 {
-    tt::simrt::RunResult result;
+    tt::exec::RunResult result;
     Report report;
     int cores = 0;
 };
@@ -195,7 +195,7 @@ runPhasedDynamic()
     options.makespan = run.result.seconds;
     options.policy_stats = run.result.policy_stats;
     run.report = tt::obs::analyze(
-        tt::simrt::toTraceData(graph, run.result), options);
+        tt::exec::toTraceData(graph, run.result), options);
     return run;
 }
 
@@ -366,7 +366,7 @@ TEST(Timeseries, HostSamplerEmitsAtLeastOneRow)
     params.pairs = 16;
     auto workload = tt::workloads::buildSyntheticHost(params, 2);
     DynamicThrottlePolicy policy(2, 4);
-    tt::runtime::RuntimeOptions options;
+    tt::exec::EngineOptions options;
     options.threads = 2;
     options.pin_affinity = false;
     std::ostringstream rows;

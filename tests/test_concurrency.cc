@@ -318,7 +318,7 @@ TEST(EngineAdmission, PeakNeverExceedsMtlAndIsExact)
         const tt::stream::TaskGraph graph = std::move(builder).build();
 
         tt::core::StaticMtlPolicy policy(mtl, 8);
-        tt::runtime::RuntimeOptions opts;
+        tt::exec::EngineOptions opts;
         opts.threads = 8;
         opts.pin_affinity = false;
         tt::runtime::Runtime runtime(graph, policy, opts);

@@ -21,10 +21,10 @@ namespace {
 
 using tt::cpu::MachineConfig;
 
-tt::runtime::RuntimeOptions
+tt::exec::EngineOptions
 hostOptions(int threads = 2)
 {
-    tt::runtime::RuntimeOptions opts;
+    tt::exec::EngineOptions opts;
     opts.threads = threads;
     opts.pin_affinity = false;
     return opts;
@@ -84,7 +84,7 @@ TEST(Stencil, SimGraphHasOnePhasePerSweep)
     tt::core::StaticMtlPolicy policy(2, cfg.contexts());
     const auto run = tt::simrt::runOnce(cfg, graph, policy);
     EXPECT_EQ(run.samples.size(), static_cast<std::size_t>(5 * 16));
-    EXPECT_EQ(tt::simrt::validateSchedule(graph, run, cfg.contexts()),
+    EXPECT_EQ(tt::exec::validateSchedule(graph, run, cfg.contexts()),
               "");
 }
 

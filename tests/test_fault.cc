@@ -39,7 +39,7 @@ using tt::core::SchedulingPolicy;
 using tt::fault::FaultConfig;
 using tt::fault::FaultPlan;
 using tt::runtime::Runtime;
-using tt::runtime::RuntimeOptions;
+using tt::exec::EngineOptions;
 using tt::stream::PairSpec;
 using tt::stream::StreamProgramBuilder;
 using tt::stream::TaskGraph;
@@ -74,10 +74,10 @@ countedGraph(int pairs)
     return counted;
 }
 
-RuntimeOptions
+EngineOptions
 hostOptions(int threads)
 {
-    RuntimeOptions opts;
+    EngineOptions opts;
     opts.threads = threads;
     opts.pin_affinity = false;
     return opts;
@@ -228,7 +228,7 @@ TEST(HostChaos, CompletesWithRetriesUnderSeededPlan)
     const int pairs = 64;
     CountedGraph counted = countedGraph(pairs);
     ConventionalPolicy policy(4);
-    RuntimeOptions opts = hostOptions(4);
+    EngineOptions opts = hostOptions(4);
     opts.fault_plan = &plan;
     opts.retry_backoff_seconds = 1e-6;
     Runtime runtime(counted.graph, policy, opts);
@@ -257,7 +257,7 @@ TEST(HostChaos, ExhaustedRetriesFailCleanly)
 
     CountedGraph counted = countedGraph(8);
     ConventionalPolicy policy(2);
-    RuntimeOptions opts = hostOptions(2);
+    EngineOptions opts = hostOptions(2);
     opts.fault_plan = &plan;
     opts.max_task_retries = 2;
     opts.retry_backoff_seconds = 1e-6;
@@ -284,7 +284,7 @@ TEST(HostChaos, StragglersAndStallsStillComplete)
     const int pairs = 32;
     CountedGraph counted = countedGraph(pairs);
     ConventionalPolicy policy(4);
-    RuntimeOptions opts = hostOptions(4);
+    EngineOptions opts = hostOptions(4);
     opts.fault_plan = &plan;
     Runtime runtime(counted.graph, policy, opts);
     const auto result = runtime.run();
@@ -307,7 +307,7 @@ TEST(HostChaos, CorruptedSamplesReachThePolicyMarked)
     CountedGraph counted = countedGraph(pairs);
     // Guarded policy: rejects the garbage instead of wedging.
     DynamicThrottlePolicy policy(4, 8);
-    RuntimeOptions opts = hostOptions(4);
+    EngineOptions opts = hostOptions(4);
     opts.fault_plan = &plan;
     Runtime runtime(counted.graph, policy, opts);
     const auto result = runtime.run();
@@ -341,7 +341,7 @@ TEST(HostWatchdogDeathTest, ConvertsWedgeIntoCleanExit)
             const FaultPlan plan(config);
             CountedGraph counted = countedGraph(8);
             ConventionalPolicy policy(2);
-            RuntimeOptions opts = hostOptions(2);
+            EngineOptions opts = hostOptions(2);
             opts.fault_plan = &plan;
             opts.watchdog_seconds = 0.25;
             Runtime runtime(counted.graph, policy, opts);
@@ -556,7 +556,7 @@ TEST(ChaosSoak, SeededHostRunsDrainOrFailCleanly)
         DynamicThrottlePolicy policy(4, 8);
         policy.setFaultTolerance(/*reject_limit=*/16,
                                  /*reenter_after=*/8);
-        RuntimeOptions opts = hostOptions(4);
+        EngineOptions opts = hostOptions(4);
         opts.fault_plan = &plan;
         opts.retry_backoff_seconds = 1e-6;
         opts.watchdog_seconds = 60.0; // backstop only: must not fire

@@ -4,8 +4,9 @@
  * quiet-run silence, ring bounding), the cross-backend alert-parity
  * contract -- a seeded burst overload must produce the identical
  * ordered (rule, edge, window) sequence on real threads and on
- * simulated time -- and the detector overhead budget (obs.overhead.
- * health_ns under 3% of makespan with every detector enabled).
+ * simulated time -- the detector overhead budget (obs.overhead.
+ * health_ns under 3% of makespan with every detector enabled), and
+ * the sim's ring and gate telemetry contract.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "simrt/sim_runtime.hh"
 #include "stream/builder.hh"
 #include "util/stats.hh"
+#include "workloads/synthetic.hh"
 
 namespace {
 
@@ -456,6 +458,45 @@ TEST(HealthOverhead, UnderThreePercentOfMakespanAllDetectorsOn)
             found |= gauge == name;
         EXPECT_TRUE(found) << name;
     }
+}
+
+/**
+ * The sim dispatches from the same ready rings and admission gate as
+ * worker threads, so their telemetry is real there too. Its push scan
+ * is the only dispatcher and probes the gate exactly before
+ * admitting, so a throttled run records no rejection and
+ * gate_saturation stays quiet. The run is ttsim's default synthetic
+ * workload at `--policy static --mtl 1 --health`.
+ */
+TEST(SimTelemetry, ThrottledRunReportsRingsWithoutGateRejections)
+{
+    const auto config = tt::cpu::MachineConfig::i7_860_1dimm();
+    ASSERT_EQ(config.contexts(), 4);
+    tt::workloads::SyntheticParams params;
+    params.pairs = 128;
+    const TaskGraph graph =
+        tt::workloads::buildSyntheticSim(config, params);
+
+    tt::MetricsRegistry metrics;
+    EngineOptions options;
+    options.metrics = &metrics;
+    options.health.enabled = true;
+    StaticMtlPolicy policy(1, config.contexts());
+    tt::cpu::SimMachine machine(config);
+    tt::simrt::SimRuntime sim(machine, graph, policy, options);
+    const tt::exec::RunResult result = sim.run();
+
+    ASSERT_FALSE(result.failed);
+    ASSERT_TRUE(result.health_enabled);
+    for (const AlertEvent &alert : result.alerts)
+        EXPECT_NE(alert.rule, "gate_saturation");
+    EXPECT_EQ(metrics.counter("obs.alerts_fired.gate_saturation"), 0);
+    EXPECT_EQ(metrics.counter("runtime.gate_admit_failures"), 0);
+    // One admission per memory task: retries keep their slot.
+    EXPECT_EQ(metrics.counter("runtime.gate_folds"), graph.pairCount());
+    EXPECT_EQ(result.peak_mem_in_flight, 1);
+    EXPECT_EQ(metrics.gauge("runtime.peak_mem_in_flight"), 1.0);
+    EXPECT_GT(metrics.gauge("runtime.ring_peak_memory"), 0.0);
 }
 
 } // namespace

@@ -342,7 +342,7 @@ TEST(HostObservability, TraceCoversEveryTaskAndMatchesMtlTrace)
     DynamicThrottlePolicy policy(2, 4);
     tt::MetricsRegistry metrics;
     policy.bindMetrics(&metrics);
-    tt::runtime::RuntimeOptions options;
+    tt::exec::EngineOptions options;
     options.threads = 1;
     options.pin_affinity = false;
     options.metrics = &metrics;
@@ -373,7 +373,7 @@ TEST(HostObservability, TraceCoversEveryTaskAndMatchesMtlTrace)
 
     // And the shared exporter renders the host trace.
     const auto data =
-        tt::runtime::toTraceData(workload.graph, result);
+        tt::exec::toTraceData(workload.graph, result);
     const std::string json = tt::obs::chromeTraceString(data);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"MTL\""), std::string::npos);
@@ -387,7 +387,7 @@ TEST(HostObservability, TraceCapacityCapDropsOldestNotNewest)
     auto workload = tt::workloads::buildSyntheticHost(params, 1);
 
     tt::core::ConventionalPolicy policy(1);
-    tt::runtime::RuntimeOptions options;
+    tt::exec::EngineOptions options;
     options.threads = 1;
     options.pin_affinity = false;
     options.trace_capacity = 8;

@@ -390,7 +390,7 @@ analyzedSimReport(tt::exec::RunResult *out_result = nullptr)
     analyze_options.makespan = result.seconds;
     if (out_result != nullptr)
         *out_result = result;
-    return tt::obs::analyze(tt::simrt::toTraceData(graph, result),
+    return tt::obs::analyze(tt::exec::toTraceData(graph, result),
                             analyze_options);
 }
 
@@ -453,7 +453,7 @@ TEST(AnalyzerCounters, RunsWithoutCountersOmitTheSection)
     options.cores = 2;
     options.makespan = result.seconds;
     const auto report = tt::obs::analyze(
-        tt::simrt::toTraceData(graph, result), options);
+        tt::exec::toTraceData(graph, result), options);
 
     EXPECT_FALSE(report.has_counters);
     std::ostringstream os;
@@ -521,7 +521,7 @@ TEST(ChromeTraceCounters, EventsAndCounterTrackAreEmitted)
     const auto result = runtime.run();
 
     const std::string json = tt::obs::chromeTraceString(
-        tt::simrt::toTraceData(graph, result));
+        tt::exec::toTraceData(graph, result));
     EXPECT_NE(json.find("\"llc_misses\""), std::string::npos);
     EXPECT_NE(json.find("\"hw counters\""), std::string::npos);
     std::string error;

@@ -24,15 +24,15 @@ namespace {
 using tt::core::ConventionalPolicy;
 using tt::core::StaticMtlPolicy;
 using tt::runtime::Runtime;
-using tt::runtime::RuntimeOptions;
+using tt::exec::EngineOptions;
 using tt::stream::PairSpec;
 using tt::stream::StreamProgramBuilder;
 using tt::stream::TaskGraph;
 
-RuntimeOptions
+EngineOptions
 options(int threads)
 {
-    RuntimeOptions opts;
+    EngineOptions opts;
     opts.threads = threads;
     opts.pin_affinity = false; // not meaningful under test runners
     return opts;

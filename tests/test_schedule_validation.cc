@@ -21,8 +21,8 @@ namespace {
 
 using tt::core::SchedulingPolicy;
 using tt::cpu::MachineConfig;
-using tt::simrt::RunResult;
-using tt::simrt::validateSchedule;
+using tt::exec::RunResult;
+using tt::exec::validateSchedule;
 using tt::stream::PairSpec;
 using tt::stream::StreamProgramBuilder;
 using tt::stream::TaskGraph;

@@ -1,14 +1,16 @@
 /**
  * @file
- * Exact-result pins for the simulator kernel.
+ * Exact-result pins for the simulator kernel and the scheduler.
  *
- * Three small fixed runs -- a Fig. 13 synthetic point at static MTL 1
- * and at MTL 4, and dft under the dynamic policy on the 1-DIMM
- * machine -- must reproduce the executed event count, the final tick
- * and every summed ChannelStats field recorded before the kernel's
- * allocation-free rewrite. A change meant only to make the simulator
- * faster must leave all of them untouched; a change that alters
- * simulated results has to update these constants deliberately.
+ * Four small fixed runs -- a Fig. 13 synthetic point at static MTL 1
+ * and at MTL 4, dft under the dynamic policy on the 1-DIMM machine,
+ * and an open-loop bursty plan under the SLO-aware dynamic policy
+ * with admission -- must reproduce the executed event count, the
+ * final tick and every summed ChannelStats field (the open-loop run
+ * also its job verdicts and MTL trace). A change meant only to make
+ * the simulator or the engine faster or smaller must leave all of
+ * them untouched; a change that alters simulated results has to
+ * update these constants deliberately.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "core/policy.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/sim_machine.hh"
+#include "load/arrival.hh"
 #include "simrt/sim_runtime.hh"
 #include "workloads/dft.hh"
 #include "workloads/synthetic.hh"
@@ -64,12 +67,16 @@ operator<<(std::ostream &os, const Fingerprint &f)
 
 Fingerprint
 simulate(const MachineConfig &config, const tt::stream::TaskGraph &graph,
-         tt::core::SchedulingPolicy &policy)
+         tt::core::SchedulingPolicy &policy,
+         const tt::exec::EngineOptions &options = {},
+         tt::exec::RunResult *out = nullptr)
 {
     SimMachine machine(config);
-    tt::simrt::SimRuntime runtime(machine, graph, policy);
-    const tt::simrt::RunResult result = runtime.run();
+    tt::simrt::SimRuntime runtime(machine, graph, policy, options);
+    const tt::exec::RunResult result = runtime.run();
     EXPECT_FALSE(result.failed) << result.failure_reason;
+    if (out != nullptr)
+        *out = result;
 
     Fingerprint f;
     f.events = machine.events().executed();
@@ -132,6 +139,54 @@ TEST(SimGolden, DftDynamicOneDimm)
                                775718u, 5969u, 4745u, 26808u, 278u,
                                1364u, 13394231798u, 5898240000u};
     EXPECT_EQ(simulate(config, graph, policy), expected);
+}
+
+/**
+ * Open loop: bursts of 2 KB jobs at the sim-open-obs knee overrun the
+ * admission queue cap, so the controller sheds and the SLO-aware
+ * policy pins its MTL for the drain (onBackpressure) -- an MTL change
+ * that happens outside pair completion.
+ */
+TEST(SimGolden, OpenLoopSloAwareDynamicSheds)
+{
+    const auto config = MachineConfig::i7_860_1dimm();
+    tt::workloads::SyntheticParams params;
+    params.tm1_over_tc = 0.5;
+    params.footprint_bytes = 2048;
+    params.pairs = 1000;
+    const auto graph = tt::workloads::buildSyntheticSim(config, params);
+
+    tt::load::ArrivalConfig arrivals;
+    arrivals.seed = 9;
+    arrivals.process = tt::load::ArrivalProcess::Bursty;
+    arrivals.rate = 7.0e5;
+    arrivals.burst_period_seconds = 400.0 / arrivals.rate;
+    arrivals.slo_seconds = 10e-6;
+    arrivals.priority_levels = 2;
+    const tt::load::ArrivalPlan plan =
+        tt::load::buildArrivalPlan(arrivals, params.pairs);
+
+    tt::exec::EngineOptions options;
+    options.arrival_plan = &plan;
+    options.admission.queue_cap = 16;
+    // The Sec. IV-C fit of these pairs at MTL 1 and 4.
+    options.admission.service_tml = 0.35e-6;
+    options.admission.service_tql = 0.17e-6;
+    options.admission.service_tc = 1.0e-6;
+    tt::core::DynamicThrottlePolicy policy(config.contexts(), 16);
+    policy.setSloAware();
+
+    tt::exec::RunResult result;
+    const Fingerprint expected{88979u, 1217335096u, 0u,  29024u,
+                               27970u, 635u,        419u, 2124u,
+                               0u,     62u,         548566467u,
+                               217680000u};
+    EXPECT_EQ(simulate(config, graph, policy, options, &result),
+              expected);
+    EXPECT_EQ(result.jobs_admitted, 907);
+    EXPECT_EQ(result.jobs_shed, 93);
+    EXPECT_EQ(result.jobs_deadline_missed, 0);
+    EXPECT_EQ(result.mtl_trace.size(), 13u);
 }
 
 } // namespace

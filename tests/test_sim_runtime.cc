@@ -22,7 +22,7 @@ using tt::core::AnalyticalModel;
 using tt::core::ConventionalPolicy;
 using tt::core::StaticMtlPolicy;
 using tt::cpu::MachineConfig;
-using tt::simrt::RunResult;
+using tt::exec::RunResult;
 using tt::stream::PairSpec;
 using tt::stream::StreamProgramBuilder;
 using tt::stream::TaskGraph;

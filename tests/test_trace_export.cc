@@ -52,7 +52,7 @@ TEST(TraceExport, EmitsOneEventPerTaskPlusCountersAndMetadata)
 
     const std::string json =
         tt::obs::chromeTraceString(
-            tt::simrt::toTraceData(graph, result));
+            tt::exec::toTraceData(graph, result));
 
     // Valid-ish JSON array with balanced braces.
     EXPECT_EQ(json.front(), '[');
@@ -91,7 +91,7 @@ TEST(TraceExport, DynamicPolicyProducesMtlCounterTrack)
 
     const std::string json =
         tt::obs::chromeTraceString(
-            tt::simrt::toTraceData(graph, result));
+            tt::exec::toTraceData(graph, result));
     // The adaptive policy changes MTL at least once after t=0.
     EXPECT_GE(countOccurrences(json, "\"name\":\"MTL\""), 2u);
 }
@@ -117,7 +117,7 @@ TEST(TraceExport, GoldenStructureParsesAndMatchesSchema)
     const auto result = tt::simrt::runOnce(cfg, graph, policy);
     const std::string json =
         tt::obs::chromeTraceString(
-            tt::simrt::toTraceData(graph, result));
+            tt::exec::toTraceData(graph, result));
 
     std::string error;
     const auto doc = tt::json::parse(json, &error);
@@ -208,7 +208,7 @@ TEST(TraceExport, EscapesAwkwardPhaseNames)
     const auto result = tt::simrt::runOnce(cfg, graph, policy);
     const std::string json =
         tt::obs::chromeTraceString(
-            tt::simrt::toTraceData(graph, result));
+            tt::exec::toTraceData(graph, result));
     EXPECT_NE(json.find("weird \\\"quoted\\\\name"), std::string::npos);
 }
 

@@ -28,10 +28,10 @@ using tt::core::ConventionalPolicy;
 using tt::core::StaticMtlPolicy;
 using tt::cpu::MachineConfig;
 
-tt::runtime::RuntimeOptions
+tt::exec::EngineOptions
 hostOptions()
 {
-    tt::runtime::RuntimeOptions opts;
+    tt::exec::EngineOptions opts;
     opts.threads = 2;
     opts.pin_affinity = false;
     return opts;
