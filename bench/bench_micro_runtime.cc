@@ -11,6 +11,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -114,6 +116,39 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/** Owner of BM_EventQueueLaneRun's lanes. */
+struct LaneSink
+{
+    std::uint64_t sum = 0;
+
+    void fire(std::uint32_t arg) { sum += arg; }
+};
+
+void
+BM_EventQueueLaneRun(benchmark::State &state)
+{
+    // The DRAM path's shape: three monotone lanes (pick, data return,
+    // front-end return) carry 1008 events, the heap 16 sparse ones.
+    for (auto _ : state) {
+        tt::sim::EventQueue queue;
+        LaneSink sink;
+        std::array<tt::sim::Lane, 3> lanes;
+        for (tt::sim::Lane &lane : lanes)
+            lane = queue.addLane<LaneSink, &LaneSink::fire>(&sink);
+        for (std::uint32_t i = 0; i < 1024; ++i) {
+            const auto when = static_cast<tt::sim::Tick>(i);
+            if (i % 64 == 0)
+                queue.schedule(when * 7 % 997, [] {});
+            else
+                queue.schedule(lanes[i % 3], when, i);
+        }
+        queue.run();
+        benchmark::DoNotOptimize(sink.sum);
+    }
+    state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_EventQueueLaneRun);
 
 void
 BM_DramChannelStream(benchmark::State &state)

@@ -31,9 +31,10 @@ where run-to-run swings of 10%+ are routine even for unchanged code:
 
 Benchmark timings only compare within one machine: when the context
 fingerprint (cpu count, nominal MHz, build type) differs from the
-baseline's, the gate reports SKIP and exits 0 rather than comparing
-apples to oranges. Refresh the baseline on the machine of record
-with:
+baseline's, or no dispatch benchmark is shared with it, the gate
+reports SKIP and exits 77 (SKIP_EXIT), which ctest lists as
+"Skipped" rather than passed: no number was compared. Refresh the
+baseline on the machine of record with:
 
     bench/bench_micro_runtime --benchmark_repetitions=5 \
         --json-out bench/baselines/BENCH_micro_runtime.json
@@ -57,6 +58,10 @@ DISPATCH_PATTERN = re.compile(
     re.ASCII)
 
 REPEATS_DECORATION = re.compile(r"/repeats:\d+", re.ASCII)
+
+# Exit status of a skipped comparison; the perf_gate ctest declares it
+# as its SKIP_RETURN_CODE.
+SKIP_EXIT = 77
 
 
 def fingerprint(context):
@@ -116,14 +121,14 @@ def main():
         print(f"SKIP: machine fingerprint changed "
               f"(baseline {base_fp}, current {cur_fp}); "
               f"refresh the baseline to re-arm the gate")
-        return 0
+        return SKIP_EXIT
 
     base_rates = throughputs(baseline)
     cur_rates = throughputs(current)
     shared = sorted(set(base_rates) & set(cur_rates))
     if not shared:
         print("SKIP: no dispatch benchmarks shared with the baseline")
-        return 0
+        return SKIP_EXIT
 
     # Uniform machine drift between the recordings; <= 1.0 so a
     # faster machine today cannot mask a regression.

@@ -7,7 +7,11 @@
 namespace tt::mem {
 
 DramChannel::DramChannel(sim::EventQueue &events, const DramConfig &config)
-    : events_(events), config_(config),
+    : events_(events),
+      pick_lane_(events.addLane<DramChannel, &DramChannel::pick>(this)),
+      return_lane_(
+          events.addLane<DramChannel, &DramChannel::complete>(this)),
+      config_(config),
       banks_(static_cast<std::size_t>(config.totalBanks())),
       ranks_(static_cast<std::size_t>(config.ranks))
 {
@@ -69,7 +73,7 @@ DramChannel::maybeSchedulePick()
         return;
     pick_scheduled_ = true;
     const sim::Tick when = std::max(events_.now(), bus_free_);
-    events_.schedule(when, [this] { pick(); });
+    events_.schedule(pick_lane_, when, 0);
 }
 
 sim::Tick
@@ -134,7 +138,7 @@ DramChannel::applyRefreshToBanks(int rank, sim::Tick now)
 }
 
 void
-DramChannel::pick()
+DramChannel::pick(std::uint32_t)
 {
     pick_scheduled_ = false;
     if (queue_.empty())
@@ -246,7 +250,7 @@ DramChannel::pick()
     // round trip finishes (ordinary cached stores read-for-ownership
     // before retiring, so their visible cost mirrors a read).
     const sim::Tick done = data_end + config_.t_cl;
-    events_.schedule(done, [this, slot = chosen.slot] { complete(slot); });
+    events_.schedule(return_lane_, done, chosen.slot);
 
     maybeSchedulePick();
 }

@@ -62,6 +62,9 @@ class DramChannel
 {
   public:
     DramChannel(sim::EventQueue &events, const DramConfig &config);
+    /** The event queue's lanes point at this channel. */
+    DramChannel(const DramChannel &) = delete;
+    DramChannel &operator=(const DramChannel &) = delete;
 
     /** Enqueue an access; completion fires via the request callback. */
     void submit(DramRequest request);
@@ -124,7 +127,9 @@ class DramChannel
     };
 
     void maybeSchedulePick();
-    void pick();
+    /** Pick-lane handler; the lane argument is unused. */
+    void pick(std::uint32_t);
+    /** Data-return-lane handler: finish the access in `slot`. */
     void complete(std::uint32_t slot);
     /** Row-management latency this access would pay right now. */
     sim::Tick prepLatency(const Bank &bank, std::uint64_t row) const;
@@ -135,6 +140,16 @@ class DramChannel
     int rankOf(int bank) const { return bank / config_.banks_per_rank; }
 
     sim::EventQueue &events_;
+    /**
+     * At most one pick is pending, at or after now, so pick ticks
+     * never decrease.
+     */
+    sim::Lane pick_lane_;
+    /**
+     * Each access's data starts at or after bus_free_, the previous
+     * access's data end, so completion ticks strictly increase.
+     */
+    sim::Lane return_lane_;
     DramConfig config_;
     std::vector<Bank> banks_;
     std::vector<Rank> ranks_;

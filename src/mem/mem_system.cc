@@ -7,7 +7,9 @@ namespace tt::mem {
 MemorySystem::MemorySystem(sim::EventQueue &events,
                            const MemSystemConfig &config)
     : events_(events), config_(config),
-      llc_(config.llc_bytes, config.llc_resident_bytes)
+      llc_(config.llc_bytes, config.llc_resident_bytes),
+      frontend_lane_(
+          events.addLane<MemorySystem, &MemorySystem::returnLine>(this))
 {
     tt_assert(config_.channels >= 1, "need at least one channel");
     channels_.reserve(static_cast<std::size_t>(config_.channels));
@@ -29,17 +31,24 @@ MemorySystem::access(std::uint64_t line_addr, bool is_write,
     request.is_write = is_write;
     // The front-end (core -> uncore -> controller and back) adds a
     // constant latency to the round trip; apply it on the return
-    // path so channel-level timing stays pure DRAM. The requester's
-    // callback itself is scheduled once the DRAM access completes.
+    // path so channel-level timing stays pure DRAM. The return is
+    // scheduled once the DRAM access completes.
     if (on_complete) {
         const std::uint32_t slot = returns_.put(std::move(on_complete));
         request.on_complete = [this, slot] {
-            events_.scheduleIn(config_.frontend_latency,
-                               returns_.take(slot));
+            events_.schedule(frontend_lane_,
+                             events_.now() + config_.frontend_latency,
+                             slot);
         };
     }
     channels_[static_cast<std::size_t>(channel)]->submit(
         std::move(request));
+}
+
+void
+MemorySystem::returnLine(std::uint32_t slot)
+{
+    returns_.take(slot)();
 }
 
 const DramChannel &

@@ -40,6 +40,9 @@ class MemorySystem
 {
   public:
     MemorySystem(sim::EventQueue &events, const MemSystemConfig &config);
+    /** The event queue's front-end lane points at this system. */
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
 
     /**
      * Issue one line access that misses the LLC (all DRAM traffic in
@@ -64,12 +67,20 @@ class MemorySystem
     const MemSystemConfig &config() const { return config_; }
 
   private:
+    /** Front-end-lane handler: hand the line back to its requester. */
+    void returnLine(std::uint32_t slot);
+
     sim::EventQueue &events_;
     MemSystemConfig config_;
     SharedLlc llc_;
     std::vector<std::unique_ptr<DramChannel>> channels_;
-    /** Requester callbacks waiting for their DRAM access. */
+    /** Requester callbacks waiting for their line. */
     sim::CallbackPool returns_;
+    /**
+     * Returns are scheduled a constant latency after now, so their
+     * ticks never decrease.
+     */
+    sim::Lane frontend_lane_;
 };
 
 } // namespace tt::mem

@@ -4,8 +4,8 @@
  *
  * A Callback holds any `void()` callable. Callables that are
  * trivially copyable and fit in kInlineBytes -- the `[this, slot]`
- * lambdas the cores, channels and memory system schedule once per
- * cache line -- are stored inline, so creating, moving and running
+ * lambdas the cores and the memory system hand on once per cache
+ * line -- are stored inline, so creating, moving and running
  * them never touches the allocator. Any other callable (a
  * std::function, a capture of non-trivial state) is boxed on the
  * heap. The callable's type alone picks the path.

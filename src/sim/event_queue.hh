@@ -6,18 +6,24 @@
  * same tick run first-scheduled first, so a simulation is exactly
  * reproducible run to run.
  *
- * The heap holds plain records -- tick, id and a Thunk -- that move
- * with memcpy. The per-line callables of the cores, the memory
- * system and the DRAM channels live inline in those records (see
- * callback.hh), so scheduling and running them never allocates; only
- * callables that do not fit (timers wrapping a std::function, large
- * captures) are boxed. Descheduling marks the pending record in
- * place, and popping it skips it: no side table is probed per event.
+ * Events live in two kinds of store that share one schedule
+ * sequence. The heap holds plain records -- tick, id and a Thunk --
+ * that move with memcpy; small callables live inline in them (see
+ * callback.hh) and only callables that do not fit (timers wrapping a
+ * std::function, large captures) are boxed. Typed FIFO lanes hold
+ * the per-line DRAM events: a lane is a ring of {tick, id, arg}
+ * records for one member function of one owner, and its ticks never
+ * decrease, so its head is its earliest event. runOne runs the least
+ * (tick, id) among the heap top and the lane heads, which is exactly
+ * the order one heap holding every event would give. Descheduling
+ * marks a pending heap record in place, and popping it skips it;
+ * lane events cannot be cancelled.
  */
 
 #ifndef TT_SIM_EVENT_QUEUE_HH
 #define TT_SIM_EVENT_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -30,7 +36,13 @@ namespace tt::sim {
 /** Handle to a scheduled event; usable for descheduling. */
 using EventId = std::uint64_t;
 
-/** Min-heap event queue driving the simulated machine. */
+/** Handle to a FIFO lane of an EventQueue; see addLane. */
+struct Lane
+{
+    std::uint32_t index = 0;
+};
+
+/** Event queue driving the simulated machine: a min-heap plus lanes. */
 class EventQueue
 {
   public:
@@ -53,19 +65,36 @@ class EventQueue
     }
 
     /**
-     * Cancel a pending event; no-op if it already executed or was
-     * already cancelled. Scans the pending events: cancellation is
-     * rare (timers at drain), so no lookup structure is kept for it.
+     * Add a lane whose events run `(owner->*Fn)(arg)`. The owner
+     * must outlive every event scheduled on the lane.
+     */
+    template <class T, void (T::*Fn)(std::uint32_t)>
+    Lane
+    addLane(T *owner)
+    {
+        return registerLane(owner, [](void *self, std::uint32_t arg) {
+            (static_cast<T *>(self)->*Fn)(arg);
+        });
+    }
+
+    /**
+     * Schedule the lane's handler with `arg` at absolute tick `when`
+     * (>= now, and >= the tick last scheduled on the lane). The event
+     * takes the next id of the same sequence as heap events.
+     */
+    void schedule(Lane lane, Tick when, std::uint32_t arg);
+
+    /**
+     * Cancel a pending heap event; no-op if it already executed or
+     * was already cancelled. Scans the pending heap events:
+     * cancellation is rare (timers at drain), so no lookup structure
+     * is kept for it.
      */
     void deschedule(EventId id);
 
     /** True when nothing is pending (cancelled events count until
      *  their tick is reached). */
-    bool
-    empty() const
-    {
-        return heap_.empty();
-    }
+    bool empty() const;
 
     /**
      * Execute the earliest pending event; returns false when the
@@ -106,10 +135,35 @@ class EventQueue
         }
     };
 
+    struct LaneEntry
+    {
+        Tick when;
+        EventId id;
+        std::uint32_t arg;
+    };
+
+    using LaneHandler = void (*)(void *owner, std::uint32_t arg);
+
+    /** A FIFO of lane entries in a power-of-two ring. */
+    struct LaneState
+    {
+        void *owner;
+        LaneHandler handler;
+        std::vector<LaneEntry> ring;
+        std::size_t head = 0;
+        std::size_t size = 0;
+        Tick last = 0; ///< tick of the latest entry scheduled
+
+        const LaneEntry &front() const { return ring[head]; }
+    };
+
+    Lane registerLane(void *owner, LaneHandler handler);
+
     Tick now_ = 0;
     EventId next_id_ = 0;
     std::uint64_t executed_ = 0;
     std::vector<Entry> heap_;
+    std::vector<LaneState> lanes_;
 };
 
 } // namespace tt::sim

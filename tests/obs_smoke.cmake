@@ -319,40 +319,4 @@ if(rc EQUAL 0)
     message(FATAL_ERROR "diff missed the injected regression")
 endif()
 
-# 4. Dispatch-throughput regression gate: fresh micro-runtime numbers
-# against the committed baseline (excess per-benchmark loss fails).
-# Five repetitions per benchmark so the script compares medians, not
-# one noisy sample. Skipped under sanitizers (instrumented timings do
-# not compare) and when no python3 was found; the script itself skips
-# when the machine fingerprint differs from the baseline's.
-if(TT_SANITIZE)
-    message(STATUS "obs_smoke: TT_SANITIZE=${TT_SANITIZE}, "
-                   "skipping bench regression gate")
-elseif(NOT PYTHON3 OR NOT BENCH_MICRO)
-    message(STATUS "obs_smoke: no python3/bench binary, "
-                   "skipping bench regression gate")
-else()
-    execute_process(
-        COMMAND "${BENCH_MICRO}"
-                --benchmark_filter=HostDispatch|HostRuntimePairDispatch|MpmcQueue|ShardedGate|SimDispatch
-                --benchmark_min_time=0.1
-                --benchmark_repetitions=5
-                --json-out "${WORK_DIR}/bench_micro.json"
-        OUTPUT_QUIET ERROR_QUIET
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "bench_micro_runtime failed (rc=${rc})")
-    endif()
-    execute_process(
-        COMMAND "${PYTHON3}" "${CHECK_REGRESSION}"
-                --current "${WORK_DIR}/bench_micro.json"
-                --baseline "${BENCH_BASELINE}"
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR
-                "dispatch-throughput regression gate failed (rc=${rc}); "
-                "see bench/check_regression.py")
-    endif()
-endif()
-
 message(STATUS "obs smoke passed")

@@ -189,11 +189,11 @@ TEST(SimCore, DistinctContextsOfOneCoreAreIndependentSlots)
 }
 
 /** Heap allocations made while one memory task of `lines` lines runs
- *  alone on a fresh machine. */
+ *  alone on a fresh `config` machine. */
 std::uint64_t
-allocationsForMemoryTask(std::uint64_t lines)
+allocationsForMemoryTask(const MachineConfig &config, std::uint64_t lines)
 {
-    SimMachine machine(MachineConfig::i7_860_1dimm());
+    SimMachine machine(config);
     const Task task = memoryTask(lines * tt::mem::kLineBytes);
     bool done = false;
     const std::uint64_t before = g_allocations.load();
@@ -208,13 +208,17 @@ TEST(SimCore, MemoryTaskAllocationsDoNotGrowWithLength)
 {
     // Every line passes through the event queue, the memory system
     // and a DRAM channel; none of them may allocate per line. Storage
-    // they grow once (heap, slot pools) is the same for both lengths:
-    // the MLP window bounds it.
-    const std::uint64_t short_task = allocationsForMemoryTask(64);
-    const std::uint64_t long_task = allocationsForMemoryTask(4096);
-    EXPECT_LE(long_task, short_task)
-        << "64 lines: " << short_task << " allocations, 4096 lines: "
-        << long_task;
+    // they grow once (heap, lane rings, slot pools) is the same for
+    // both lengths: the MLP window bounds it. On two channels the
+    // lines alternate between them.
+    for (const MachineConfig &config :
+         {MachineConfig::i7_860_1dimm(), MachineConfig::i7_860_2dimm_smt()}) {
+        const std::uint64_t short_task = allocationsForMemoryTask(config, 64);
+        const std::uint64_t long_task = allocationsForMemoryTask(config, 4096);
+        EXPECT_LE(long_task, short_task)
+            << config.mem.channels << " channel(s), 64 lines: "
+            << short_task << " allocations, 4096 lines: " << long_task;
+    }
 }
 
 TEST(SimCoreDeath, DoubleDispatchPanics)

@@ -2,15 +2,15 @@
  * @file
  * Exact-result pins for the simulator kernel and the scheduler.
  *
- * Four small fixed runs -- a Fig. 13 synthetic point at static MTL 1
- * and at MTL 4, dft under the dynamic policy on the 1-DIMM machine,
- * and an open-loop bursty plan under the SLO-aware dynamic policy
- * with admission -- must reproduce the executed event count, the
- * final tick and every summed ChannelStats field (the open-loop run
- * also its job verdicts and MTL trace). A change meant only to make
- * the simulator or the engine faster or smaller must leave all of
- * them untouched; a change that alters simulated results has to
- * update these constants deliberately.
+ * Five small fixed runs -- a Fig. 13 synthetic point at static MTL 1
+ * and at MTL 4, dft under the dynamic policy on the 1-DIMM machine
+ * and on the 2-DIMM SMT machine, and an open-loop bursty plan under
+ * the SLO-aware dynamic policy with admission -- must reproduce the
+ * executed event count, the final tick and every summed ChannelStats
+ * field (the open-loop run also its job verdicts and MTL trace). A
+ * change meant only to make the simulator or the engine faster or
+ * smaller must leave all of them untouched; a change that alters
+ * simulated results has to update these constants deliberately.
  */
 
 #include <gtest/gtest.h>
@@ -138,6 +138,23 @@ TEST(SimGolden, DftDynamicOneDimm)
     const Fingerprint expected{2359392u, 24622463839u, 393216u, 393216u,
                                775718u, 5969u, 4745u, 26808u, 278u,
                                1364u, 13394231798u, 5898240000u};
+    EXPECT_EQ(simulate(config, graph, policy), expected);
+}
+
+/**
+ * Two channels and eight SMT contexts: the only pin whose lines split
+ * across channels, so it checks how the channels' pick and
+ * data-return events interleave with the shared front-end returns.
+ */
+TEST(SimGolden, DftDynamicTwoDimmSmt)
+{
+    const auto config = MachineConfig::i7_860_2dimm_smt();
+    const auto graph = tt::workloads::dftSim(config);
+    tt::core::DynamicThrottlePolicy policy(config.contexts(), 8);
+    const Fingerprint expected{2359392u, 20309925808u, 393216u,
+                               393216u,  765189u,     6614u,
+                               14629u,   100618u,     6735u,
+                               2926u,    15976955560u, 5898240000u};
     EXPECT_EQ(simulate(config, graph, policy), expected);
 }
 
