@@ -26,6 +26,7 @@
 #include "cpu/machine_config.hh"
 #include "mem/dram_channel.hh"
 #include "obs/live.hh"
+#include "obs/ring.hh"
 #include "obs/span.hh"
 #include "runtime/runtime.hh"
 #include "sim/event_queue.hh"
@@ -320,10 +321,10 @@ BENCHMARK(BM_SimDispatch64Contexts)->Iterations(8);
 void
 BM_SpanBufferRecord(benchmark::State &state)
 {
-    // Per-job cost of assembling the causal span: one record with a
-    // typical two-attempt (memory + compute) history into a bounded
-    // buffer that is already wrapping.
-    tt::obs::SpanBuffer buffer(4096);
+    // Per-job cost of storing the causal span: one record with a
+    // typical two-attempt (memory + compute) history into the bounded
+    // span ring, which is already wrapping.
+    tt::obs::RecordRing<tt::obs::JobSpan> buffer(4096);
     tt::obs::JobSpan span;
     span.pair = 0;
     span.arrival = 0.0;

@@ -262,7 +262,7 @@ Engine::closeSpan(int pair, double end, obs::SpanOutcome outcome)
     span.outcome = outcome;
     span.critical_path = obs::computeCriticalPath(span);
     const std::uint64_t t0 = wallNanos();
-    span_buffer_->record(std::move(span));
+    span_ring_->record(std::move(span));
     obs_trace_record_ns_ += wallNanos() - t0;
     span = obs::JobSpan{};
     span_open_[index].store(false, std::memory_order_release);
@@ -465,7 +465,7 @@ Engine::failAttemptLocked(int context, TaskId id,
         // slot included, for memory tasks), so the retry cannot be
         // starved out by fresh dispatches.
         auto &pending = pending_retry_[static_cast<std::size_t>(context)];
-        pending.active.store(true, std::memory_order_relaxed);
+        pending.state.store(RetryState::Backoff, std::memory_order_relaxed);
         pending.token = backend_->after(
             backoff, [this, context] { onRetryTimer(context); });
         return;
@@ -489,22 +489,24 @@ Engine::onRetryTimer(int context)
 {
     std::lock_guard lock(mutex_);
     auto &pending = pending_retry_[static_cast<std::size_t>(context)];
-    if (!pending.active.load(std::memory_order_relaxed) || finished_)
+    if (pending.state.load(std::memory_order_relaxed) !=
+            RetryState::Backoff ||
+        finished_)
         return; // cancelled (a failed run abandoned the reservation)
-    pending.active.store(false, std::memory_order_relaxed);
     pending.token = 0;
     if (!pull_mode_) {
+        pending.state.store(RetryState::None, std::memory_order_relaxed);
         backend_->startAttempt(
             context,
             attemptSpec(running_[static_cast<std::size_t>(context)].load(
                 std::memory_order_relaxed)));
         return;
     }
-    // Hand the retry to its owning worker. The worker checks
+    // Hand the retry to its owning worker in one store, so the
+    // context never reads as free in between. The worker checks
     // run_failed_ itself and abandons instead of re-running if the
     // run aborted between this hand-off and its pickup.
-    retry_ready_[static_cast<std::size_t>(context)].store(
-        true, std::memory_order_seq_cst);
+    pending.state.store(RetryState::Due, std::memory_order_seq_cst);
     wakeWorkers();
 }
 
@@ -733,10 +735,14 @@ Engine::abandonPendingRetriesLocked()
 {
     const int n = static_cast<int>(pending_retry_.size());
     for (int c = 0; c < n; ++c) {
+        // Only a retry still in backoff is ours to abandon: a Due one
+        // belongs to its worker, which abandons it on seeing
+        // run_failed_.
         auto &pending = pending_retry_[static_cast<std::size_t>(c)];
-        if (!pending.active.load(std::memory_order_relaxed))
+        if (pending.state.load(std::memory_order_relaxed) !=
+            RetryState::Backoff)
             continue;
-        pending.active.store(false, std::memory_order_relaxed);
+        pending.state.store(RetryState::None, std::memory_order_relaxed);
         backend_->cancel(pending.token);
         pending.token = 0;
         abandonAttemptLocked(c);
@@ -1016,9 +1022,9 @@ Engine::healthTickWindowLocked()
     health_prev_gate_folds_ = gate_folds;
 
     const std::uint64_t trace_dropped = tracer_->dropped();
-    const std::uint64_t span_dropped = span_buffer_->dropped();
+    const std::uint64_t span_dropped = span_ring_->dropped();
     const std::uint64_t records =
-        tracer_->recorded() + span_buffer_->recorded();
+        tracer_->recorded() + span_ring_->recorded();
     sample.trace_dropped = static_cast<long>(
         trace_dropped - health_prev_trace_dropped_);
     sample.span_dropped =
@@ -1028,11 +1034,6 @@ Engine::healthTickWindowLocked()
     health_prev_trace_dropped_ = trace_dropped;
     health_prev_span_dropped_ = span_dropped;
     health_prev_records_ = records;
-
-    const std::uint64_t ebr_advances = span_buffer_->epochAdvances();
-    sample.ebr_pending = span_buffer_->epochPending();
-    sample.ebr_advances = ebr_advances - health_prev_ebr_advances_;
-    health_prev_ebr_advances_ = ebr_advances;
 
     sample.pair_samples = health_window_samples_;
     sample.sum_tm = health_window_sum_tm_;
@@ -1128,10 +1129,14 @@ Engine::workerShouldSleep(int worker) const
     const auto w = static_cast<std::size_t>(worker);
     if (run_complete_.load(std::memory_order_acquire))
         return false; // exit instead
-    if (retry_ready_[w].load(std::memory_order_acquire))
+    switch (pending_retry_[w].state.load(std::memory_order_acquire)) {
+      case RetryState::Due:
         return false; // our retry is due
-    if (pending_retry_[w].active.load(std::memory_order_acquire))
+      case RetryState::Backoff:
         return true; // reserved: only our retry timer can free us
+      case RetryState::None:
+        break;
+    }
     if (run_failed_.load(std::memory_order_acquire))
         return true; // drain mode: nothing to dispatch, wait for end
     if (!ready_compute_->emptyApprox())
@@ -1177,8 +1182,9 @@ Engine::nextAttempt(int worker, AttemptSpec &spec)
     for (;;) {
         if (run_complete_.load(std::memory_order_acquire))
             return false;
-        if (retry_ready_[w].exchange(false,
-                                     std::memory_order_acq_rel)) {
+        RetryState retry = RetryState::Due;
+        if (pending_retry_[w].state.compare_exchange_strong(
+                retry, RetryState::None, std::memory_order_acq_rel)) {
             // Our granted retry's backoff elapsed: re-run the same
             // task on this worker (the context stayed reserved, so
             // retries are never starved).
@@ -1194,8 +1200,9 @@ Engine::nextAttempt(int worker, AttemptSpec &spec)
         // A worker reserved through a backoff never steals other work
         // (that would hand the retried task to the wrong context and
         // break the reservation invariant); it parks until its retry
-        // fires.
-        if (!pending_retry_[w].active.load(std::memory_order_acquire) &&
+        // fires. Only this worker moves its own state out of None,
+        // so the value the failed claim read stays current.
+        if (retry == RetryState::None &&
             !run_failed_.load(std::memory_order_acquire) &&
             tryDispatch(worker, spec))
             return true;
@@ -1252,7 +1259,6 @@ Engine::run(ExecutionBackend &backend)
     for (auto &slot : running_)
         slot.store(stream::kInvalidTask, std::memory_order_relaxed);
     pending_retry_ = std::vector<PendingRetry>(n_contexts);
-    retry_ready_ = std::vector<std::atomic<bool>>(n_contexts);
     worker_counters_.assign(n_contexts, WorkerCounters{});
     const auto n_pairs = static_cast<std::size_t>(graph_.pairCount());
     ready_memory_.emplace(n_pairs);
@@ -1262,7 +1268,7 @@ Engine::run(ExecutionBackend &backend)
     if (pull_mode_ && options_.metrics != nullptr)
         metric_shards_.emplace(*options_.metrics, n_contexts);
     tracer_.emplace(contexts, ringCapacity(options_, graph_.taskCount()));
-    span_buffer_.emplace(std::max<std::size_t>(
+    span_ring_.emplace(std::max<std::size_t>(
         1, std::min(options_.span_capacity, n_pairs)));
     open_span_.assign(n_pairs, obs::JobSpan{});
     span_open_ = std::vector<std::atomic<bool>>(n_pairs);
@@ -1384,10 +1390,8 @@ Engine::finishResult()
     result.peak_mem_in_flight = static_cast<int>(gate_->peak());
     result.trace = tracer_->merged();
     result.trace_dropped = tracer_->dropped();
-    if (span_buffer_.has_value()) {
-        result.spans = span_buffer_->spans();
-        result.spans_dropped = span_buffer_->dropped();
-    }
+    result.spans = span_ring_->drain();
+    result.spans_dropped = span_ring_->dropped();
     result.timeseries_skipped =
         timeseries_skipped_.load(std::memory_order_relaxed);
     result.pin_failures = backend_->pinFailures();
@@ -1520,15 +1524,6 @@ Engine::finishResult()
         metrics->add("runtime.worker_parks", 0); // shards added real
         metrics->add("runtime.worker_wakes",
                      static_cast<std::int64_t>(wake_notifies_));
-        metrics->add("obs.ebr_epoch_advances",
-                     static_cast<std::int64_t>(
-                         span_buffer_->epochAdvances()));
-        metrics->add("obs.ebr_advance_stalls",
-                     static_cast<std::int64_t>(
-                         span_buffer_->epochStalls()));
-        metrics->set("obs.ebr_pending",
-                     static_cast<double>(
-                         span_buffer_->epochPending()));
         publishHealthMetricsLocked(); // final alert state (if any)
         metrics->setMax("runtime.peak_mem_in_flight",
                         result.peak_mem_in_flight);

@@ -402,9 +402,14 @@ struct AttemptOutcome
  * retry backoff, the watchdog and the time-series sampler), and a
  * drive loop that blocks until the run is over.
  *
- * Contract: startAttempt()/after()/cancel() are called with the
- * engine lock held and must not call back into the engine
- * synchronously. Completions are delivered by calling
+ * Contract: startAttempt()/after()/cancel() must not call back into
+ * the engine synchronously. startAttempt() and cancel() are called
+ * with the engine lock held, and so is after(), except where the
+ * self-re-arming observability ticks (time series, live snapshot,
+ * health) re-arm outside it: after() must be safe to call without
+ * the engine lock. Both backends' are -- the host's timer list has
+ * its own mutex, and the simulator runs every timer on its one
+ * event-loop thread. Completions are delivered by calling
  * Engine::onAttemptDone(context, outcome) from the backend's
  * execution context (a worker thread, a sim event, a test loop);
  * timer callbacks fire the std::function verbatim. runDrained() is
@@ -545,11 +550,21 @@ class Engine
     }
 
   private:
+    /** Where the retry reserved on one context stands. */
+    enum class RetryState : std::uint8_t
+    {
+        None,    ///< no retry reserved
+        Backoff, ///< granted; the backoff timer is pending
+        Due,     ///< backoff elapsed; the owning worker re-runs it
+    };
+
     struct PendingRetry
     {
-        /** Written under mutex_; read lock-free by the parked
-         *  worker's sleep predicate. */
-        std::atomic<bool> active{false};
+        /** One state, so a reserved context never reads as idle:
+         *  None->Backoff (failAttemptLocked) and Backoff->Due or
+         *  Backoff->None (retry timer, abandon) happen under mutex_;
+         *  only the owning worker claims Due->None, lock-free. */
+        std::atomic<RetryState> state{RetryState::None};
         ExecutionBackend::TimerToken token = 0;
     };
 
@@ -695,9 +710,6 @@ class Engine
     /** Dispatched attempts not yet completed/abandoned, including
      *  attempts reserved through a retry backoff. */
     std::atomic<int> inflight_attempts_{0};
-    /** Per-worker "your granted retry is due" flags (pull mode: set
-     *  by the retry timer, consumed by the owning worker). */
-    std::vector<std::atomic<bool>> retry_ready_;
     /** Per-context hw-counter aggregation; folded once drive()
      *  returned, so the slots need no synchronisation beyond it. */
     struct WorkerCounters
@@ -753,13 +765,17 @@ class Engine
 
     std::optional<obs::Tracer> tracer_; ///< one ring per context
 
-    // Per-job causal spans (see obs/span.hh). Appends for one pair
-    // are serialized by the pair's own dependency chain (memory
-    // completes-before compute dispatches), but *different* pairs'
-    // spans open/close concurrently on worker threads, so the open flags
-    // must be independent atomics -- a packed vector<bool> would
-    // race on the shared words.
-    std::optional<obs::SpanBuffer> span_buffer_;
+    // Per-job causal spans (see obs/span.hh). A span is closed, and
+    // recorded into span_ring_, only under mutex_ (admitJobLocked,
+    // failAttemptLocked, completePairLocked), so the ring has one
+    // writer at a time; finishResult drains it once. Opens and
+    // attempt appends for one pair are serialized by the pair's own
+    // dependency chain (memory completes-before compute dispatches),
+    // but *different* pairs' spans open and gain attempts
+    // concurrently on worker threads (lock-free memory completions),
+    // so the open flags must be independent atomics -- a packed
+    // vector<bool> would race on the shared words.
+    std::optional<obs::RecordRing<obs::JobSpan>> span_ring_;
     std::vector<obs::JobSpan> open_span_; ///< per pair, in assembly
     std::vector<std::atomic<bool>> span_open_;
 
@@ -788,7 +804,6 @@ class Engine
     std::uint64_t health_prev_trace_dropped_ = 0;
     std::uint64_t health_prev_span_dropped_ = 0;
     std::uint64_t health_prev_records_ = 0;
-    std::uint64_t health_prev_ebr_advances_ = 0;
     // Model-bound window sums (accumulated in completePairLocked).
     int health_window_samples_ = 0;
     double health_window_sum_tm_ = 0.0;

@@ -46,8 +46,6 @@ HealthEngine::HealthEngine(const HealthConfig &config)
                         config_.gate_saturation_enabled};
     drop_rate_ = {"drop_rate", AlertSeverity::Warning,
                   config_.drop_rate_enabled};
-    ebr_lag_ = {"ebr_lag", AlertSeverity::Warning,
-                config_.ebr_lag_enabled};
     model_bound_ = {"model_bound", AlertSeverity::Critical,
                     config_.model_bound_enabled &&
                         config_.model_tml > 0.0};
@@ -149,16 +147,6 @@ HealthEngine::onTickWindow(const TickWindowSample &sample)
              sample.window, drop_ratio, config_.drop_rate_threshold,
              sample.time);
 
-    // ebr_lag: limbo holding retired segments while the epoch makes
-    // no progress — a reader stuck in a guard or a stalled advance.
-    const bool lagging =
-        sample.ebr_pending >= config_.ebr_pending_floor &&
-        sample.ebr_advances == 0;
-    evaluate(ebr_lag_, lagging, sample.window,
-             static_cast<double>(sample.ebr_pending),
-             static_cast<double>(config_.ebr_pending_floor),
-             sample.time);
-
     // model_bound: measured memory seconds against the Sec. IV-C
     // queuing fit T_mb = T_ml + b * T_ql summed over the window's
     // completed pairs, scaled by the allowed factor.
@@ -178,7 +166,7 @@ HealthEngine::criticalActive() const
 {
     for (const Rule *rule :
          {&slo_burn_, &queue_growth_, &gate_saturation_, &drop_rate_,
-          &ebr_lag_, &model_bound_})
+          &model_bound_})
         if (rule->active && rule->severity == AlertSeverity::Critical)
             return true;
     return false;
@@ -188,10 +176,10 @@ std::vector<HealthEngine::RuleState>
 HealthEngine::ruleStates() const
 {
     std::vector<RuleState> states;
-    states.reserve(6);
+    states.reserve(5);
     for (const Rule *rule :
          {&slo_burn_, &queue_growth_, &gate_saturation_, &drop_rate_,
-          &ebr_lag_, &model_bound_})
+          &model_bound_})
         states.push_back({rule->id, rule->severity, rule->enabled,
                           rule->active, rule->fired, rule->cleared});
     return states;

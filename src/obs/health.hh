@@ -15,12 +15,11 @@
  *    half of the alert stream.
  *  - *Tick windows* close on the health timer (sim-time on the
  *    simulator) and carry hot-path counter deltas: sharded-gate
- *    admit failures, trace/span drops, EBR reclamation lag, and the
- *    measured-vs-model memory-time sums. These feed
- *    `gate_saturation`, `drop_rate`, `ebr_lag` and `model_bound`.
- *    They are deterministic under sim time and best-effort live
- *    signals on the host, where the hot path runs free of the
- *    engine clock.
+ *    admit failures, trace/span drops, and the measured-vs-model
+ *    memory-time sums. These feed `gate_saturation`, `drop_rate` and
+ *    `model_bound`. They are deterministic under sim time and
+ *    best-effort live signals on the host, where the hot path runs
+ *    free of the engine clock.
  *
  * Every detector runs through the same hysteresis: a rule fires
  * after `fire_windows` consecutive breaching windows and clears
@@ -136,11 +135,6 @@ struct HealthConfig
     /** Dropped share of (records + drops) that breaches. */
     double drop_rate_threshold = 0.01;
 
-    // -- ebr_lag (tick windows, warning) ---------------------------
-    bool ebr_lag_enabled = true;
-    /** Limbo depth that must persist with no epoch advance. */
-    std::uint64_t ebr_pending_floor = 1;
-
     // -- model_bound (tick windows, critical) ----------------------
     bool model_bound_enabled = true;
     /** Measured memory time may exceed the Sec. IV-C prediction by
@@ -177,9 +171,6 @@ struct TickWindowSample
     long trace_dropped = 0; ///< trace-ring drops this window
     long span_dropped = 0;  ///< span-buffer drops this window
     long records = 0;       ///< trace + span records this window
-
-    std::uint64_t ebr_pending = 0;  ///< limbo depth at window close
-    std::uint64_t ebr_advances = 0; ///< epoch advances this window
 
     int pair_samples = 0;    ///< completed pairs this window
     double sum_tm = 0.0;     ///< measured memory seconds
@@ -253,7 +244,6 @@ class HealthEngine
     Rule queue_growth_;
     Rule gate_saturation_;
     Rule drop_rate_;
-    Rule ebr_lag_;
     Rule model_bound_;
 
     // slo_burn EWMA state

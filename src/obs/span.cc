@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.hh"
-
 namespace tt::obs {
 
 const char *
@@ -69,147 +67,6 @@ computeCriticalPath(const JobSpan &span)
     cp.queue_wait =
         std::max(cp.response - exec - retry - cp.admission, 0.0);
     return cp;
-}
-
-SpanBuffer::SpanBuffer(std::size_t capacity) : capacity_(capacity)
-{
-    tt_assert(capacity_ > 0, "span buffer needs capacity >= 1");
-    auto *first = new Segment(0);
-    head_.store(first, std::memory_order_release);
-    tail_.store(first, std::memory_order_release);
-}
-
-SpanBuffer::~SpanBuffer()
-{
-    // Epoch limbo is drained by epoch_'s destructor; the still-live
-    // chain is ours to free (no guards can be live here).
-    Segment *seg = head_.load(std::memory_order_acquire);
-    while (seg != nullptr) {
-        Segment *next = seg->next.load(std::memory_order_acquire);
-        delete seg;
-        seg = next;
-    }
-}
-
-SpanBuffer::Segment *
-SpanBuffer::segmentFor(std::uint64_t seq)
-{
-    // Fast path: the newest segment covers almost every claim.
-    Segment *seg = tail_.load(std::memory_order_acquire);
-    if (seq >= seg->base && seq < seg->base + kSegmentSpans)
-        return seg;
-    if (seq >= seg->base + kSegmentSpans) {
-        // Extend the chain far enough to cover seq. Rare: once per
-        // kSegmentSpans records, shared by every writer that raced
-        // past the tail.
-        std::lock_guard<std::mutex> lock(install_mutex_);
-        seg = tail_.load(std::memory_order_acquire);
-        while (seq >= seg->base + kSegmentSpans) {
-            auto *fresh = new Segment(seg->base + kSegmentSpans);
-            seg->next.store(fresh, std::memory_order_release);
-            tail_.store(fresh, std::memory_order_release);
-            seg = fresh;
-        }
-        return seg;
-    }
-    // Slow path: an older (still linked) segment.
-    seg = head_.load(std::memory_order_acquire);
-    while (seg != nullptr &&
-           seq >= seg->base + kSegmentSpans)
-        seg = seg->next.load(std::memory_order_acquire);
-    if (seg == nullptr || seq < seg->base)
-        return nullptr; // window slid past a stalled writer's claim
-    return seg;
-}
-
-void
-SpanBuffer::reclaim(std::uint64_t window_start)
-{
-    {
-        std::lock_guard<std::mutex> lock(install_mutex_);
-        Segment *seg = head_.load(std::memory_order_acquire);
-        while (seg != nullptr &&
-               seg->base + kSegmentSpans <= window_start &&
-               seg != tail_.load(std::memory_order_acquire)) {
-            Segment *next =
-                seg->next.load(std::memory_order_acquire);
-            head_.store(next, std::memory_order_release);
-            epoch_.retire([seg] { delete seg; });
-            seg = next;
-        }
-    }
-    epoch_.tryAdvance();
-}
-
-void
-SpanBuffer::record(JobSpan span)
-{
-    const std::uint64_t seq =
-        next_seq_.fetch_add(1, std::memory_order_relaxed);
-    {
-        util::EpochReclaimer::Guard guard(epoch_);
-        Segment *seg = segmentFor(seq);
-        if (seg != nullptr) {
-            Slot &slot = seg->slots[seq - seg->base];
-            slot.span = std::move(span);
-            slot.ready.store(1, std::memory_order_release);
-        }
-        // A null segment means the window already slid past this
-        // claim (a stalled writer lapped by >capacity records); the
-        // span counts as dropped, exactly as the window semantics
-        // dictate.
-    }
-    // Amortized housekeeping: each segment's last writer trims the
-    // chain below the new window start.
-    if ((seq + 1) % kSegmentSpans == 0 && seq + 1 > capacity_)
-        reclaim(seq + 1 - capacity_);
-}
-
-std::uint64_t
-SpanBuffer::recorded() const
-{
-    return next_seq_.load(std::memory_order_relaxed);
-}
-
-std::size_t
-SpanBuffer::size() const
-{
-    return static_cast<std::size_t>(
-        std::min<std::uint64_t>(recorded(), capacity_));
-}
-
-std::uint64_t
-SpanBuffer::dropped() const
-{
-    return recorded() - size();
-}
-
-std::vector<JobSpan>
-SpanBuffer::spans() const
-{
-    std::vector<JobSpan> out;
-    const std::uint64_t end =
-        next_seq_.load(std::memory_order_acquire);
-    const std::uint64_t start = end > capacity_ ? end - capacity_ : 0;
-    out.reserve(static_cast<std::size_t>(end - start));
-    util::EpochReclaimer::Guard guard(epoch_);
-    const Segment *seg = head_.load(std::memory_order_acquire);
-    for (; seg != nullptr;
-         seg = seg->next.load(std::memory_order_acquire)) {
-        if (seg->base + kSegmentSpans <= start)
-            continue;
-        if (seg->base >= end)
-            break;
-        const std::uint64_t lo = std::max(seg->base, start);
-        const std::uint64_t hi =
-            std::min(seg->base + kSegmentSpans, end);
-        for (std::uint64_t seq = lo; seq < hi; ++seq) {
-            const Slot &slot = seg->slots[seq - seg->base];
-            if (slot.ready.load(std::memory_order_acquire))
-                out.push_back(slot.span);
-        }
-    }
-    return out;
 }
 
 } // namespace tt::obs

@@ -16,27 +16,24 @@
  *
  * The identity holds by construction (queue_wait is defined as the
  * non-executing remainder), so per-job components always sum to the
- * measured response. Spans land in a bounded SpanBuffer mirroring
- * TraceRing: the oldest spans are overwritten when full and counted
- * in dropped() (published as `obs.spans_dropped`). chrome_trace.hh
- * renders spans as flow events linking the arrival instant to the
- * completing worker slice; analyzer.hh aggregates the critical-path
- * components per priority class.
+ * measured response. Spans land in a RecordRing<JobSpan> (ring.hh),
+ * the same ring the trace uses: the engine records every span under
+ * its run mutex and drains the ring once, after the run; the oldest
+ * spans are overwritten when full and counted in dropped()
+ * (published as `obs.spans_dropped`). chrome_trace.hh renders spans
+ * as flow events linking the arrival instant to the completing
+ * worker slice; analyzer.hh aggregates the critical-path components
+ * per priority class.
  */
 
 #ifndef TT_OBS_SPAN_HH
 #define TT_OBS_SPAN_HH
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "load/admission.hh"
 #include "obs/perf/counters.hh"
-#include "util/concurrency/epoch.hh"
 
 namespace tt::obs {
 
@@ -136,100 +133,6 @@ struct JobSpan
  * calls it once per span at the terminal event.
  */
 CriticalPath computeCriticalPath(const JobSpan &span);
-
-/**
- * Bounded span store, concurrent-writer safe. record() claims a
- * global sequence number with one fetch_add and publishes the span
- * into a slot of a segmented log; the logical window is the last
- * `capacity` sequences, so the observable contract matches the old
- * locked ring exactly — the oldest span falls out when full and the
- * loss shows up in dropped().
- *
- * Storage is a linked list of fixed-size segments rather than one
- * ring: slots are written once, never recycled, so writers never
- * race a reader over a wrapping slot. A segment wholly below the
- * window is unlinked (rare, under a small mutex) and handed to an
- * EpochReclaimer; readers traverse under an epoch guard, so the
- * segment is freed only after every reader that could still hold a
- * pointer into it has left. Slot publication is a release store of
- * the slot's ready flag, matched by acquire loads in spans().
- *
- * Engine push mode still writes from one thread at a time; the host
- * pull path records spans from whichever worker completes the pair.
- */
-class SpanBuffer
-{
-  public:
-    explicit SpanBuffer(std::size_t capacity);
-    ~SpanBuffer();
-
-    SpanBuffer(const SpanBuffer &) = delete;
-    SpanBuffer &operator=(const SpanBuffer &) = delete;
-
-    /** Append one finalized span, overwriting the oldest when full. */
-    void record(JobSpan span);
-
-    std::size_t capacity() const { return capacity_; }
-
-    /** Spans currently held (<= capacity). */
-    std::size_t size() const;
-
-    /** Total spans recorded, including overwritten ones. */
-    std::uint64_t recorded() const;
-
-    /** Spans lost to the window sliding past them. */
-    std::uint64_t dropped() const;
-
-    /**
-     * Spans in the window, oldest first. Safe concurrently with
-     * writers: slots still being filled at the call instant are
-     * skipped (quiesced callers — drain, tests — see every slot).
-     */
-    std::vector<JobSpan> spans() const;
-
-    /** Reclamation telemetry, forwarded from the embedded EBR
-     *  instance (obs.ebr.* metrics / the ebr_lag detector). */
-    std::uint64_t epochAdvances() const { return epoch_.advances(); }
-    std::uint64_t epochStalls() const
-    {
-        return epoch_.advanceStalls();
-    }
-    std::uint64_t epochPending() const { return epoch_.pending(); }
-
-  private:
-    /** Spans per segment; segment turnover (and hence every locked
-     *  or epoch-managed operation) happens once per this many
-     *  records. */
-    static constexpr std::size_t kSegmentSpans = 256;
-
-    struct Slot
-    {
-        std::atomic<std::uint32_t> ready{0};
-        JobSpan span;
-    };
-
-    struct Segment
-    {
-        explicit Segment(std::uint64_t base_seq) : base(base_seq) {}
-        const std::uint64_t base; ///< sequence of slots[0]
-        std::vector<Slot> slots{kSegmentSpans};
-        std::atomic<Segment *> next{nullptr};
-    };
-
-    /** Segment covering `seq`, installing it if needed. Must be
-     *  called under an epoch guard. */
-    Segment *segmentFor(std::uint64_t seq);
-
-    /** Unlink and retire segments wholly below the window. */
-    void reclaim(std::uint64_t window_start);
-
-    std::size_t capacity_;
-    alignas(64) std::atomic<std::uint64_t> next_seq_{0};
-    std::atomic<Segment *> head_; ///< oldest live segment
-    std::atomic<Segment *> tail_; ///< newest segment (install hint)
-    std::mutex install_mutex_;    ///< guards head_/tail_ updates
-    mutable util::EpochReclaimer epoch_{16};
-};
 
 } // namespace tt::obs
 

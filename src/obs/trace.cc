@@ -6,58 +6,6 @@
 
 namespace tt::obs {
 
-TraceRing::TraceRing(std::size_t capacity)
-    : capacity_(capacity)
-{
-    tt_assert(capacity_ > 0, "TraceRing capacity must be positive");
-    data_.reserve(capacity_);
-}
-
-void
-TraceRing::record(const TaskEvent &event)
-{
-    const std::uint64_t n = recorded_.load(std::memory_order_relaxed);
-    if (data_.size() < capacity_)
-        data_.push_back(event);
-    else
-        data_[static_cast<std::size_t>(n % capacity_)] = event;
-    recorded_.store(n + 1, std::memory_order_relaxed);
-}
-
-std::size_t
-TraceRing::size() const
-{
-    return data_.size();
-}
-
-std::uint64_t
-TraceRing::dropped() const
-{
-    // Derived from the atomic counter alone (size() would race the
-    // owner's push_back during the growth phase): nothing is dropped
-    // until the ring has filled, one per record afterwards.
-    const std::uint64_t n = recorded_.load(std::memory_order_relaxed);
-    return n <= capacity_ ? 0 : n - capacity_;
-}
-
-std::vector<TaskEvent>
-TraceRing::events() const
-{
-    std::vector<TaskEvent> out;
-    out.reserve(data_.size());
-    // Once the ring has wrapped, the oldest surviving event sits at
-    // the next overwrite position.
-    const std::size_t head =
-        data_.size() < capacity_
-            ? 0
-            : static_cast<std::size_t>(
-                  recorded_.load(std::memory_order_relaxed) %
-                  capacity_);
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        out.push_back(data_[(head + i) % data_.size()]);
-    return out;
-}
-
 Tracer::Tracer(int workers, std::size_t capacity_per_worker)
 {
     tt_assert(workers >= 1, "Tracer needs at least one worker");
@@ -66,7 +14,7 @@ Tracer::Tracer(int workers, std::size_t capacity_per_worker)
         rings_.emplace_back(capacity_per_worker);
 }
 
-TraceRing &
+RecordRing<TaskEvent> &
 Tracer::ring(int worker)
 {
     tt_assert(worker >= 0 && worker < workers(),
@@ -74,7 +22,7 @@ Tracer::ring(int worker)
     return rings_[static_cast<std::size_t>(worker)];
 }
 
-const TraceRing &
+const RecordRing<TaskEvent> &
 Tracer::ring(int worker) const
 {
     tt_assert(worker >= 0 && worker < workers(),
@@ -83,15 +31,15 @@ Tracer::ring(int worker) const
 }
 
 std::vector<TaskEvent>
-Tracer::merged() const
+Tracer::merged()
 {
     std::vector<TaskEvent> out;
     std::size_t total = 0;
-    for (const TraceRing &ring : rings_)
+    for (const RecordRing<TaskEvent> &ring : rings_)
         total += ring.size();
     out.reserve(total);
-    for (const TraceRing &ring : rings_) {
-        const auto events = ring.events();
+    for (RecordRing<TaskEvent> &ring : rings_) {
+        const std::vector<TaskEvent> events = ring.drain();
         out.insert(out.end(), events.begin(), events.end());
     }
     std::sort(out.begin(), out.end(),
@@ -109,7 +57,7 @@ std::uint64_t
 Tracer::recorded() const
 {
     std::uint64_t total = 0;
-    for (const TraceRing &ring : rings_)
+    for (const RecordRing<TaskEvent> &ring : rings_)
         total += ring.recorded();
     return total;
 }
@@ -118,7 +66,7 @@ std::uint64_t
 Tracer::dropped() const
 {
     std::uint64_t total = 0;
-    for (const TraceRing &ring : rings_)
+    for (const RecordRing<TaskEvent> &ring : rings_)
         total += ring.dropped();
     return total;
 }

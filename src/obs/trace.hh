@@ -3,21 +3,21 @@
  * Low-overhead event tracing shared by the real-thread runtime and
  * the simulator.
  *
- * Each worker (a host thread in tt_runtime, a hardware context in
- * tt_simrt) records TaskEvents into its own fixed-capacity TraceRing:
- * no locks and no allocation on the hot path after construction, so
- * tracing stays cheap enough to leave on. When a run drains, the
- * owning runtime calls Tracer::merged() -- strictly after joining its
- * workers -- to collate every ring into one start-time-ordered event
- * stream. TraceData couples that stream with the policy's MTL
- * transition log and the graph's phase names; chrome_trace.hh renders
- * it in the Chrome trace-event format for chrome://tracing/Perfetto.
+ * Each execution context (a host worker thread, a simulated hardware
+ * context) records TaskEvents into its own fixed-capacity
+ * RecordRing (ring.hh): one writer per ring, no locks and no
+ * allocation on the hot path after construction, so tracing stays
+ * cheap enough to leave on. When a run drains, exec::Engine calls
+ * Tracer::merged() -- strictly after drive() returned -- to drain
+ * every ring into one start-time-ordered event stream. TraceData
+ * couples that stream with the policy's MTL transition log and the
+ * graph's phase names; chrome_trace.hh renders it in the Chrome
+ * trace-event format for chrome://tracing/Perfetto.
  */
 
 #ifndef TT_OBS_TRACE_HH
 #define TT_OBS_TRACE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -26,6 +26,7 @@
 #include "core/audit.hh"
 #include "obs/health.hh"
 #include "obs/perf/counters.hh"
+#include "obs/ring.hh"
 #include "obs/span.hh"
 
 namespace tt::obs {
@@ -50,59 +51,10 @@ struct TaskEvent
 };
 
 /**
- * Fixed-capacity event ring owned by exactly one worker. The owner
- * records; the event payloads may only be read after the worker has
- * stopped, but the recorded()/dropped() *counters* are safe to read
- * live from any thread (relaxed atomics -- the health tick samples
- * the drop rate mid-run). When full, the oldest events are
- * overwritten and counted in dropped().
- */
-class TraceRing
-{
-  public:
-    explicit TraceRing(std::size_t capacity);
-
-    /** Vector-relocation support for Tracer construction only -- the
-     *  atomic counter makes the default move deleted. Never valid
-     *  once the owning worker records concurrently. */
-    TraceRing(TraceRing &&other) noexcept
-        : capacity_(other.capacity_),
-          recorded_(other.recorded_.load(std::memory_order_relaxed)),
-          data_(std::move(other.data_))
-    {
-    }
-
-    /** Append one event, overwriting the oldest when full. */
-    void record(const TaskEvent &event);
-
-    std::size_t capacity() const { return capacity_; }
-
-    /** Events currently held (<= capacity). */
-    std::size_t size() const;
-
-    /** Total events recorded, including overwritten ones. */
-    std::uint64_t recorded() const
-    {
-        return recorded_.load(std::memory_order_relaxed);
-    }
-
-    /** Events lost to overwriting. */
-    std::uint64_t dropped() const;
-
-    /** Held events, oldest first. */
-    std::vector<TaskEvent> events() const;
-
-  private:
-    std::size_t capacity_;
-    /** Single writer; atomic so mid-run counter reads are clean. */
-    std::atomic<std::uint64_t> recorded_{0};
-    std::vector<TaskEvent> data_; ///< ring storage, slot = recorded % capacity
-};
-
-/**
  * Per-worker ring registry. Worker i writes only through ring(i), so
  * recording needs no synchronisation; merged() must only be called
- * once the workers are quiescent (the runtimes call it after join).
+ * once the workers are quiescent (the engine calls it after drive()
+ * returned).
  */
 class Tracer
 {
@@ -111,11 +63,12 @@ class Tracer
 
     int workers() const { return static_cast<int>(rings_.size()); }
 
-    TraceRing &ring(int worker);
-    const TraceRing &ring(int worker) const;
+    RecordRing<TaskEvent> &ring(int worker);
+    const RecordRing<TaskEvent> &ring(int worker) const;
 
-    /** All rings' events collated and sorted by (start, end, task). */
-    std::vector<TaskEvent> merged() const;
+    /** Drain every ring into one stream sorted by (start, end,
+     *  task); the rings are empty afterwards, their counters kept. */
+    std::vector<TaskEvent> merged();
 
     /** Total events recorded across all rings. */
     std::uint64_t recorded() const;
@@ -124,7 +77,7 @@ class Tracer
     std::uint64_t dropped() const;
 
   private:
-    std::vector<TraceRing> rings_;
+    std::vector<RecordRing<TaskEvent>> rings_;
 };
 
 /**

@@ -4,9 +4,8 @@
  * of the bound they jointly enforce through the engine: the Vyukov
  * MPMC ring (full/empty/wrap, no lost or duplicated elements under
  * contention), the sharded admission gate (never exceeds the bound
- * under racing admitters), epoch-based reclamation (never frees a
- * segment a live guard can still reach), and the end-to-end
- * invariant that concurrent memory tasks never exceed the MTL while
+ * under racing admitters), and the end-to-end invariant that
+ * concurrent memory tasks never exceed the MTL while
  * `peak_mem_in_flight` reports the true maximum exactly.
  */
 
@@ -19,13 +18,11 @@
 #include "core/policy.hh"
 #include "runtime/runtime.hh"
 #include "stream/builder.hh"
-#include "util/concurrency/epoch.hh"
 #include "util/concurrency/mpmc_queue.hh"
 #include "util/concurrency/sharded_gate.hh"
 
 namespace {
 
-using tt::util::EpochReclaimer;
 using tt::util::MpmcQueue;
 using tt::util::ShardedGate;
 
@@ -189,93 +186,6 @@ TEST(ShardedGate, NeverExceedsBoundUnderContention)
     EXPECT_EQ(gate.current(), 0);
     EXPECT_LE(gate.peak(), kBound);
     EXPECT_GE(observed_max.load(), 1);
-}
-
-TEST(EpochReclaimer, RetireFreesOnlyAfterAdvances)
-{
-    EpochReclaimer epoch(4);
-    bool freed = false;
-    epoch.retire([&freed] { freed = true; });
-    // Retired into the current epoch's bucket: it becomes free only
-    // once the epoch has advanced twice past it.
-    EXPECT_FALSE(freed);
-    EXPECT_TRUE(epoch.tryAdvance());
-    EXPECT_FALSE(freed);
-    EXPECT_TRUE(epoch.tryAdvance());
-    EXPECT_TRUE(freed);
-}
-
-TEST(EpochReclaimer, LiveGuardBlocksReclamation)
-{
-    EpochReclaimer epoch(4);
-    bool freed = false;
-    {
-        EpochReclaimer::Guard guard(epoch, 0);
-        epoch.retire([&freed] { freed = true; });
-        // The guard entered before (or at) the retire epoch, so no
-        // sequence of advance attempts may run the deleter while it
-        // is live.
-        for (int i = 0; i < 8; ++i) {
-            epoch.tryAdvance();
-            EXPECT_FALSE(freed);
-        }
-    }
-    // Guard gone: two effective advances free the bucket.
-    while (!freed)
-        ASSERT_TRUE(epoch.tryAdvance());
-    EXPECT_TRUE(freed);
-}
-
-TEST(EpochReclaimer, GuardedReadersNeverSeeFreedMemory)
-{
-    // Writer repeatedly swaps the published segment and retires the
-    // old one; readers traverse only under a Guard. The deleter
-    // poisons the segment, so any premature free shows up as a
-    // poisoned read (and as a use-after-free under the sanitizer
-    // presets, which run this suite through the concurrency label).
-    struct Segment
-    {
-        std::atomic<int> payload{42};
-    };
-    EpochReclaimer epoch(8);
-    std::atomic<Segment *> published{new Segment};
-    std::atomic<bool> stop{false};
-    std::atomic<bool> poisoned_read{false};
-
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 3; ++r) {
-        readers.emplace_back([&] {
-            while (!stop.load(std::memory_order_relaxed)) {
-                EpochReclaimer::Guard guard(epoch);
-                Segment *seg =
-                    published.load(std::memory_order_acquire);
-                if (seg->payload.load(std::memory_order_relaxed) != 42)
-                    poisoned_read.store(true,
-                                        std::memory_order_relaxed);
-            }
-        });
-    }
-
-    for (int i = 0; i < 2000; ++i) {
-        Segment *fresh = new Segment;
-        Segment *old =
-            published.exchange(fresh, std::memory_order_acq_rel);
-        epoch.retire([old] {
-            old->payload.store(-1, std::memory_order_relaxed);
-            delete old;
-        });
-        epoch.tryAdvance();
-    }
-    stop.store(true, std::memory_order_relaxed);
-    for (auto &reader : readers)
-        reader.join();
-    // Drain the remaining limbo (readers are gone, so the epoch can
-    // always advance now); the final published segment is ours.
-    for (int i = 0; i < 4; ++i)
-        epoch.tryAdvance();
-    delete published.load();
-
-    EXPECT_FALSE(poisoned_read.load());
 }
 
 /**

@@ -3,8 +3,9 @@
  * Fault-injection and fault-tolerance tests: determinism of the
  * seeded FaultPlan, host-runtime retries/clean failure/watchdog,
  * policy degradation to the safe static MTL and recovery, sim-side
- * chaos determinism, and a seeded multi-run chaos soak (run this
- * file under the tsan/asan presets via `ctest -L fault`).
+ * chaos determinism, a seeded multi-run chaos soak, and a 4-worker
+ * host stress of the retry hand-off (run this file under the
+ * tsan/asan presets via `ctest -L fault`).
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +23,9 @@
 #include "core/sample_guard.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/sim_machine.hh"
+#include "exec/engine.hh"
 #include "fault/fault_plan.hh"
+#include "obs/span.hh"
 #include "runtime/runtime.hh"
 #include "simrt/sim_runtime.hh"
 #include "stream/builder.hh"
@@ -36,8 +39,11 @@ using tt::core::OnlineExhaustivePolicy;
 using tt::core::PairSample;
 using tt::core::SampleGuard;
 using tt::core::SchedulingPolicy;
+using tt::core::StaticMtlPolicy;
 using tt::fault::FaultConfig;
 using tt::fault::FaultPlan;
+using tt::obs::JobSpan;
+using tt::obs::SpanOutcome;
 using tt::runtime::Runtime;
 using tt::exec::EngineOptions;
 using tt::stream::PairSpec;
@@ -576,6 +582,109 @@ TEST(ChaosSoak, SeededHostRunsDrainOrFailCleanly)
         const int final_mtl = policy.currentMtl();
         EXPECT_GE(final_mtl, 1) << "seed " << seed;
         EXPECT_LE(final_mtl, 4) << "seed " << seed;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Host stress: four workers racing retries, stalls and the MTL gate.
+// The fault;concurrency labels put these in both sanitizer presets;
+// under tsan they also check that spans are recorded only under the
+// run mutex: pairs close on whichever worker completes them, so an
+// unlocked record would race.
+
+TEST(HostStress, FourWorkersDrainUnderRetriesAndStalls)
+{
+    const int pairs = 128;
+    long total_retries = 0;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        FaultConfig config;
+        config.seed = seed;
+        config.fail_p = 0.1;
+        config.stall_p = 0.02;
+        config.stall_seconds = 200e-6;
+        const FaultPlan plan(config);
+
+        CountedGraph counted = countedGraph(pairs);
+        StaticMtlPolicy policy(2, 4);
+        EngineOptions opts = hostOptions(4);
+        opts.fault_plan = &plan;
+        opts.max_task_retries = 6; // a drained run is the contract here
+        opts.retry_backoff_seconds = 1e-6;
+        opts.watchdog_seconds = 60.0; // backstop only: must not fire
+        Runtime runtime(counted.graph, policy, opts);
+        const auto result = runtime.run();
+
+        ASSERT_FALSE(result.failed)
+            << "seed " << seed << ": " << result.failure_reason;
+        EXPECT_EQ(tt::exec::validateSchedule(counted.graph, result, 4),
+                  "")
+            << "seed " << seed;
+        EXPECT_EQ(result.samples.size(),
+                  static_cast<std::size_t>(pairs))
+            << "seed " << seed;
+        EXPECT_GE(counted.mem_runs->load(), pairs) << "seed " << seed;
+        EXPECT_GE(counted.cmp_runs->load(), pairs) << "seed " << seed;
+        EXPECT_EQ(result.task_retries,
+                  static_cast<long>(result.retries.size()))
+            << "seed " << seed;
+        total_retries += result.task_retries;
+
+        // Exactly one terminal span per pair, none dropped.
+        EXPECT_EQ(result.spans_dropped, 0u) << "seed " << seed;
+        std::vector<int> terminal(static_cast<std::size_t>(pairs), 0);
+        for (const JobSpan &span : result.spans) {
+            ASSERT_GE(span.pair, 0);
+            ASSERT_LT(span.pair, pairs);
+            ++terminal[static_cast<std::size_t>(span.pair)];
+            EXPECT_EQ(span.outcome, SpanOutcome::Completed)
+                << "seed " << seed << " pair " << span.pair;
+        }
+        for (int p = 0; p < pairs; ++p)
+            EXPECT_EQ(terminal[static_cast<std::size_t>(p)], 1)
+                << "seed " << seed << " pair " << p;
+    }
+    EXPECT_GT(total_retries, 0) << "the plans must inject failures";
+}
+
+/**
+ * Every attempt fails: the first task to exhaust its retries fails
+ * the run while the other workers hold retries still in backoff
+ * (abandoned by the failing path) or already due (abandoned by their
+ * own worker). Varying the backoff moves where each retry stands
+ * when the run fails. Every run must still end, with one Failed span
+ * per exhausted task and every granted retry accounted for.
+ */
+TEST(HostStress, FourWorkersFailCleanlyWithRetriesInFlight)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        FaultConfig config;
+        config.seed = seed;
+        config.fail_p = 1.0;
+        const FaultPlan plan(config);
+
+        CountedGraph counted = countedGraph(16);
+        ConventionalPolicy policy(4);
+        EngineOptions opts = hostOptions(4);
+        opts.fault_plan = &plan;
+        opts.retry_backoff_seconds =
+            1e-6 * static_cast<double>(1u << (seed % 5));
+        opts.watchdog_seconds = 60.0; // backstop only: must not fire
+        Runtime runtime(counted.graph, policy, opts);
+        const auto result = runtime.run();
+
+        ASSERT_TRUE(result.failed) << "seed " << seed;
+        EXPECT_FALSE(result.failure_reason.empty()) << "seed " << seed;
+        EXPECT_GE(result.task_failures, 1) << "seed " << seed;
+        EXPECT_EQ(result.task_retries,
+                  static_cast<long>(result.retries.size()))
+            << "seed " << seed;
+        EXPECT_TRUE(result.samples.empty()) << "seed " << seed;
+        EXPECT_EQ(static_cast<long>(result.spans.size()),
+                  result.task_failures)
+            << "seed " << seed;
+        for (const JobSpan &span : result.spans)
+            EXPECT_EQ(span.outcome, SpanOutcome::Failed)
+                << "seed " << seed << " pair " << span.pair;
     }
 }
 

@@ -26,10 +26,10 @@ namespace {
 using tt::Histogram;
 using tt::MetricsRegistry;
 using tt::core::DynamicThrottlePolicy;
+using tt::obs::RecordRing;
 using tt::obs::TaskEvent;
 using tt::obs::TraceData;
 using tt::obs::Tracer;
-using tt::obs::TraceRing;
 
 TaskEvent
 eventAt(double start, int task = 0, int worker = 0)
@@ -44,13 +44,13 @@ eventAt(double start, int task = 0, int worker = 0)
 
 TEST(TraceRing, KeepsEventsInRecordOrder)
 {
-    TraceRing ring(8);
+    RecordRing<TaskEvent> ring(8);
     for (int i = 0; i < 5; ++i)
         ring.record(eventAt(static_cast<double>(i), i));
     EXPECT_EQ(ring.size(), 5u);
     EXPECT_EQ(ring.recorded(), 5u);
     EXPECT_EQ(ring.dropped(), 0u);
-    const auto events = ring.events();
+    const auto events = ring.drain();
     ASSERT_EQ(events.size(), 5u);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(events[static_cast<std::size_t>(i)].task, i);
@@ -58,17 +58,21 @@ TEST(TraceRing, KeepsEventsInRecordOrder)
 
 TEST(TraceRing, WrapsOverwritingOldestAndCountsDrops)
 {
-    TraceRing ring(4);
+    RecordRing<TaskEvent> ring(4);
     for (int i = 0; i < 10; ++i)
         ring.record(eventAt(static_cast<double>(i), i));
     EXPECT_EQ(ring.size(), 4u);
     EXPECT_EQ(ring.recorded(), 10u);
     EXPECT_EQ(ring.dropped(), 6u);
-    const auto events = ring.events();
+    const auto events = ring.drain();
     ASSERT_EQ(events.size(), 4u);
     // The four newest survive, oldest first.
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(events[static_cast<std::size_t>(i)].task, 6 + i);
+    // The drain moved the events out; the counters stay.
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_EQ(ring.recorded(), 10u);
+    EXPECT_EQ(ring.dropped(), 6u);
 }
 
 TEST(Tracer, MergeSortsAcrossWorkerRings)

@@ -2,7 +2,7 @@
  * @file
  * Live-telemetry contracts: per-job causal spans (assembly under
  * retries, shedding and deadline misses; the additive critical-path
- * decomposition), the bounded SpanBuffer, the OpenMetrics exposition
+ * decomposition), the bounded span ring, the OpenMetrics exposition
  * format, the critical-path report section's diff contract, and the
  * self-observability budget (obs.overhead.* under 3% of makespan on
  * the host backend).
@@ -24,6 +24,7 @@
 #include "obs/analyzer.hh"
 #include "obs/live.hh"
 #include "obs/perf/sim_counter_provider.hh"
+#include "obs/ring.hh"
 #include "obs/span.hh"
 #include "runtime/runtime.hh"
 #include "simrt/sim_runtime.hh"
@@ -37,7 +38,7 @@ using tt::core::StaticMtlPolicy;
 using tt::exec::EngineOptions;
 using tt::obs::CriticalPath;
 using tt::obs::JobSpan;
-using tt::obs::SpanBuffer;
+using tt::obs::RecordRing;
 using tt::obs::SpanOutcome;
 using tt::stream::PairSpec;
 using tt::stream::StreamProgramBuilder;
@@ -120,7 +121,7 @@ expectDecomposes(const JobSpan &span)
 
 TEST(SpanBuffer, OverwritesOldestAndCountsDrops)
 {
-    SpanBuffer buffer(4);
+    RecordRing<JobSpan> buffer(4);
     EXPECT_EQ(buffer.capacity(), 4u);
     for (int i = 0; i < 10; ++i) {
         JobSpan span;
@@ -130,7 +131,7 @@ TEST(SpanBuffer, OverwritesOldestAndCountsDrops)
     EXPECT_EQ(buffer.size(), 4u);
     EXPECT_EQ(buffer.recorded(), 10u);
     EXPECT_EQ(buffer.dropped(), 6u);
-    const std::vector<JobSpan> spans = buffer.spans();
+    const std::vector<JobSpan> spans = buffer.drain();
     ASSERT_EQ(spans.size(), 4u);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(spans[static_cast<std::size_t>(i)].pair, 6 + i)
@@ -139,7 +140,7 @@ TEST(SpanBuffer, OverwritesOldestAndCountsDrops)
 
 TEST(SpanBuffer, HoldsEverythingUnderCapacity)
 {
-    SpanBuffer buffer(16);
+    RecordRing<JobSpan> buffer(16);
     for (int i = 0; i < 5; ++i) {
         JobSpan span;
         span.pair = i;
@@ -147,7 +148,8 @@ TEST(SpanBuffer, HoldsEverythingUnderCapacity)
     }
     EXPECT_EQ(buffer.size(), 5u);
     EXPECT_EQ(buffer.dropped(), 0u);
-    const std::vector<JobSpan> spans = buffer.spans();
+    const std::vector<JobSpan> spans = buffer.drain();
+    ASSERT_EQ(spans.size(), 5u);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(spans[static_cast<std::size_t>(i)].pair, i);
 }
@@ -198,6 +200,44 @@ TEST(Span, ClosedLoopSimSpansDecomposeExactly)
     }
     EXPECT_TRUE(any_stall)
         << "synthesized counters never attributed a memory stall";
+}
+
+/**
+ * A run that outgrows span_capacity keeps the spans it closed last,
+ * oldest first, and counts the rest as dropped, in RunResult and in
+ * obs.spans_dropped. The drain moves the records out of the ring, so
+ * the drop count must come from the record counter, not from what
+ * the ring still holds afterwards.
+ */
+TEST(Span, SpanCapacityKeepsTheLastSpansAndCountsDrops)
+{
+    const TaskGraph graph = simGraph(32);
+    // Reference: the same deterministic run with room for every span.
+    const auto full = runSim(graph, EngineOptions{});
+    ASSERT_FALSE(full.failed);
+    ASSERT_EQ(full.spans.size(), 32u);
+    EXPECT_EQ(full.spans_dropped, 0u);
+
+    tt::MetricsRegistry metrics;
+    EngineOptions options;
+    options.span_capacity = 8;
+    options.metrics = &metrics;
+    const auto capped = runSim(graph, options);
+    ASSERT_FALSE(capped.failed);
+    EXPECT_EQ(capped.spans_dropped, 24u);
+    EXPECT_EQ(metrics.counter("obs.spans_dropped"), 24);
+    ASSERT_EQ(capped.spans.size(), 8u);
+    for (std::size_t i = 0; i < 8; ++i) {
+        const JobSpan &kept = capped.spans[i];
+        const JobSpan &reference = full.spans[24 + i];
+        EXPECT_EQ(kept.pair, reference.pair) << "span " << i;
+        EXPECT_EQ(kept.outcome, SpanOutcome::Completed);
+        EXPECT_DOUBLE_EQ(kept.end, reference.end) << "span " << i;
+        if (i > 0) {
+            EXPECT_LE(capped.spans[i - 1].end, kept.end)
+                << "oldest first";
+        }
+    }
 }
 
 /**
