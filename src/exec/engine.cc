@@ -29,20 +29,6 @@ ringCapacity(const EngineOptions &options, int task_count)
     return std::max<std::size_t>(1, wanted);
 }
 
-/**
- * Wall-clock nanoseconds for the obs.overhead.* self-observability
- * counters: the real cost of observability code, measured with the
- * steady clock on every backend (simulated time would hide it).
- */
-std::uint64_t
-wallNanos()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 } // namespace
 
 void
@@ -64,9 +50,13 @@ Engine::Engine(const stream::TaskGraph &graph,
     tt_assert(options_.timeseries_out == nullptr ||
                   options_.timeseries_interval_seconds > 0.0,
               "sampling interval must be positive");
-    tt_assert(options_.live_sink == nullptr ||
+    tt_assert((options_.live_sink == nullptr &&
+               options_.metrics == nullptr) ||
                   options_.live_interval_seconds > 0.0,
               "live snapshot interval must be positive");
+    tt_assert(!options_.health.enabled ||
+                  options_.health.tick_seconds > 0.0,
+              "health tick must be positive");
 
     const auto n_tasks = static_cast<std::size_t>(graph_.taskCount());
     deps_left_ = std::vector<std::atomic<int>>(n_tasks);
@@ -334,7 +324,10 @@ Engine::admitJobLocked(const load::JobSpec &job)
         refreshMtlCacheLocked();
     }
 
-    healthJobVerdictLocked(job, record);
+    if (health_.has_value())
+        health_->onJobVerdict(out.decision == load::AdmissionDecision::Shed,
+                              out.predicted_response, job.slo_seconds,
+                              out.backlog, backend_->now());
 }
 
 void
@@ -586,22 +579,8 @@ Engine::completePairLocked(int context, TaskId id, double start,
     }
     policy_.onPairMeasured(sample);
     refreshMtlCacheLocked();
-
-    if (health_.has_value() && std::isfinite(sample.tm)) {
-        // Model-bound window sums: the Sec. IV-C queuing fit
-        // predicts T_mb = T_ml + b * T_ql with b memory tasks
-        // sharing the path; the MTL the pair ran under is the upper
-        // bound on b, so sum_bound is the most generous prediction
-        // the fit allows. Corrupted samples inflate sum_tm and trip
-        // the detector -- that is the point.
-        const obs::HealthConfig &hc = health_->config();
-        ++health_window_samples_;
-        health_window_sum_tm_ += std::max(sample.tm, 0.0);
-        health_window_sum_bound_ +=
-            hc.model_tml +
-            static_cast<double>(std::max(sample.mtl, 1)) *
-                hc.model_tql;
-    }
+    if (health_.has_value())
+        health_->onPairMeasured(sample.tm, sample.mtl);
 
     bool deadline_missed = false;
     if (open_loop_) {
@@ -772,36 +751,24 @@ Engine::maybeFinishLocked()
     drain_seconds_ = backend_->now();
     run_complete_.store(true, std::memory_order_seq_cst);
     wakeWorkers(); // parked workers observe run_complete_, exit
-    if (watchdog_token_ != 0) {
-        backend_->cancel(watchdog_token_);
-        watchdog_token_ = 0;
+    for (ExecutionBackend::TimerToken *token :
+         {&watchdog_token_, &arrival_token_}) {
+        if (*token != 0)
+            backend_->cancel(*token);
+        *token = 0;
     }
-    if (const auto token = timeseries_token_.exchange(
-            0, std::memory_order_acq_rel);
-        token != 0) {
-        backend_->cancel(token);
-    }
-    if (arrival_token_ != 0) {
-        backend_->cancel(arrival_token_);
-        arrival_token_ = 0;
-    }
-    if (const auto token =
-            live_token_.exchange(0, std::memory_order_acq_rel);
-        token != 0) {
-        backend_->cancel(token);
-    }
-    if (const auto token =
-            health_token_.exchange(0, std::memory_order_acq_rel);
-        token != 0) {
-        backend_->cancel(token);
-    }
+    for (auto &tick : tick_token_)
+        if (const auto token = tick.exchange(0, std::memory_order_acq_rel);
+            token != 0)
+            backend_->cancel(token);
     // Final shard fold so the drain-time row/snapshot (and any late
     // scrape) see fully caught-up registry values.
     if (metric_shards_.has_value())
         metric_shards_->fold();
     // Flush partial health windows before the drain-time row and
     // snapshot so both carry the final alert state.
-    healthFinishLocked();
+    if (health_.has_value())
+        health_->onDrain(hotPathTotals(), drain_seconds_);
     if (options_.timeseries_out != nullptr) {
         // Final row so even a sub-interval run leaves a snapshot
         // behind; stamped at drain time so it cannot extend the
@@ -809,11 +776,11 @@ Engine::maybeFinishLocked()
         emitTimeseriesRowLocked();
         options_.timeseries_out->flush();
     }
-    if (options_.live_sink != nullptr) {
-        // Drain-time snapshot so even a sub-interval run leaves a
-        // readable OpenMetrics file behind.
-        liveSnapshotLocked();
-    }
+    // Drain-time snapshot so even a sub-interval run leaves a
+    // readable OpenMetrics file behind. The sink charges its own
+    // rendering cost to obs.overhead.live_export_ns.
+    if (options_.live_sink != nullptr)
+        options_.live_sink->snapshot(drain_seconds_);
     backend_->runDrained();
 }
 
@@ -860,61 +827,59 @@ Engine::onWatchdogDeadline()
 }
 
 void
-Engine::onTimeseriesTick()
+Engine::onObsTick(ObsTick tick)
 {
     if (run_complete_.load(std::memory_order_acquire))
         return; // drained while this callback was in flight
     {
-        // Never stall the schedulers' slow path for a sample: a busy
-        // mutex skips the row (counted, and warned about by ttsim)
-        // instead of convoying workers behind the sampler.
-        std::unique_lock lock(mutex_, std::try_to_lock);
-        if (lock.owns_lock()) {
-            if (finished_)
-                return;
-            if (metric_shards_.has_value())
-                metric_shards_->fold(); // window-boundary fold
+        std::lock_guard lock(mutex_);
+        if (finished_)
+            return;
+        // Every tick folds, so a live endpoint reading the registry
+        // is at most one tick behind the workers.
+        if (metric_shards_.has_value())
+            metric_shards_->fold();
+        switch (tick) {
+          case ObsTick::Health:
+            health_->onTick(hotPathTotals(), backend_->now());
+            break;
+          case ObsTick::Timeseries:
             emitTimeseriesRowLocked();
-        } else {
-            timeseries_skipped_.fetch_add(1,
-                                          std::memory_order_relaxed);
+            break;
+          case ObsTick::Live:
+            if (options_.live_sink != nullptr)
+                options_.live_sink->snapshot(backend_->now());
+            break;
         }
     }
     // Re-armed outside the mutex; the race against the cancel at
     // finish is benign (a stray tick bails on run_complete_).
-    timeseries_token_.store(
-        backend_->after(
-            std::max(options_.timeseries_interval_seconds, 1e-6),
-            [this] { onTimeseriesTick(); }),
-        std::memory_order_release);
+    armObsTick(tick);
 }
 
 void
-Engine::onLiveTick()
+Engine::armObsTick(ObsTick tick)
 {
-    if (run_complete_.load(std::memory_order_acquire))
-        return;
-    {
-        std::lock_guard lock(mutex_);
-        if (finished_)
-            return;
-        if (metric_shards_.has_value())
-            metric_shards_->fold(); // snapshot sees current values
-        liveSnapshotLocked();
-    }
-    live_token_.store(
-        backend_->after(std::max(options_.live_interval_seconds, 1e-6),
-                        [this] { onLiveTick(); }),
+    double period = options_.live_interval_seconds;
+    if (tick == ObsTick::Health)
+        period = health_->config().tick_seconds;
+    else if (tick == ObsTick::Timeseries)
+        period = options_.timeseries_interval_seconds;
+    tick_token_[static_cast<std::size_t>(tick)].store(
+        backend_->after(std::max(period, 1e-6),
+                        [this, tick] { onObsTick(tick); }),
         std::memory_order_release);
 }
 
-void
-Engine::liveSnapshotLocked()
+obs::HotPathTotals
+Engine::hotPathTotals() const
 {
-    // The sink measures its own rendering cost and charges it to
-    // obs.overhead.live_export_ns.
-    options_.live_sink->snapshot(finished_ ? drain_seconds_
-                                           : backend_->now());
+    // The push scan probes the gate exactly before admitting, so gate
+    // rejections stay 0 on single-dispatcher backends by
+    // construction.
+    return {gate_->admitFailures(), gate_->folds(), tracer_->dropped(),
+            span_ring_->dropped(),
+            tracer_->recorded() + span_ring_->recorded()};
 }
 
 void
@@ -940,157 +905,6 @@ Engine::emitTimeseriesRowLocked()
     }
     obs::writeTimeseriesRow(row, *options_.timeseries_out);
     obs_sampler_ns_ += wallNanos() - t0;
-}
-
-void
-Engine::healthJobVerdictLocked(const load::JobSpec &job,
-                               const JobRecord &record)
-{
-    if (!health_.has_value())
-        return;
-    const std::uint64_t t0 = wallNanos();
-    ++health_window_offered_;
-    if (record.decision == load::AdmissionDecision::Shed) {
-        ++health_window_shed_;
-    } else if (job.slo_seconds > 0.0 &&
-               record.predicted_response > job.slo_seconds) {
-        // Admitted but the admission model already expects it late:
-        // a deterministic stand-in for the (wall-clock-dependent)
-        // actual deadline outcome, so burn windows agree across
-        // backends.
-        ++health_window_predicted_late_;
-    }
-    health_window_backlog_ = record.backlog;
-    if (health_window_offered_ >= health_->config().window_jobs)
-        healthCloseJobWindowLocked();
-    obs_health_ns_ += wallNanos() - t0;
-}
-
-void
-Engine::healthCloseJobWindowLocked()
-{
-    obs::JobWindowSample sample;
-    sample.window = health_job_window_++;
-    sample.time = finished_ ? drain_seconds_ : backend_->now();
-    sample.offered = health_window_offered_;
-    sample.shed = health_window_shed_;
-    sample.predicted_late = health_window_predicted_late_;
-    sample.backlog = health_window_backlog_;
-    health_window_offered_ = 0;
-    health_window_shed_ = 0;
-    health_window_predicted_late_ = 0;
-    health_->onJobWindow(sample);
-    publishHealthMetricsLocked();
-}
-
-void
-Engine::onHealthTick()
-{
-    if (run_complete_.load(std::memory_order_acquire))
-        return; // drained while this callback was in flight
-    {
-        std::lock_guard lock(mutex_);
-        if (finished_)
-            return;
-        healthTickWindowLocked();
-    }
-    // Re-armed outside the mutex, same benign race as the sampler.
-    health_token_.store(
-        backend_->after(
-            std::max(health_->config().tick_seconds, 1e-6),
-            [this] { onHealthTick(); }),
-        std::memory_order_release);
-}
-
-void
-Engine::healthTickWindowLocked()
-{
-    const std::uint64_t t0 = wallNanos();
-    obs::TickWindowSample sample;
-    sample.window = health_tick_window_++;
-    sample.time = finished_ ? drain_seconds_ : backend_->now();
-
-    // Hot-path counter deltas since the previous tick window. The
-    // push scan probes the gate exactly before admitting, so gate
-    // rejections stay 0 on single-dispatcher backends by
-    // construction.
-    const long gate_failures = gate_->admitFailures();
-    const long gate_folds = gate_->folds();
-    sample.gate_failures = gate_failures - health_prev_gate_failures_;
-    sample.gate_folds = gate_folds - health_prev_gate_folds_;
-    health_prev_gate_failures_ = gate_failures;
-    health_prev_gate_folds_ = gate_folds;
-
-    const std::uint64_t trace_dropped = tracer_->dropped();
-    const std::uint64_t span_dropped = span_ring_->dropped();
-    const std::uint64_t records =
-        tracer_->recorded() + span_ring_->recorded();
-    sample.trace_dropped = static_cast<long>(
-        trace_dropped - health_prev_trace_dropped_);
-    sample.span_dropped =
-        static_cast<long>(span_dropped - health_prev_span_dropped_);
-    sample.records =
-        static_cast<long>(records - health_prev_records_);
-    health_prev_trace_dropped_ = trace_dropped;
-    health_prev_span_dropped_ = span_dropped;
-    health_prev_records_ = records;
-
-    sample.pair_samples = health_window_samples_;
-    sample.sum_tm = health_window_sum_tm_;
-    sample.sum_bound = health_window_sum_bound_;
-    health_window_samples_ = 0;
-    health_window_sum_tm_ = 0.0;
-    health_window_sum_bound_ = 0.0;
-
-    health_->onTickWindow(sample);
-    publishHealthMetricsLocked();
-    obs_health_ns_ += wallNanos() - t0;
-}
-
-void
-Engine::healthFinishLocked()
-{
-    if (!health_.has_value())
-        return;
-    // Flush the partial job window (both backends see the same
-    // residue: the plan length is the plan length) and one last tick
-    // window, so alerts active at drain are visible in the final
-    // snapshot and the edge stream is complete.
-    if (health_window_offered_ > 0)
-        healthCloseJobWindowLocked();
-    healthTickWindowLocked();
-}
-
-void
-Engine::publishHealthMetricsLocked()
-{
-    MetricsRegistry *metrics = options_.metrics;
-    if (metrics == nullptr || !health_.has_value())
-        return;
-    const auto states = health_->ruleStates();
-    for (std::size_t i = 0; i < states.size(); ++i) {
-        const auto &state = states[i];
-        const std::string rule(state.rule);
-        // Gauge value doubles as the severity encoding (0 inactive,
-        // 1 warning, 2 critical) so ttstat can gate on "critical
-        // active" without parsing rule metadata.
-        metrics->set("obs.alerts_active." + rule,
-                     state.active
-                         ? static_cast<double>(state.severity)
-                         : 0.0);
-        metrics->add("obs.alerts_fired." + rule,
-                     static_cast<std::int64_t>(
-                         state.fired - health_pub_fired_[i]));
-        metrics->add("obs.alerts_cleared." + rule,
-                     static_cast<std::int64_t>(
-                         state.cleared - health_pub_cleared_[i]));
-        health_pub_fired_[i] = state.fired;
-        health_pub_cleared_[i] = state.cleared;
-    }
-    metrics->add("obs.alerts_dropped",
-                 static_cast<std::int64_t>(health_->alertsDropped() -
-                                           health_pub_dropped_));
-    health_pub_dropped_ = health_->alertsDropped();
 }
 
 void
@@ -1291,6 +1105,9 @@ Engine::run(ExecutionBackend &backend)
     {
         std::lock_guard lock(mutex_);
         refreshMtlCacheLocked(); // admission bound before workers run
+        // The timers below are armed in a fixed order (health,
+        // arrivals, time series, live, watchdog): simulated event ids
+        // come from one counter, so the order breaks same-tick ties.
         if (options_.health.enabled) {
             // Constructed before the first arrivals so t=0 verdicts
             // land in job window 0. The model-bound fit defaults to
@@ -1300,15 +1117,8 @@ Engine::run(ExecutionBackend &backend)
                 hc.model_tml = options_.admission.service_tml;
                 hc.model_tql = options_.admission.service_tql;
             }
-            health_.emplace(hc);
-            health_pub_fired_.assign(health_->ruleStates().size(),
-                                     0);
-            health_pub_cleared_.assign(health_->ruleStates().size(),
-                                       0);
-            publishHealthMetricsLocked(); // materialize the schema
-            health_token_ = backend.after(
-                std::max(hc.tick_seconds, 1e-6),
-                [this] { onHealthTick(); });
+            health_.emplace(hc, options_.metrics);
+            armObsTick(ObsTick::Health);
         }
         if (open_loop_) {
             admission_.emplace(options_.admission, contexts);
@@ -1324,15 +1134,14 @@ Engine::run(ExecutionBackend &backend)
         }
         if (options_.timeseries_out != nullptr) {
             emitTimeseriesRowLocked();
-            timeseries_token_ = backend.after(
-                std::max(options_.timeseries_interval_seconds, 1e-6),
-                [this] { onTimeseriesTick(); });
+            armObsTick(ObsTick::Timeseries);
         }
-        if (options_.live_sink != nullptr) {
-            liveSnapshotLocked();
-            live_token_ = backend.after(
-                std::max(options_.live_interval_seconds, 1e-6),
-                [this] { onLiveTick(); });
+        // Worker threads publish through shards that only a fold
+        // makes visible, so they get the live tick without a sink too.
+        if (options_.live_sink != nullptr || metric_shards_.has_value()) {
+            if (options_.live_sink != nullptr)
+                options_.live_sink->snapshot(backend.now());
+            armObsTick(ObsTick::Live);
         }
         if (options_.watchdog_seconds > 0.0)
             watchdog_token_ =
@@ -1392,8 +1201,6 @@ Engine::finishResult()
     result.trace_dropped = tracer_->dropped();
     result.spans = span_ring_->drain();
     result.spans_dropped = span_ring_->dropped();
-    result.timeseries_skipped =
-        timeseries_skipped_.load(std::memory_order_relaxed);
     result.pin_failures = backend_->pinFailures();
 
     // Corrupted samples (injected or from a glitched clock) stay in
@@ -1490,17 +1297,12 @@ Engine::finishResult()
                      static_cast<std::int64_t>(result.trace_dropped));
         metrics->add("obs.spans_dropped",
                      static_cast<std::int64_t>(result.spans_dropped));
-        // Rows the sampler skipped because the scheduler mutex was
-        // busy; the zero-delta add materializes the name on every
-        // backend so schema diffs stay clean.
-        metrics->add("obs.timeseries_skipped",
-                     timeseries_skipped_.load(
-                         std::memory_order_relaxed));
         // Self-observability: what tracing/sampling cost in *wall*
         // nanoseconds. The zero-delta adds materialize the full
         // obs.overhead.* schema on every backend; the backends then
-        // add their counter-read share in finalize(), and the live
-        // sinks charge live_export_ns as they serve.
+        // add their counter-read share in finalize(), the live sinks
+        // charge live_export_ns as they serve, and the health engine
+        // charged health_ns at drain.
         metrics->add("obs.overhead.trace_record_ns",
                      static_cast<std::int64_t>(
                          obs_trace_record_ns_.load(
@@ -1509,8 +1311,7 @@ Engine::finishResult()
                      static_cast<std::int64_t>(obs_sampler_ns_));
         metrics->add("obs.overhead.counter_read_ns", 0);
         metrics->add("obs.overhead.live_export_ns", 0);
-        metrics->add("obs.overhead.health_ns",
-                     static_cast<std::int64_t>(obs_health_ns_));
+        metrics->add("obs.overhead.health_ns", 0);
         // Hot-path substrate telemetry. Backends without worker
         // threads never park; the zero-delta adds still materialize
         // the names so host and sim expose the identical schema.
@@ -1524,7 +1325,6 @@ Engine::finishResult()
         metrics->add("runtime.worker_parks", 0); // shards added real
         metrics->add("runtime.worker_wakes",
                      static_cast<std::int64_t>(wake_notifies_));
-        publishHealthMetricsLocked(); // final alert state (if any)
         metrics->setMax("runtime.peak_mem_in_flight",
                         result.peak_mem_in_flight);
         metrics->set("runtime.makespan_seconds", result.seconds);

@@ -24,6 +24,7 @@
 #ifndef TT_EXEC_ENGINE_HH
 #define TT_EXEC_ENGINE_HH
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -187,22 +188,26 @@ struct EngineOptions
      * at drain -- on the sim backend that yields periodic
      * *simulated-time* snapshots. The host backend typically serves
      * live metrics through obs::LiveMetricsServer instead (real
-     * time, on demand), which needs no engine involvement.
+     * time, on demand). That server reads only the registry, so on a
+     * worker-thread backend with `metrics` set the engine folds the
+     * worker metric shards into the registry every
+     * `live_interval_seconds`, sink or no sink.
      */
     obs::LiveFileSink *live_sink = nullptr;
 
-    /** Snapshot period of the live sink, engine-clock seconds. */
+    /** Snapshot (and worker-shard fold) period, engine-clock
+     *  seconds. */
     double live_interval_seconds = 0.1;
 
     /**
      * Streaming health engine (see obs/health.hh). When
-     * health.enabled the engine evaluates the online detectors over
-     * deterministic job windows (every health.window_jobs offered
-     * jobs, under the scheduler mutex) and hot-path tick windows
-     * (every health.tick_seconds of engine-clock time), publishes
-     * `obs.alerts_*` metrics, and returns the fired/cleared edge
-     * stream in RunResult::alerts. The job-window detectors consume
-     * only admission-model state, so their alert sequence is
+     * health.enabled the engine feeds obs::HealthEngine every
+     * admission verdict and measured pair (under the scheduler
+     * mutex) and the cumulative hot-path totals every
+     * health.tick_seconds of engine-clock time; it publishes
+     * `obs.alerts_*` metrics, and the run returns the fired/cleared
+     * edge stream in RunResult::alerts. The job-window detectors
+     * consume only admission-model state, so their alert sequence is
      * identical on host and sim for the same plan and config.
      */
     obs::HealthConfig health;
@@ -280,11 +285,6 @@ struct RunResult
 
     /** Spans lost to span-buffer overwrites (0 unless capped). */
     std::uint64_t spans_dropped = 0;
-
-    /** Time-series sampler ticks skipped because the scheduler lock
-     *  was busy (try-lock miss); those rows are simply absent from
-     *  the output. Also published as `obs.timeseries_skipped`. */
-    std::int64_t timeseries_skipped = 0;
 
     /** Per-phase aggregates (phase order). */
     std::vector<PhaseResult> phases;
@@ -399,17 +399,16 @@ struct AttemptOutcome
 /**
  * What the engine needs from an execution substrate: a clock, a way
  * to start a task attempt on an idle context, one-shot timers (for
- * retry backoff, the watchdog and the time-series sampler), and a
- * drive loop that blocks until the run is over.
+ * arrivals, retry backoff, the watchdog and the observation ticks),
+ * and a drive loop that blocks until the run is over.
  *
  * Contract: startAttempt()/after()/cancel() must not call back into
  * the engine synchronously. startAttempt() and cancel() are called
- * with the engine lock held, and so is after(), except where the
- * self-re-arming observability ticks (time series, live snapshot,
- * health) re-arm outside it: after() must be safe to call without
- * the engine lock. Both backends' are -- the host's timer list has
- * its own mutex, and the simulator runs every timer on its one
- * event-loop thread. Completions are delivered by calling
+ * with the engine lock held, and so is after(), except where an
+ * observation tick re-arms itself outside it: after() must be safe
+ * to call without the engine lock. Both backends' are -- the host's
+ * timer list has its own mutex, and the simulator runs every timer
+ * on its one event-loop thread. Completions are delivered by calling
  * Engine::onAttemptDone(context, outcome) from the backend's
  * execution context (a worker thread, a sim event, a test loop);
  * timer callbacks fire the std::function verbatim. runDrained() is
@@ -494,8 +493,8 @@ class ExecutionBackend
  * phase activation, ready queues, compute-first dispatch with memory
  * admission against policy.currentMtl(), pair timing and sample
  * delivery (with fault-plan corruption mirroring), bounded retries
- * with exponential backoff, clean run failure, watchdog and
- * time-series timers, trace rings and metrics.
+ * with exponential backoff, clean run failure, the watchdog and
+ * observation ticks, trace rings and metrics.
  *
  * Thread-safe, with one scheduler state for every backend: MPMC
  * ready rings, a sharded admission gate standing in for the paper's
@@ -558,6 +557,14 @@ class Engine
         Due,     ///< backoff elapsed; the owning worker re-runs it
     };
 
+    /** The self-re-arming observation ticks, one timer each. */
+    enum class ObsTick : std::uint8_t
+    {
+        Health,     ///< health tick window
+        Timeseries, ///< time-series row
+        Live,       ///< live snapshot, or only the shard fold
+    };
+
     struct PendingRetry
     {
         /** One state, so a reserved context never reads as idle:
@@ -609,28 +616,14 @@ class Engine
     void maybeFinishLocked();
     /** Watchdog timer fired: terminate (host) or fail in-band. */
     void onWatchdogDeadline();
-    /** Self-rescheduling time-series sampler tick. */
-    void onTimeseriesTick();
+    /** Observation tick: fold the metric shards, run the tick's
+     *  surface under mutex_, re-arm outside it. */
+    void onObsTick(ObsTick tick);
+    /** Arm the next `tick` one period from now. */
+    void armObsTick(ObsTick tick);
     void emitTimeseriesRowLocked();
-    /** Self-rescheduling live OpenMetrics snapshot tick. */
-    void onLiveTick();
-    void liveSnapshotLocked();
-    /** Self-rescheduling health tick (hot-path tick windows). */
-    void onHealthTick();
-    /** Fold one job verdict into the current job window; close the
-     *  window (and run the detectors) every health.window_jobs. */
-    void healthJobVerdictLocked(const load::JobSpec &job,
-                                const JobRecord &record);
-    /** Close the current (possibly partial) job window. */
-    void healthCloseJobWindowLocked();
-    /** Close the current tick window: snapshot hot-path counters,
-     *  hand the deltas to the detectors. */
-    void healthTickWindowLocked();
-    /** Flush partial windows and publish final health state. */
-    void healthFinishLocked();
-    /** Mirror health state into the metrics registry (gauges set,
-     *  counters advanced by delta since last publication). */
-    void publishHealthMetricsLocked();
+    /** Cumulative hot-path totals the health ticks difference. */
+    obs::HotPathTotals hotPathTotals() const;
     /** Start assembling the span of `pair` (memory task ready). */
     void openSpan(int pair, int priority, double arrival);
     /** Append one finished attempt to the pair's open span. */
@@ -786,38 +779,10 @@ class Engine
     // lock-free completion path, hence atomic.
     std::atomic<std::uint64_t> obs_trace_record_ns_{0};
     std::uint64_t obs_sampler_ns_ = 0;
-    std::uint64_t obs_health_ns_ = 0; ///< detector + publish cost
 
-    // Streaming health engine (options_.health.enabled). All state
-    // below is written under mutex_; the detectors themselves live
-    // in obs::HealthEngine.
+    /** Streaming health engine (options_.health.enabled), driven
+     *  under mutex_; it times and publishes itself. */
     std::optional<obs::HealthEngine> health_;
-    std::uint64_t health_job_window_ = 0;  ///< next job-window index
-    int health_window_offered_ = 0;        ///< jobs in open window
-    int health_window_shed_ = 0;
-    int health_window_predicted_late_ = 0;
-    long health_window_backlog_ = 0;       ///< model backlog, latest
-    std::uint64_t health_tick_window_ = 0; ///< next tick-window index
-    // Previous hot-path counter snapshots (tick-window deltas).
-    long health_prev_gate_failures_ = 0;
-    long health_prev_gate_folds_ = 0;
-    std::uint64_t health_prev_trace_dropped_ = 0;
-    std::uint64_t health_prev_span_dropped_ = 0;
-    std::uint64_t health_prev_records_ = 0;
-    // Model-bound window sums (accumulated in completePairLocked).
-    int health_window_samples_ = 0;
-    double health_window_sum_tm_ = 0.0;
-    double health_window_sum_bound_ = 0.0;
-    // Counter values already pushed to the registry, per rule index
-    // (publishHealthMetricsLocked adds only the delta).
-    std::vector<std::uint64_t> health_pub_fired_;
-    std::vector<std::uint64_t> health_pub_cleared_;
-    std::uint64_t health_pub_dropped_ = 0;
-    std::atomic<ExecutionBackend::TimerToken> health_token_{0};
-
-    /** Sampler rows skipped because the scheduler mutex was busy
-     *  (try_to_lock miss); published as obs.timeseries_skipped. */
-    std::atomic<std::int64_t> timeseries_skipped_{0};
 
     // Fault tolerance. run_failed_ is written under mutex_ but read
     // lock-free by sleeping workers and the crash-dump path.
@@ -827,15 +792,15 @@ class Engine
     long task_failures_ = 0;
     bool watchdog_fired_ = false;
 
-    // run_complete_ gates late timer callbacks (watchdog, sampler).
+    // run_complete_ gates late timer callbacks (watchdog, ticks).
     std::atomic<bool> run_complete_{false};
     ExecutionBackend::TimerToken watchdog_token_ = 0;
-    // The sampler/live ticks re-arm their own token *outside* the
-    // scheduler mutex (the sampler only try-locks it), racing with
-    // the cancel at finish; atomic tokens keep that race benign (a
-    // stray timer is gated by run_complete_).
-    std::atomic<ExecutionBackend::TimerToken> timeseries_token_{0};
-    std::atomic<ExecutionBackend::TimerToken> live_token_{0};
+    // The observation ticks re-arm their own token *outside* the
+    // scheduler mutex, racing with the cancel at finish; atomic
+    // tokens keep that race benign (a stray timer is gated by
+    // run_complete_). Indexed by ObsTick.
+    std::array<std::atomic<ExecutionBackend::TimerToken>, 3>
+        tick_token_{};
     double drain_seconds_ = -1.0; ///< engine clock at finish
 };
 

@@ -1,7 +1,10 @@
 #include "obs/health.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
+
+#include "util/stats.hh"
 
 namespace tt::obs {
 
@@ -29,19 +32,16 @@ alertEdgeName(AlertEdge edge)
     return "unknown";
 }
 
-HealthEngine::HealthEngine(const HealthConfig &config)
-    : config_(config)
+HealthEngine::HealthEngine(const HealthConfig &config,
+                           MetricsRegistry *metrics)
+    : config_(config), metrics_(metrics)
 {
-    config_.window_jobs = std::max(1, config_.window_jobs);
-    config_.fire_windows = std::max(1, config_.fire_windows);
-    config_.clear_windows = std::max(1, config_.clear_windows);
     config_.alert_capacity =
         std::max<std::size_t>(1, config_.alert_capacity);
 
     slo_burn_ = {"slo_burn", AlertSeverity::Critical,
                  config_.slo_burn_enabled};
-    queue_growth_ = {"queue_growth", AlertSeverity::Warning,
-                     config_.queue_growth_enabled};
+    queue_growth_ = {"queue_growth", AlertSeverity::Warning, true};
     gate_saturation_ = {"gate_saturation", AlertSeverity::Warning,
                         config_.gate_saturation_enabled};
     drop_rate_ = {"drop_rate", AlertSeverity::Warning,
@@ -49,6 +49,97 @@ HealthEngine::HealthEngine(const HealthConfig &config)
     model_bound_ = {"model_bound", AlertSeverity::Critical,
                     config_.model_bound_enabled &&
                         config_.model_tml > 0.0};
+
+    if (metrics_ == nullptr)
+        return;
+    // The full schema up front, fired or not; append() then moves it
+    // on every edge.
+    for (const RuleState &state : ruleStates()) {
+        const std::string rule(state.rule);
+        metrics_->set("obs.alerts_active." + rule, 0.0);
+        metrics_->add("obs.alerts_fired." + rule, 0);
+        metrics_->add("obs.alerts_cleared." + rule, 0);
+    }
+    metrics_->add("obs.alerts_dropped", 0);
+}
+
+void
+HealthEngine::onJobVerdict(bool shed, double predicted_response,
+                           double slo_seconds, long backlog,
+                           double time)
+{
+    const std::uint64_t t0 = wallNanos();
+    ++job_.offered;
+    if (shed) {
+        ++job_.shed;
+    } else if (slo_seconds > 0.0 && predicted_response > slo_seconds) {
+        // Admitted but the admission model already expects it late:
+        // a deterministic stand-in for the (wall-clock-dependent)
+        // actual deadline outcome, so burn windows agree across
+        // backends.
+        ++job_.predicted_late;
+    }
+    job_.backlog = backlog;
+    if (job_.offered >= kHealthWindowJobs)
+        closeJobWindow(time);
+    overhead_ns_ += wallNanos() - t0;
+}
+
+void
+HealthEngine::closeJobWindow(double time)
+{
+    job_.time = time;
+    onJobWindow(job_);
+    job_ = JobWindowSample{.window = job_.window + 1};
+}
+
+void
+HealthEngine::onPairMeasured(double tm, int mtl)
+{
+    if (!std::isfinite(tm))
+        return;
+    // The Sec. IV-C queuing fit predicts T_mb = T_ml + b * T_ql with b
+    // memory tasks sharing the path; the MTL the pair ran under is the
+    // upper bound on b, so sum_bound is the most generous prediction
+    // the fit allows. Corrupted samples inflate sum_tm and trip the
+    // detector -- that is the point.
+    ++tick_.pair_samples;
+    tick_.sum_tm += std::max(tm, 0.0);
+    tick_.sum_bound += config_.model_tml +
+                       static_cast<double>(std::max(mtl, 1)) *
+                           config_.model_tql;
+}
+
+void
+HealthEngine::onTick(const HotPathTotals &totals, double time)
+{
+    const std::uint64_t t0 = wallNanos();
+    tick_.time = time;
+    tick_.gate_failures = totals.gate_failures - prev_totals_.gate_failures;
+    tick_.gate_folds = totals.gate_folds - prev_totals_.gate_folds;
+    tick_.trace_dropped = static_cast<long>(totals.trace_dropped -
+                                            prev_totals_.trace_dropped);
+    tick_.span_dropped = static_cast<long>(totals.span_dropped -
+                                           prev_totals_.span_dropped);
+    tick_.records =
+        static_cast<long>(totals.records - prev_totals_.records);
+    prev_totals_ = totals;
+    onTickWindow(tick_);
+    tick_ = TickWindowSample{.window = tick_.window + 1};
+    overhead_ns_ += wallNanos() - t0;
+}
+
+void
+HealthEngine::onDrain(const HotPathTotals &totals, double time)
+{
+    // Both backends flush the same partial job window: the plan
+    // length is the plan length.
+    if (job_.offered > 0)
+        closeJobWindow(time);
+    onTick(totals, time);
+    if (metrics_ != nullptr)
+        metrics_->add("obs.overhead.health_ns",
+                      static_cast<std::int64_t>(overhead_ns_));
 }
 
 void
@@ -61,7 +152,7 @@ HealthEngine::evaluate(Rule &rule, bool breach, std::uint64_t window,
         ++rule.breach_streak;
         rule.healthy_streak = 0;
         if (!rule.active &&
-            rule.breach_streak >= config_.fire_windows) {
+            rule.breach_streak >= kHealthFireWindows) {
             rule.active = true;
             ++rule.fired;
             append({rule.id, rule.severity, AlertEdge::Fired, window,
@@ -71,7 +162,7 @@ HealthEngine::evaluate(Rule &rule, bool breach, std::uint64_t window,
         ++rule.healthy_streak;
         rule.breach_streak = 0;
         if (rule.active &&
-            rule.healthy_streak >= config_.clear_windows) {
+            rule.healthy_streak >= kHealthClearWindows) {
             rule.active = false;
             ++rule.cleared;
             append({rule.id, rule.severity, AlertEdge::Cleared,
@@ -87,8 +178,7 @@ HealthEngine::onJobWindow(const JobWindowSample &sample)
     // budget. Sheds and predicted-late admits are both misses in the
     // model's eyes; actual deadline outcomes are wall-clock-dependent
     // on the host and would break cross-backend determinism.
-    const double budget =
-        std::max(1e-9, 1.0 - config_.attainment_target);
+    const double budget = std::max(1e-9, 1.0 - kSloAttainmentTarget);
     const int offered = std::max(1, sample.offered);
     const double miss =
         static_cast<double>(sample.shed + sample.predicted_late) /
@@ -99,27 +189,26 @@ HealthEngine::onJobWindow(const JobWindowSample &sample)
         burn_slow_ = burn;
         burn_primed_ = true;
     } else {
-        burn_fast_ = config_.burn_fast_alpha * burn +
-                     (1.0 - config_.burn_fast_alpha) * burn_fast_;
-        burn_slow_ = config_.burn_slow_alpha * burn +
-                     (1.0 - config_.burn_slow_alpha) * burn_slow_;
+        burn_fast_ = kBurnFastAlpha * burn +
+                     (1.0 - kBurnFastAlpha) * burn_fast_;
+        burn_slow_ = kBurnSlowAlpha * burn +
+                     (1.0 - kBurnSlowAlpha) * burn_slow_;
     }
-    const bool burning =
-        burn_fast_ >= config_.burn_fast_threshold &&
-        burn_slow_ >= config_.burn_slow_threshold;
+    const bool burning = burn_fast_ >= kBurnFastThreshold &&
+                         burn_slow_ >= kBurnSlowThreshold;
     evaluate(slo_burn_, burning, sample.window, burn_fast_,
-             config_.burn_fast_threshold, sample.time);
+             kBurnFastThreshold, sample.time);
 
     // queue_growth: model backlog strictly rising above the floor.
     // The fire hysteresis supplies the "sustained" requirement.
     const bool growing =
         have_prev_backlog_ && sample.backlog > prev_backlog_ &&
-        sample.backlog > config_.queue_growth_floor;
+        sample.backlog > kQueueGrowthFloor;
     prev_backlog_ = sample.backlog;
     have_prev_backlog_ = true;
     evaluate(queue_growth_, growing, sample.window,
              static_cast<double>(sample.backlog),
-             static_cast<double>(config_.queue_growth_floor),
+             static_cast<double>(kQueueGrowthFloor),
              sample.time);
 }
 
@@ -131,11 +220,10 @@ HealthEngine::onTickWindow(const TickWindowSample &sample)
         static_cast<double>(std::max<long>(1, sample.gate_folds));
     const double failure_ratio = std::min(
         1.0, static_cast<double>(sample.gate_failures) / folds);
-    const bool saturated =
-        sample.gate_folds >= config_.gate_min_folds &&
-        failure_ratio >= config_.gate_failure_ratio;
+    const bool saturated = sample.gate_folds >= kGateMinFolds &&
+                           failure_ratio >= kGateFailureRatio;
     evaluate(gate_saturation_, saturated, sample.window,
-             failure_ratio, config_.gate_failure_ratio, sample.time);
+             failure_ratio, kGateFailureRatio, sample.time);
 
     // drop_rate: dropped share of everything offered to the trace
     // ring and span buffer this window.
@@ -143,16 +231,15 @@ HealthEngine::onTickWindow(const TickWindowSample &sample)
     const double denom = static_cast<double>(
         std::max<long>(1, sample.records + drops));
     const double drop_ratio = static_cast<double>(drops) / denom;
-    evaluate(drop_rate_, drop_ratio >= config_.drop_rate_threshold,
-             sample.window, drop_ratio, config_.drop_rate_threshold,
+    evaluate(drop_rate_, drop_ratio >= kDropRateThreshold,
+             sample.window, drop_ratio, kDropRateThreshold,
              sample.time);
 
     // model_bound: measured memory seconds against the Sec. IV-C
     // queuing fit T_mb = T_ml + b * T_ql summed over the window's
     // completed pairs, scaled by the allowed factor.
     if (sample.pair_samples > 0 && sample.sum_bound > 0.0) {
-        const double limit =
-            config_.model_bound_factor * sample.sum_bound;
+        const double limit = kModelBoundFactor * sample.sum_bound;
         evaluate(model_bound_, sample.sum_tm > limit, sample.window,
                  sample.sum_tm, limit, sample.time);
     } else {
@@ -188,9 +275,24 @@ HealthEngine::ruleStates() const
 void
 HealthEngine::append(AlertEvent event)
 {
+    if (metrics_ != nullptr) {
+        const bool fired = event.edge == AlertEdge::Fired;
+        // The gauge value doubles as the severity encoding (0
+        // inactive, 1 warning, 2 critical) so ttstat can gate on
+        // "critical active" without parsing rule metadata.
+        metrics_->set("obs.alerts_active." + event.rule,
+                      fired ? static_cast<double>(event.severity)
+                            : 0.0);
+        metrics_->add((fired ? "obs.alerts_fired."
+                             : "obs.alerts_cleared.") +
+                          event.rule,
+                      1);
+    }
     if (alerts_.size() >= config_.alert_capacity) {
         alerts_.erase(alerts_.begin());
         ++alerts_dropped_;
+        if (metrics_ != nullptr)
+            metrics_->add("obs.alerts_dropped", 1);
     }
     alerts_.push_back(std::move(event));
 }

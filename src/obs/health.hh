@@ -3,33 +3,44 @@
  * Streaming health engine: deterministic online detectors over the
  * run's own telemetry, emitting a severity-tagged alert stream.
  *
- * The engine consumes two window streams and keeps no other state:
+ * exec::Engine feeds it raw inputs only, and HealthEngine builds two
+ * window streams from them:
  *
- *  - *Job windows* close every `window_jobs` offered jobs and carry
- *    only admission-model inputs (sheds, predicted-late admits,
- *    model backlog). Arrival order is plan order on both backends
- *    and the admission verdicts are functions of the plan alone, so
- *    the detectors fed from job windows — `slo_burn` and
- *    `queue_growth` — produce the identical (rule, edge, window)
- *    sequence on host and sim. This is the cross-backend-tested
- *    half of the alert stream.
- *  - *Tick windows* close on the health timer (sim-time on the
- *    simulator) and carry hot-path counter deltas: sharded-gate
- *    admit failures, trace/span drops, and the measured-vs-model
- *    memory-time sums. These feed `gate_saturation`, `drop_rate` and
- *    `model_bound`. They are deterministic under sim time and
- *    best-effort live signals on the host, where the hot path runs
- *    free of the engine clock.
+ *  - *Job windows* close every kHealthWindowJobs admission verdicts
+ *    (onJobVerdict: shed or admitted, the admission model's predicted
+ *    response against the job's SLO, the model backlog). Arrival
+ *    order is plan order on both backends and the verdicts are
+ *    functions of the plan alone, so the detectors fed from job
+ *    windows — `slo_burn` and `queue_growth` — produce the identical
+ *    (rule, edge, window) sequence on host and sim. This is the
+ *    cross-backend-tested half of the alert stream.
+ *  - *Tick windows* close on the engine's health tick (sim-time on
+ *    the simulator; onTick) and carry the deltas of the cumulative
+ *    hot-path totals the engine reads there — sharded-gate admit
+ *    failures and folds, trace/span records and drops — plus the
+ *    measured-vs-model memory-time sums of the pairs measured since
+ *    the last tick (onPairMeasured: T_m and the MTL it ran under).
+ *    These feed `gate_saturation`, `drop_rate` and `model_bound`.
+ *    They are deterministic under sim time and best-effort live
+ *    signals on the host, where the hot path runs free of the
+ *    engine clock.
+ *
+ * onDrain flushes the partial job window and one last tick window.
+ * onJobWindow/onTickWindow are the detector core; tests drive them
+ * directly.
  *
  * Every detector runs through the same hysteresis: a rule fires
- * after `fire_windows` consecutive breaching windows and clears
- * after `clear_windows` consecutive healthy ones, so a single noisy
- * window can neither raise nor drop an alert — alerts cannot flap.
- * Fired/cleared edges land in a bounded ring (oldest evicted,
+ * after kHealthFireWindows consecutive breaching windows and clears
+ * after kHealthClearWindows consecutive healthy ones, so a single
+ * noisy window can neither raise nor drop an alert — alerts cannot
+ * flap. Fired/cleared edges land in a bounded ring (oldest evicted,
  * counted in alertsDropped()) that the engine exports as
- * Chrome-trace instant events, OpenMetrics gauges/counters
- * (`obs.alerts_active.<rule>`, `obs.alerts_fired.<rule>`), the
- * `ttstat --alerts` view and the `ttreport` health section.
+ * Chrome-trace instant events, the `ttstat --alerts` view and the
+ * `ttreport` health section. Given a metrics registry, the engine
+ * publishes each edge as it happens (`obs.alerts_active.<rule>`,
+ * `obs.alerts_fired.<rule>`, `obs.alerts_cleared.<rule>`,
+ * `obs.alerts_dropped`) and its own wall-clock cost at drain
+ * (`obs.overhead.health_ns`).
  *
  * The class is not thread-safe; exec::Engine drives it under its
  * run mutex, off the lock-free fast path.
@@ -38,9 +49,14 @@
 #ifndef TT_OBS_HEALTH_HH
 #define TT_OBS_HEALTH_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+namespace tt {
+class MetricsRegistry;
+}
 
 namespace tt::obs {
 
@@ -81,6 +97,45 @@ struct AlertEvent
     double time = 0.0;      ///< engine-clock seconds of the edge
 };
 
+// Detector constants (docs/observability.md section 8 quotes them).
+
+/** Admission verdicts per deterministic job window. */
+inline constexpr int kHealthWindowJobs = 16;
+/** Consecutive breaching windows before a rule fires. */
+inline constexpr int kHealthFireWindows = 2;
+/** Consecutive healthy windows before an active rule clears. */
+inline constexpr int kHealthClearWindows = 2;
+
+// slo_burn (job windows, critical)
+/** SLO attainment target; the miss budget is 1 - target. */
+inline constexpr double kSloAttainmentTarget = 0.95;
+/** EWMA smoothing of the per-window burn rate. */
+inline constexpr double kBurnFastAlpha = 0.5;
+inline constexpr double kBurnSlowAlpha = 0.1;
+/** Burn-rate trip levels (multiples of the miss budget); both
+ *  windows must breach, page-style multiwindow burn alerting. */
+inline constexpr double kBurnFastThreshold = 2.0;
+inline constexpr double kBurnSlowThreshold = 1.0;
+
+// queue_growth (job windows, warning)
+/** Backlog must exceed this for growth to count. */
+inline constexpr long kQueueGrowthFloor = 4;
+
+// gate_saturation (tick windows, warning)
+/** Admit-failure share of gate folds that counts as saturated. */
+inline constexpr double kGateFailureRatio = 0.5;
+/** Ignore windows with fewer gate folds than this. */
+inline constexpr long kGateMinFolds = 16;
+
+// drop_rate (tick windows, warning)
+/** Dropped share of (records + drops) that breaches. */
+inline constexpr double kDropRateThreshold = 0.01;
+
+// model_bound (tick windows, critical)
+/** Measured memory time may exceed the Sec. IV-C prediction by
+ *  this factor before the window breaches. */
+inline constexpr double kModelBoundFactor = 2.0;
+
 /**
  * Detector configuration. Defaults are conservative enough that a
  * healthy closed-loop run emits no alerts; overload runs (deadline
@@ -91,58 +146,22 @@ struct HealthConfig
 {
     bool enabled = false;
 
-    /** Jobs per deterministic job window. */
-    int window_jobs = 16;
-
-    /** Seconds per hot-path tick window (sim-time on sim). */
+    /** Seconds per hot-path tick window (sim-time on sim); > 0. */
     double tick_seconds = 0.01;
-
-    /** Consecutive breaching windows before a rule fires. */
-    int fire_windows = 2;
-
-    /** Consecutive healthy windows before an active rule clears. */
-    int clear_windows = 2;
 
     /** Fired/cleared edges retained; oldest evicted beyond this. */
     std::size_t alert_capacity = 1024;
 
-    // -- slo_burn (job windows, critical) --------------------------
+    /** Per-rule enables (`queue_growth` is always on). */
     bool slo_burn_enabled = true;
-    /** SLO attainment target; the miss budget is 1 - target. */
-    double attainment_target = 0.95;
-    /** EWMA smoothing of the per-window burn rate. */
-    double burn_fast_alpha = 0.5;
-    double burn_slow_alpha = 0.1;
-    /** Burn-rate trip levels (multiples of the miss budget); both
-     *  windows must breach, page-style multiwindow burn alerting. */
-    double burn_fast_threshold = 2.0;
-    double burn_slow_threshold = 1.0;
-
-    // -- queue_growth (job windows, warning) -----------------------
-    bool queue_growth_enabled = true;
-    /** Backlog must exceed this for growth to count. */
-    long queue_growth_floor = 4;
-
-    // -- gate_saturation (tick windows, warning) -------------------
     bool gate_saturation_enabled = true;
-    /** Admit-failure share of gate folds that counts as saturated. */
-    double gate_failure_ratio = 0.5;
-    /** Ignore windows with fewer gate folds than this. */
-    long gate_min_folds = 16;
-
-    // -- drop_rate (tick windows, warning) -------------------------
     bool drop_rate_enabled = true;
-    /** Dropped share of (records + drops) that breaches. */
-    double drop_rate_threshold = 0.01;
-
-    // -- model_bound (tick windows, critical) ----------------------
     bool model_bound_enabled = true;
-    /** Measured memory time may exceed the Sec. IV-C prediction by
-     *  this factor before the window breaches. */
-    double model_bound_factor = 2.0;
-    /** Fitted per-task memory service times (seconds). Zero tml
-     *  disables the detector; the engine defaults these from the
-     *  admission fit when one is configured. */
+
+    /** Fitted per-task memory service times (seconds) for
+     *  `model_bound`. Zero tml disables the detector; the engine
+     *  defaults these from the admission fit when one is
+     *  configured. */
     double model_tml = 0.0;
     double model_tql = 0.0;
 };
@@ -177,14 +196,53 @@ struct TickWindowSample
     double sum_bound = 0.0;  ///< model-predicted memory seconds
 };
 
+/** Cumulative hot-path totals since run start, read at each tick. */
+struct HotPathTotals
+{
+    long gate_failures = 0;          ///< sharded-gate rejects
+    long gate_folds = 0;             ///< sharded-gate folds
+    std::uint64_t trace_dropped = 0; ///< trace-ring drops
+    std::uint64_t span_dropped = 0;  ///< span-buffer drops
+    std::uint64_t records = 0;       ///< trace + span records
+};
+
 /**
- * The streaming detector set. Feed windows in order; read the edge
- * ring and per-rule states whenever convenient.
+ * The streaming detector set. Feed raw inputs (or, in tests,
+ * windows) in order; read the edge ring and per-rule states whenever
+ * convenient.
  */
 class HealthEngine
 {
   public:
-    explicit HealthEngine(const HealthConfig &config);
+    /** `metrics` (optional, not owned, must outlive the engine)
+     *  receives the `obs.alerts_*` schema at once, each edge as it
+     *  happens, and `obs.overhead.health_ns` at drain. */
+    explicit HealthEngine(const HealthConfig &config,
+                          MetricsRegistry *metrics = nullptr);
+
+    /**
+     * One admission verdict at engine-clock `time`: shed, or admitted
+     * with the admission model's `predicted_response` (a predicted
+     * miss when it exceeds a positive `slo_seconds`); `backlog` is
+     * the model's backlog after the verdict. Every
+     * kHealthWindowJobs verdicts close a job window.
+     */
+    void onJobVerdict(bool shed, double predicted_response,
+                      double slo_seconds, long backlog, double time);
+
+    /** One measured pair: memory seconds `tm` under `mtl`, summed
+     *  into the open tick window with its model bound
+     *  T_ml + mtl * T_ql. A non-finite `tm` is skipped. */
+    void onPairMeasured(double tm, int mtl);
+
+    /** Health tick at `time`: close a tick window from the deltas of
+     *  `totals` since the previous tick. */
+    void onTick(const HotPathTotals &totals, double time);
+
+    /** The run drained at `time`: close the partial job window and a
+     *  last tick window, so alerts active at drain are visible, then
+     *  publish obs.overhead.health_ns. */
+    void onDrain(const HotPathTotals &totals, double time);
 
     /** Evaluate the deterministic job-window detectors. */
     void onJobWindow(const JobWindowSample &sample);
@@ -201,7 +259,7 @@ class HealthEngine
     /** True while any critical-severity rule is active. */
     bool criticalActive() const;
 
-    /** Export view of one rule for metric publication. */
+    /** Inspection view of one rule. */
     struct RuleState
     {
         const char *rule = "";
@@ -236,9 +294,13 @@ class HealthEngine
     void evaluate(Rule &rule, bool breach, std::uint64_t window,
                   double observed, double threshold, double time);
 
+    /** Record and publish one edge. */
     void append(AlertEvent event);
 
+    void closeJobWindow(double time);
+
     HealthConfig config_;
+    MetricsRegistry *metrics_ = nullptr;
 
     Rule slo_burn_;
     Rule queue_growth_;
@@ -254,6 +316,12 @@ class HealthEngine
     // queue_growth state
     long prev_backlog_ = 0;
     bool have_prev_backlog_ = false;
+
+    // Windows under assembly, and the totals at the previous tick.
+    JobWindowSample job_;
+    TickWindowSample tick_;
+    HotPathTotals prev_totals_;
+    std::uint64_t overhead_ns_ = 0; ///< wall ns in the raw inputs
 
     std::vector<AlertEvent> alerts_;
     std::uint64_t alerts_dropped_ = 0;

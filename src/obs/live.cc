@@ -1,7 +1,6 @@
 #include "obs/live.hh"
 
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -18,15 +17,6 @@
 namespace tt::obs {
 
 namespace {
-
-std::uint64_t
-wallNanos()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 void
 writeQuantile(std::ostream &os, const std::string &name, double q,

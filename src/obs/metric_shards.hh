@@ -8,9 +8,10 @@
  * shared MetricsRegistry serializes all workers on its one mutex —
  * exactly the convoy the lock-free engine fast path removes
  * elsewhere. ShardedMetrics gives each worker its own shard:
- * publications touch only worker-local state, and the shards are
- * folded into the registry at the window boundaries that already
- * exist (timeseries tick, live snapshot, drain).
+ * publications touch only worker-local state, and the engine folds
+ * the shards into the registry at every observation tick (health,
+ * time series and live; on worker threads the live tick runs, fold
+ * only, even without a snapshot sink) and at drain.
  *
  * Each shard carries its own small mutex rather than per-name
  * atomics: the hot path is the *only* writer of its shard, so that
@@ -23,8 +24,7 @@
  * bucket-by-bucket (same geometry), so after any fold the registry
  * holds precisely the values it would have held had every
  * publication gone to it directly. Between folds the registry lags
- * by whatever the shards hold — the same staleness the timeseries
- * sampler already tolerates.
+ * by whatever the shards hold: at most one live interval.
  */
 
 #ifndef TT_OBS_METRIC_SHARDS_HH

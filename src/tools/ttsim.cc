@@ -61,7 +61,10 @@
  *                        connection gets one snapshot); on the
  *                        simulator a file at PATH rewritten at each
  *                        simulated interval. Poll either with ttstat.
- *   --live-interval-us US  sim snapshot interval          [100000]
+ *   --live-interval-us US  live interval: simulated time between
+ *                        snapshot files on the simulator, wall time
+ *                        between metric-shard folds into the served
+ *                        registry with --host             [100000]
  *   --quiet      suppress the header
  *
  * Open-loop arrivals (robustness extension; see load/arrival.hh and
@@ -588,7 +591,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "error: %s\n", flags.error().c_str());
         return usage(argv[0]);
     }
-    if (!live_path.empty() && live_interval <= 0.0) {
+    if (live_interval <= 0.0) {
         std::fprintf(stderr, "--live-interval-us must be > 0\n");
         return 2;
     }
@@ -687,27 +690,33 @@ main(int argc, char **argv)
 
     const bool perf_counters = flags.getBool("perf-counters");
 
+    // Both backends run one set of engine options. Times count on the
+    // engine clock: wall time with --host, simulated time otherwise,
+    // where the watchdog fails the run in-band (the event queue's
+    // budget still bounds a runaway simulation).
+    tt::exec::EngineOptions options;
+    options.metrics = &metrics;
+    options.fault_plan = fault_plan ? &*fault_plan : nullptr;
+    options.arrival_plan = arrival_plan ? &*arrival_plan : nullptr;
+    options.admission = admission;
+    options.max_task_retries = max_retries;
+    options.watchdog_seconds = watchdog_seconds;
+    options.health.enabled = flags.getBool("health");
+    if (!timeseries_path.empty()) {
+        options.timeseries_out = &timeseries_out;
+        options.timeseries_interval_seconds = timeseries_interval;
+    }
+    options.live_interval_seconds = live_interval;
+
     if (host_mode) {
-        tt::exec::EngineOptions options;
         options.threads = n;
         options.pin_affinity = !flags.getBool("no-pin");
-        options.metrics = &metrics;
         // Falls back to the null provider (with one warning) when the
         // kernel denies perf access; the run itself is unaffected.
         std::unique_ptr<tt::obs::perf::CounterProvider> host_counters;
         if (perf_counters) {
             host_counters = tt::obs::perf::makeHostCounterProvider();
             options.counters = host_counters.get();
-        }
-        options.fault_plan = fault_plan ? &*fault_plan : nullptr;
-        options.arrival_plan = arrival_plan ? &*arrival_plan : nullptr;
-        options.admission = admission;
-        options.max_task_retries = max_retries;
-        options.watchdog_seconds = watchdog_seconds;
-        options.health.enabled = flags.getBool("health");
-        if (!timeseries_path.empty()) {
-            options.timeseries_out = &timeseries_out;
-            options.timeseries_interval_seconds = timeseries_interval;
         }
         // Live OpenMetrics endpoint: a background thread serving one
         // snapshot per connection while the workers run. Losing the
@@ -783,14 +792,6 @@ main(int argc, char **argv)
                          "will be incomplete; see obs.spans_dropped\n",
                          static_cast<unsigned long long>(
                              result.spans_dropped));
-        if (result.timeseries_skipped > 0)
-            std::fprintf(stderr,
-                         "warning: %lld time-series rows skipped "
-                         "(sampler found the scheduler busy) -- the "
-                         "series has gaps; see "
-                         "obs.timeseries_skipped\n",
-                         static_cast<long long>(
-                             result.timeseries_skipped));
 
         printOpenLoopSummary(result);
         printHealthSummary(result);
@@ -809,42 +810,26 @@ main(int argc, char **argv)
         return sloFailed(result) ? 5 : 0;
     }
 
-    // Simulated runs share the host options; the watchdog deadline
-    // counts *simulated* seconds and fails the run in-band (the event
-    // queue's budget still bounds a runaway simulation).
     tt::cpu::SimMachine sim_machine(machine);
-    tt::exec::EngineOptions sim_options;
-    sim_options.metrics = &metrics;
     // Simulated runs synthesize the same counter schema from the LLC
     // and DRAM models -- always "available", no kernel involved.
     tt::obs::perf::SimCounterProvider sim_counters;
     if (perf_counters)
-        sim_options.counters = &sim_counters;
-    sim_options.fault_plan = fault_plan ? &*fault_plan : nullptr;
-    sim_options.arrival_plan = arrival_plan ? &*arrival_plan : nullptr;
-    sim_options.admission = admission;
-    sim_options.max_task_retries = max_retries;
-    sim_options.watchdog_seconds = watchdog_seconds;
-    sim_options.health.enabled = flags.getBool("health");
-    if (!timeseries_path.empty()) {
-        sim_options.timeseries_out = &timeseries_out;
-        sim_options.timeseries_interval_seconds = timeseries_interval;
-    }
+        options.counters = &sim_counters;
     // Live metrics on the simulator: the engine rewrites a snapshot
     // file at each simulated interval (there is no wall-clock to
     // serve a socket against).
     std::optional<tt::obs::LiveFileSink> live_sink;
     if (!live_path.empty()) {
         live_sink.emplace(live_path, metrics);
-        sim_options.live_sink = &*live_sink;
-        sim_options.live_interval_seconds = live_interval;
+        options.live_sink = &*live_sink;
         if (!flags.getBool("quiet"))
             std::printf("live metrics: snapshot file %s every %.0f us "
                         "simulated (poll with ttstat)\n",
                         live_path.c_str(), live_interval * 1e6);
     }
     tt::simrt::SimRuntime sim_runtime(sim_machine, graph, *policy,
-                                      sim_options);
+                                      options);
     const auto result = sim_runtime.run();
     // One more snapshot so the file carries the backend-finalized
     // end-of-run registry (sim.* gauges land after the drain).
@@ -889,12 +874,6 @@ main(int argc, char **argv)
                      "incomplete; see obs.spans_dropped\n",
                      static_cast<unsigned long long>(
                          result.spans_dropped));
-    if (result.timeseries_skipped > 0)
-        std::fprintf(stderr,
-                     "warning: %lld time-series rows skipped (sampler "
-                     "found the scheduler busy) -- the series has "
-                     "gaps; see obs.timeseries_skipped\n",
-                     static_cast<long long>(result.timeseries_skipped));
     printOpenLoopSummary(result);
     printHealthSummary(result);
 

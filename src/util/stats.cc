@@ -1,6 +1,7 @@
 #include "util/stats.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <iomanip>
 #include <limits>
@@ -10,6 +11,15 @@
 #include "util/table.hh"
 
 namespace tt {
+
+std::uint64_t
+wallNanos()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
 
 void
 RunningStat::add(double x)

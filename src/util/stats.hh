@@ -182,6 +182,10 @@ class Histogram
     RunningStat stat_;
 };
 
+/** Steady-clock nanoseconds, the stamp behind every wall-cost
+ *  counter (the `obs.overhead.*` family). */
+std::uint64_t wallNanos();
+
 /**
  * Thread-safe registry of named metrics: monotonic counters, last- or
  * max-value gauges, and log-bucket Histogram distributions. Policies

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -93,13 +94,13 @@ TEST(HealthEngine, HysteresisPreventsFlapping)
     HealthConfig config;
     config.enabled = true;
     config.slo_burn_enabled = false; // isolate queue_growth
-    config.queue_growth_floor = 4;
-    ASSERT_EQ(config.fire_windows, 2);
-    ASSERT_EQ(config.clear_windows, 2);
+    ASSERT_EQ(tt::obs::kQueueGrowthFloor, 4);
+    ASSERT_EQ(tt::obs::kHealthFireWindows, 2);
+    ASSERT_EQ(tt::obs::kHealthClearWindows, 2);
     HealthEngine engine(config);
 
     // Alternating growth: every breach streak is broken before it
-    // reaches fire_windows, so the alert must never raise.
+    // reaches kHealthFireWindows, so the alert must never raise.
     const long flapping[] = {10, 12, 11, 13, 12, 14, 13};
     std::uint64_t w = 0;
     for (long backlog : flapping)
@@ -235,6 +236,102 @@ TEST(HealthEngine, AlertRingIsBoundedAndCountsEvictions)
     ASSERT_EQ(engine.alerts().size(), 1u);
     EXPECT_EQ(engine.alerts()[0].edge, AlertEdge::Cleared);
     EXPECT_EQ(engine.alertsDropped(), 1u);
+}
+
+/**
+ * The raw-input path exec::Engine drives: verdicts close a job window
+ * every kHealthWindowJobs, ticks difference the cumulative totals and
+ * sum the measured pairs against T_ml + mtl * T_ql, the drain closes
+ * the partial job window and a last tick window, and every edge
+ * reaches the registry as it happens.
+ */
+TEST(HealthEngine, RawInputsBuildWindowsAndPublishEdges)
+{
+    using tt::obs::kHealthWindowJobs;
+    HealthConfig config;
+    config.enabled = true;
+    config.model_tml = 1e-6;
+    config.model_tql = 0.5e-6;
+    tt::MetricsRegistry metrics;
+    HealthEngine engine(config, &metrics);
+    for (const auto &state : engine.ruleStates()) {
+        const std::string rule(state.rule);
+        EXPECT_TRUE(metrics.hasGauge("obs.alerts_active." + rule));
+        EXPECT_TRUE(metrics.hasCounter("obs.alerts_fired." + rule));
+        EXPECT_TRUE(metrics.hasCounter("obs.alerts_cleared." + rule));
+    }
+    EXPECT_TRUE(metrics.hasCounter("obs.alerts_dropped"));
+
+    // Two windows of shed verdicts fire slo_burn at job window 1,
+    // stamped with the verdict that closed it; the backlog grows
+    // from 5 to 6 there (queue_growth streak 1).
+    for (int j = 0; j < 2 * kHealthWindowJobs; ++j)
+        engine.onJobVerdict(true, 0.0, 10e-6,
+                            j < kHealthWindowJobs ? 5 : 6, 1e-3 * j);
+    ASSERT_EQ(engine.alerts().size(), 1u);
+    EXPECT_EQ(engine.alerts()[0].rule, "slo_burn");
+    EXPECT_EQ(engine.alerts()[0].window, 1u);
+    EXPECT_DOUBLE_EQ(engine.alerts()[0].time,
+                     1e-3 * (2 * kHealthWindowJobs - 1));
+    EXPECT_EQ(metrics.counter("obs.alerts_fired.slo_burn"), 1);
+    EXPECT_EQ(metrics.gauge("obs.alerts_active.slo_burn"),
+              static_cast<double>(AlertSeverity::Critical));
+
+    // Pairs at MTL 2 with T_m 3x their bound T_ml + 2 T_ql = 2 us
+    // breach model_bound in both ticks (non-finite samples are
+    // skipped). Gate failures are 90 of the second tick's 100 folds:
+    // a breach only as a delta, since cumulatively they are 90/200.
+    tt::obs::HotPathTotals totals;
+    for (int tick = 0; tick < 2; ++tick) {
+        engine.onPairMeasured(6e-6, 2);
+        engine.onPairMeasured(6e-6, 2);
+        engine.onPairMeasured(std::nan(""), 2);
+        totals.gate_folds += 100;
+        totals.gate_failures += tick == 0 ? 0 : 90;
+        totals.records += 100;
+        engine.onTick(totals, 1.0 + tick);
+    }
+    ASSERT_EQ(engine.alerts().size(), 2u);
+    const AlertEvent model = engine.alerts()[1];
+    EXPECT_EQ(model.rule, "model_bound");
+    EXPECT_EQ(model.window, 1u);
+    EXPECT_DOUBLE_EQ(model.observed, 12e-6);
+    EXPECT_DOUBLE_EQ(model.threshold, tt::obs::kModelBoundFactor * 4e-6);
+    EXPECT_DOUBLE_EQ(model.time, 2.0);
+
+    // Three admitted verdicts are a partial job window. The drain
+    // closes it as job window 2, where the backlog grew again
+    // (queue_growth fires), then tick window 2, whose second
+    // saturated delta fires gate_saturation.
+    for (int j = 0; j < 3; ++j)
+        engine.onJobVerdict(false, 1e-6, 10e-6, 7, 5.0);
+    EXPECT_EQ(engine.alerts().size(), 2u);
+    totals.gate_folds += 100;
+    totals.gate_failures += 90;
+    engine.onDrain(totals, 6.0);
+    ASSERT_EQ(engine.alerts().size(), 4u);
+    EXPECT_EQ(engine.alerts()[2].rule, "queue_growth");
+    EXPECT_EQ(engine.alerts()[2].window, 2u);
+    EXPECT_DOUBLE_EQ(engine.alerts()[2].time, 6.0);
+    EXPECT_EQ(engine.alerts()[3].rule, "gate_saturation");
+    EXPECT_EQ(engine.alerts()[3].window, 2u);
+    for (const char *rule :
+         {"slo_burn", "model_bound", "queue_growth", "gate_saturation"})
+        EXPECT_EQ(metrics.counter(std::string("obs.alerts_fired.") + rule),
+                  1)
+            << rule;
+    EXPECT_GT(metrics.counter("obs.overhead.health_ns"), 0);
+
+    // The drain's tick window carried no pairs; one more healthy
+    // window clears model_bound, in the registry too.
+    TickWindowSample quiet;
+    quiet.window = 3;
+    engine.onTickWindow(quiet);
+    ASSERT_EQ(engine.alerts().size(), 5u);
+    EXPECT_EQ(engine.alerts()[4].rule, "model_bound");
+    EXPECT_EQ(engine.alerts()[4].edge, AlertEdge::Cleared);
+    EXPECT_EQ(metrics.counter("obs.alerts_cleared.model_bound"), 1);
+    EXPECT_EQ(metrics.gauge("obs.alerts_active.model_bound"), 0.0);
 }
 
 /** ~tens of microseconds of real work for host task bodies. */

@@ -4,17 +4,24 @@
  * rings and their merge, the log-bucket histogram, the thread-safe
  * metrics registry, the shared Chrome exporter, and the host
  * runtime's end-to-end trace/metrics production (including that
- * per-task MTL annotations agree with the policy's mtlTrace()).
+ * per-task MTL annotations agree with the policy's mtlTrace(), and
+ * that the registry serves worker-shard metrics while a run is
+ * live).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic_policy.hh"
+#include "load/arrival.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/trace.hh"
 #include "runtime/runtime.hh"
@@ -407,6 +414,77 @@ TEST(HostObservability, TraceCapacityCapDropsOldestNotNewest)
     for (const auto &event : result.trace)
         max_start = std::max(max_start, event.start);
     EXPECT_GT(max_start, 0.0);
+}
+
+/**
+ * obs::LiveMetricsServer reads only the registry, so on worker
+ * threads the engine must fold the per-worker metric shards while the
+ * run is live, with no file sink or time series to do it: a poller
+ * reading the registry before the plan's last arrival (so before the
+ * drain fold) sees memory-task timings.
+ */
+TEST(HostObservability, RegistryServesShardMetricsMidRun)
+{
+    tt::workloads::SyntheticParams params;
+    params.pairs = 200;
+    params.footprint_bytes = 16 * 1024;
+    auto workload = tt::workloads::buildSyntheticHost(params, 2);
+
+    tt::load::ArrivalConfig arrivals;
+    arrivals.seed = 5;
+    arrivals.rate = 1000.0; // the plan spans about 0.2 s
+    const tt::load::ArrivalPlan plan = tt::load::buildArrivalPlan(
+        arrivals, workload.graph.pairCount());
+    const double last_arrival = plan.jobs.back().arrival_seconds;
+
+    tt::MetricsRegistry metrics;
+    tt::core::StaticMtlPolicy policy(2, 2);
+    tt::exec::EngineOptions options;
+    options.threads = 2;
+    options.pin_affinity = false;
+    options.metrics = &metrics;
+    options.arrival_plan = &plan;
+    options.live_interval_seconds = 1e-3;
+
+    // Each poll: seconds since before the run started, taken after
+    // the read, and the tm samples the registry held. The engine
+    // clock starts later, so a poll stamped before `last_arrival`
+    // read the registry before the run could drain.
+    using Clock = std::chrono::steady_clock;
+    std::vector<std::pair<double, std::size_t>> polls;
+    std::atomic<bool> done{false};
+    const Clock::time_point start = Clock::now();
+    std::thread poller([&] {
+        while (!done.load()) {
+            std::size_t samples = 0;
+            for (const std::string &name : metrics.histogramNames())
+                if (name.rfind("runtime.tm_seconds.mtl=", 0) == 0)
+                    samples += metrics.histogram(name).count();
+            polls.emplace_back(
+                std::chrono::duration<double>(Clock::now() - start)
+                    .count(),
+                samples);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+    tt::runtime::Runtime runtime(workload.graph, policy, options);
+    const auto result = runtime.run();
+    done.store(true);
+    poller.join();
+    ASSERT_FALSE(result.failed) << result.failure_reason;
+
+    int early_polls = 0;
+    std::size_t early_samples = 0;
+    for (const auto &[seconds, samples] : polls) {
+        if (seconds >= last_arrival)
+            break;
+        ++early_polls;
+        early_samples = samples;
+    }
+    ASSERT_GT(early_polls, 0);
+    EXPECT_GT(early_samples, 0u)
+        << early_polls << " polls before the last arrival at "
+        << last_arrival << " s saw no runtime.tm_seconds sample";
 }
 
 } // namespace

@@ -2,28 +2,39 @@
  * @file
  * Exact-result pins for the simulator kernel and the scheduler.
  *
- * Five small fixed runs -- a Fig. 13 synthetic point at static MTL 1
+ * Six small fixed runs -- a Fig. 13 synthetic point at static MTL 1
  * and at MTL 4, dft under the dynamic policy on the 1-DIMM machine
  * and on the 2-DIMM SMT machine, and an open-loop bursty plan under
- * the SLO-aware dynamic policy with admission -- must reproduce the
- * executed event count, the final tick and every summed ChannelStats
- * field (the open-loop run also its job verdicts and MTL trace). A
- * change meant only to make the simulator or the engine faster or
- * smaller must leave all of them untouched; a change that alters
- * simulated results has to update these constants deliberately.
+ * the SLO-aware dynamic policy with admission, with and without every
+ * obs surface -- must reproduce the executed event count, the final
+ * tick and every summed ChannelStats field (the open-loop runs also
+ * their job verdicts, MTL trace, time-series rows, live snapshots and
+ * alert edges). A change meant only to make the simulator or the
+ * engine faster or smaller must leave all of them untouched; a change
+ * that alters simulated results has to update these constants
+ * deliberately.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <ostream>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/dynamic_policy.hh"
 #include "core/policy.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/sim_machine.hh"
 #include "load/arrival.hh"
+#include "obs/health.hh"
+#include "obs/live.hh"
 #include "simrt/sim_runtime.hh"
+#include "util/stats.hh"
 #include "workloads/dft.hh"
 #include "workloads/synthetic.hh"
 
@@ -162,9 +173,11 @@ TEST(SimGolden, DftDynamicTwoDimmSmt)
  * Open loop: bursts of 2 KB jobs at the sim-open-obs knee overrun the
  * admission queue cap, so the controller sheds and the SLO-aware
  * policy pins its MTL for the drain (onBackpressure) -- an MTL change
- * that happens outside pair completion.
+ * that happens outside pair completion. `options` carries the obs
+ * surfaces; its metrics registry, if any, is bound to the policy too.
  */
-TEST(SimGolden, OpenLoopSloAwareDynamicSheds)
+Fingerprint
+openLoopBurst(tt::exec::EngineOptions options, tt::exec::RunResult &result)
 {
     const auto config = MachineConfig::i7_860_1dimm();
     tt::workloads::SyntheticParams params;
@@ -183,7 +196,6 @@ TEST(SimGolden, OpenLoopSloAwareDynamicSheds)
     const tt::load::ArrivalPlan plan =
         tt::load::buildArrivalPlan(arrivals, params.pairs);
 
-    tt::exec::EngineOptions options;
     options.arrival_plan = &plan;
     options.admission.queue_cap = 16;
     // The Sec. IV-C fit of these pairs at MTL 1 and 4.
@@ -192,18 +204,81 @@ TEST(SimGolden, OpenLoopSloAwareDynamicSheds)
     options.admission.service_tc = 1.0e-6;
     tt::core::DynamicThrottlePolicy policy(config.contexts(), 16);
     policy.setSloAware();
+    policy.bindMetrics(options.metrics);
+    return simulate(config, graph, policy, options, &result);
+}
 
+TEST(SimGolden, OpenLoopSloAwareDynamicSheds)
+{
     tt::exec::RunResult result;
     const Fingerprint expected{88979u, 1217335096u, 0u,  29024u,
                                27970u, 635u,        419u, 2124u,
                                0u,     62u,         548566467u,
                                217680000u};
-    EXPECT_EQ(simulate(config, graph, policy, options, &result),
-              expected);
+    EXPECT_EQ(openLoopBurst({}, result), expected);
     EXPECT_EQ(result.jobs_admitted, 907);
     EXPECT_EQ(result.jobs_shed, 93);
     EXPECT_EQ(result.jobs_deadline_missed, 0);
     EXPECT_EQ(result.mtl_trace.size(), 13u);
+}
+
+/**
+ * The same run with every obs surface on, at the sim-open-obs
+ * cadence: a 20 us time series, a 5 ms live snapshot file, and health
+ * on a 50 us tick whose model fit defaults to the admission service
+ * times. The obs timers draw their event ids from the kernel's one
+ * counter, so the executed count pins the whole timer sequence; the
+ * row count, snapshot count and alert edges pin what each surface
+ * saw.
+ */
+TEST(SimGolden, OpenLoopEveryObsSurface)
+{
+    tt::MetricsRegistry metrics;
+    std::ostringstream timeseries;
+    const std::string live_path =
+        ::testing::TempDir() + "sim_golden_every_obs_surface.prom";
+    tt::obs::LiveFileSink live(live_path, metrics);
+    tt::exec::EngineOptions options;
+    options.metrics = &metrics;
+    options.timeseries_out = &timeseries;
+    options.timeseries_interval_seconds = 20e-6;
+    options.live_sink = &live;
+    options.live_interval_seconds = 5e-3;
+    options.health.enabled = true;
+    options.health.tick_seconds = 50e-6;
+
+    tt::exec::RunResult result;
+    // The plain run's fingerprint plus 84 obs timer events.
+    const Fingerprint expected{89063u, 1217335096u, 0u,  29024u,
+                               27970u, 635u,        419u, 2124u,
+                               0u,     62u,         548566467u,
+                               217680000u};
+    EXPECT_EQ(openLoopBurst(options, result), expected);
+    const std::string rows = timeseries.str();
+    EXPECT_EQ(std::count(rows.begin(), rows.end(), '\n'), 62);
+    EXPECT_EQ(live.snapshots(), 2u);
+    EXPECT_TRUE(live.ok());
+    std::remove(live_path.c_str());
+
+    // (rule, edge, window), in edge order.
+    using Edge = std::tuple<std::string, std::string, std::uint64_t>;
+    std::vector<Edge> edges;
+    for (const tt::obs::AlertEvent &alert : result.alerts)
+        edges.emplace_back(alert.rule, tt::obs::alertEdgeName(alert.edge),
+                           alert.window);
+    const std::vector<Edge> expected_edges{
+        {"queue_growth", "fired", 2u},   {"queue_growth", "cleared", 7u},
+        {"slo_burn", "fired", 8u},       {"queue_growth", "fired", 9u},
+        {"queue_growth", "cleared", 12u}, {"queue_growth", "fired", 14u},
+        {"queue_growth", "cleared", 16u}, {"slo_burn", "cleared", 19u},
+        {"queue_growth", "fired", 30u},  {"slo_burn", "fired", 35u},
+        {"queue_growth", "cleared", 40u}, {"slo_burn", "cleared", 43u},
+        {"queue_growth", "fired", 43u},  {"queue_growth", "cleared", 47u},
+        {"queue_growth", "fired", 57u},  {"queue_growth", "cleared", 59u},
+        {"slo_burn", "fired", 60u},
+    };
+    EXPECT_EQ(edges, expected_edges);
+    EXPECT_EQ(result.alerts_dropped, 0u);
 }
 
 } // namespace
