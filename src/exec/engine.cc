@@ -107,15 +107,13 @@ void
 Engine::activatePhaseLocked(int phase, double now)
 {
     current_phase_ = phase;
-    // Count first, publish the barrier count, then enqueue: a worker
-    // thread can pop a ring push instantly and its completion
-    // decrements phase_remaining_, so the count must be final before
-    // the first task escapes.
+    // The barrier counts compute tasks: a memory task is never the
+    // last of its phase (its compute successor completes later).
     int count = 0;
     for (const Task &task : graph_.tasks())
-        if (task.phase == phase)
+        if (task.phase == phase && task.kind == TaskKind::Compute)
             ++count;
-    phase_remaining_.store(count, std::memory_order_seq_cst);
+    phase_remaining_ = count;
     // Snapshot the initially-ready set BEFORE the first enqueue. An
     // enqueued task is instantly poppable: a worker thread can run
     // and complete it lock-free while this loop is still scanning,
@@ -218,8 +216,8 @@ Engine::openSpan(int pair, int priority, double arrival)
 
 void
 Engine::spanAttempt(stream::TaskId id, int worker,
-                         const AttemptOutcome &outcome, bool failed,
-                         double backoff_seconds)
+                    const AttemptOutcome &outcome, bool failed,
+                    double backoff_seconds)
 {
     const Task &task = graph_.task(id);
     const auto pair = static_cast<std::size_t>(task.pair);
@@ -242,7 +240,7 @@ Engine::spanAttempt(stream::TaskId id, int worker,
 }
 
 void
-Engine::closeSpan(int pair, double end, obs::SpanOutcome outcome)
+Engine::finishSpan(int pair, double end, obs::SpanOutcome outcome)
 {
     const auto index = static_cast<std::size_t>(pair);
     if (!span_open_[index].load(std::memory_order_acquire))
@@ -251,9 +249,18 @@ Engine::closeSpan(int pair, double end, obs::SpanOutcome outcome)
     span.end = end;
     span.outcome = outcome;
     span.critical_path = obs::computeCriticalPath(span);
+}
+
+void
+Engine::recordSpanLocked(int pair)
+{
+    const auto index = static_cast<std::size_t>(pair);
+    if (!span_open_[index].load(std::memory_order_acquire))
+        return;
+    obs::JobSpan &span = open_span_[index];
     const std::uint64_t t0 = wallNanos();
     span_ring_->record(std::move(span));
-    obs_trace_record_ns_ += wallNanos() - t0;
+    obs_span_record_ns_ += wallNanos() - t0;
     span = obs::JobSpan{};
     span_open_[index].store(false, std::memory_order_release);
 }
@@ -279,7 +286,6 @@ Engine::admitJobLocked(const load::JobSpec &job)
         // Shed before dispatch: the pair's two tasks never run and
         // the drain condition accounts for them explicitly.
         ++jobs_shed_;
-        shed_tasks_ += 2;
         if (metrics != nullptr)
             metrics->add("runtime.jobs_shed", 1);
         // The span is terminal at the verdict: no attempts, zero
@@ -289,7 +295,8 @@ Engine::admitJobLocked(const load::JobSpec &job)
         auto &span = open_span_[static_cast<std::size_t>(job.pair)];
         span.decision = out.decision;
         span.shed_reason = out.shed_reason;
-        closeSpan(job.pair, stamp, obs::SpanOutcome::Shed);
+        finishSpan(job.pair, stamp, obs::SpanOutcome::Shed);
+        recordSpanLocked(job.pair);
     } else {
         ++jobs_admitted_;
         if (metrics != nullptr)
@@ -342,9 +349,9 @@ Engine::tryScheduleLocked()
     // SimMachine::coreOf); elsewhere it is simply deterministic.
     // Admissibility does not depend on the context, so the first
     // refusal ends the scan.
-    const int n = static_cast<int>(running_.size());
+    const int n = static_cast<int>(contexts_.size());
     for (int c = 0; c < n; ++c) {
-        if (running_[static_cast<std::size_t>(c)].load(
+        if (contexts_[static_cast<std::size_t>(c)].running.load(
                 std::memory_order_relaxed) != stream::kInvalidTask)
             continue;
         AttemptSpec spec;
@@ -379,8 +386,7 @@ Engine::tryDispatch(int context, AttemptSpec &spec)
         }
     }
     const Task &task = graph_.task(id);
-    running_[c].store(id, std::memory_order_relaxed);
-    inflight_attempts_.fetch_add(1, std::memory_order_seq_cst);
+    contexts_[c].running.store(id, std::memory_order_relaxed);
     // Fresh dispatches are always attempt 0: failed tasks never
     // requeue (the retry stays reserved on its context), so these
     // slots are quiescent for everyone else.
@@ -410,27 +416,14 @@ Engine::attemptSpec(TaskId id) const
 void
 Engine::onAttemptDone(int context, const AttemptOutcome &outcome)
 {
-    const TaskId id = running_[static_cast<std::size_t>(context)].load(
-        std::memory_order_relaxed);
-    if (!outcome.failed && graph_.task(id).kind == TaskKind::Memory &&
-        !run_failed_.load(std::memory_order_acquire)) {
+    const TaskId id = contexts_[static_cast<std::size_t>(context)]
+                          .running.load(std::memory_order_relaxed);
+    if (!outcome.failed) {
         completeAttempt(context, id, outcome);
-        // A worker thread pulls its next attempt itself. It needs the
-        // lock only when the run aborted meanwhile: the failing path
-        // may have seen this attempt still in flight and skipped the
-        // finish check.
-        if (pull_mode_ && !run_failed_.load(std::memory_order_seq_cst))
-            return;
-        std::lock_guard lock(mutex_);
-        tryScheduleLocked();
-        maybeFinishLocked();
         return;
     }
     std::lock_guard lock(mutex_);
-    if (outcome.failed)
-        failAttemptLocked(context, id, outcome);
-    else
-        completeAttempt(context, id, outcome);
+    failAttemptLocked(context, id, outcome);
     tryScheduleLocked();
     maybeFinishLocked();
 }
@@ -457,9 +450,9 @@ Engine::failAttemptLocked(int context, TaskId id,
         // The context stays reserved through the backoff (its gate
         // slot included, for memory tasks), so the retry cannot be
         // starved out by fresh dispatches.
-        auto &pending = pending_retry_[static_cast<std::size_t>(context)];
-        pending.state.store(RetryState::Backoff, std::memory_order_relaxed);
-        pending.token = backend_->after(
+        ContextSlot &slot = contexts_[static_cast<std::size_t>(context)];
+        slot.retry.store(RetryState::Backoff, std::memory_order_relaxed);
+        slot.retry_token = backend_->after(
             backoff, [this, context] { onRetryTimer(context); });
         return;
     }
@@ -473,33 +466,33 @@ Engine::failAttemptLocked(int context, TaskId id,
                         " failed after " +
                         std::to_string(options_.max_task_retries) +
                         " retries: " + outcome.error);
-    closeSpan(graph_.task(id).pair, outcome.end,
-              obs::SpanOutcome::Failed);
+    const stream::PairId pair = graph_.task(id).pair;
+    finishSpan(pair, outcome.end, obs::SpanOutcome::Failed);
+    recordSpanLocked(pair);
 }
 
 void
 Engine::onRetryTimer(int context)
 {
     std::lock_guard lock(mutex_);
-    auto &pending = pending_retry_[static_cast<std::size_t>(context)];
-    if (pending.state.load(std::memory_order_relaxed) !=
+    ContextSlot &slot = contexts_[static_cast<std::size_t>(context)];
+    if (slot.retry.load(std::memory_order_relaxed) !=
             RetryState::Backoff ||
         finished_)
         return; // cancelled (a failed run abandoned the reservation)
-    pending.token = 0;
+    slot.retry_token = 0;
     if (!pull_mode_) {
-        pending.state.store(RetryState::None, std::memory_order_relaxed);
+        slot.retry.store(RetryState::None, std::memory_order_relaxed);
         backend_->startAttempt(
             context,
-            attemptSpec(running_[static_cast<std::size_t>(context)].load(
-                std::memory_order_relaxed)));
+            attemptSpec(slot.running.load(std::memory_order_relaxed)));
         return;
     }
     // Hand the retry to its owning worker in one store, so the
     // context never reads as free in between. The worker checks
     // run_failed_ itself and abandons instead of re-running if the
     // run aborted between this hand-off and its pickup.
-    pending.state.store(RetryState::Due, std::memory_order_seq_cst);
+    slot.retry.store(RetryState::Due, std::memory_order_seq_cst);
     wakeWorkers();
 }
 
@@ -510,7 +503,6 @@ Engine::recordAttemptEvent(int context, TaskId id,
     const Task &task = graph_.task(id);
     task_start_[static_cast<std::size_t>(id)] = outcome.start;
     task_end_[static_cast<std::size_t>(id)] = outcome.end;
-    tasks_done_.fetch_add(1, std::memory_order_seq_cst);
 
     obs::TaskEvent event;
     event.task = id;
@@ -522,6 +514,7 @@ Engine::recordAttemptEvent(int context, TaskId id,
     event.end = outcome.end;
     event.mtl = task_mtl_[static_cast<std::size_t>(id)];
     event.attempt = attempts_[static_cast<std::size_t>(id)];
+    ContextSlot &slot = contexts_[static_cast<std::size_t>(context)];
     if (outcome.has_counters) {
         // The delta covers this (successful) attempt's body only --
         // failed attempts never reach here, so retries are never
@@ -529,33 +522,58 @@ Engine::recordAttemptEvent(int context, TaskId id,
         event.has_counters = true;
         event.counters = outcome.counters;
         // Context-local aggregation, folded in finishResult.
-        auto &wc = worker_counters_[static_cast<std::size_t>(context)];
-        wc.saw = true;
-        wc.totals += outcome.counters;
+        slot.saw_counters = true;
+        slot.counters += outcome.counters;
     }
-    {
-        const std::uint64_t t0 = wallNanos();
-        tracer_->ring(context).record(event);
-        obs_trace_record_ns_.fetch_add(wallNanos() - t0,
-                                       std::memory_order_relaxed);
-    }
+    const std::uint64_t t0 = wallNanos();
+    tracer_->ring(context).record(event);
+    slot.trace_record_ns += wallNanos() - t0;
     spanAttempt(id, context, outcome, false, 0.0);
 }
 
 void
-Engine::completePairLocked(int context, TaskId id, double start,
-                           double end)
+Engine::completeAttempt(int context, TaskId id,
+                        const AttemptOutcome &outcome)
 {
+    const auto c = static_cast<std::size_t>(context);
+    ContextSlot &slot = contexts_[c];
+    recordAttemptEvent(context, id, outcome);
     const Task &task = graph_.task(id);
-    // Pair complete: time it, maybe corrupt it, report it.
+    if (task.kind == TaskKind::Memory) {
+        gate_->release(c);
+        observeReadyDepths(context);
+        unlockSuccessors(id, outcome.end);
+        slot.done.store(slot.done.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
+        // Release the context last, and seq_cst: against the
+        // run_failed_ load below, a failing thread either sees this
+        // context idle or this worker sees the failure and runs the
+        // finish check itself.
+        slot.running.store(stream::kInvalidTask,
+                           std::memory_order_seq_cst);
+        wakeWorkers(); // the freed gate slot may unblock a parked worker
+        // A worker thread pulls its next attempt itself; it needs the
+        // lock only when the run aborted meanwhile.
+        if (pull_mode_ && !run_failed_.load(std::memory_order_seq_cst))
+            return;
+        std::lock_guard lock(mutex_);
+        tryScheduleLocked();
+        maybeFinishLocked();
+        return;
+    }
+
+    // Pair complete. Everything up to the lock is pair-local: the
+    // memory task's times and MTL, the pair's job stamps and span
+    // were published to this thread along the pair's dependency
+    // chain, and the metrics go to this context's shard.
     const stream::PairId pair = task.pair;
-    const TaskId mem_id = graph_.memoryTaskOf(pair);
+    const auto p = static_cast<std::size_t>(pair);
+    const auto mem = static_cast<std::size_t>(graph_.memoryTaskOf(pair));
     core::PairSample sample;
-    sample.tm = task_end_[static_cast<std::size_t>(mem_id)] -
-                task_start_[static_cast<std::size_t>(mem_id)];
-    sample.tc = end - start;
-    sample.end_time = end;
-    sample.mtl = pair_mem_mtl_[static_cast<std::size_t>(pair)];
+    sample.tm = task_end_[mem] - task_start_[mem];
+    sample.tc = outcome.end - outcome.start;
+    sample.end_time = outcome.end;
+    sample.mtl = pair_mem_mtl_[p];
     if (options_.fault_plan && options_.fault_plan->enabled()) {
         // Corruption models a broken clock read at measurement
         // time. Keyed by the compute task with attempt 0 so the
@@ -568,60 +586,132 @@ Engine::completePairLocked(int context, TaskId id, double start,
             sample.tc = options_.fault_plan->corruptValue(id, 1);
         }
     }
-    backend_->pairCompleted(graph_.task(mem_id));
-    samples_.push_back(sample);
-    if (options_.metrics != nullptr && std::isfinite(sample.tm) &&
-        std::isfinite(sample.tc)) {
-        const std::string suffix =
-            ".mtl=" + std::to_string(sample.mtl);
-        observeMetric(context, "runtime.tm_seconds" + suffix, sample.tm);
-        observeMetric(context, "runtime.tc_seconds" + suffix, sample.tc);
-    }
-    policy_.onPairMeasured(sample);
-    refreshMtlCacheLocked();
-    if (health_.has_value())
-        health_->onPairMeasured(sample.tm, sample.mtl);
+    const bool publish_times = metric_shards_.has_value() &&
+                               std::isfinite(sample.tm) &&
+                               std::isfinite(sample.tc);
+    const MtlIds *ids =
+        publish_times ? cachedMtlIds(context, sample.mtl) : nullptr;
+    if (ids != nullptr)
+        observePairTimes(context, *ids, sample);
 
+    double response = 0.0;
     bool deadline_missed = false;
     if (open_loop_) {
         // Deadline accounting against the *actual* completion:
         // the admission model predicted, this is ground truth.
-        const double arrival =
-            job_arrival_stamp_[static_cast<std::size_t>(pair)];
-        const double response = end - arrival;
-        const double queue_wait =
-            task_start_[static_cast<std::size_t>(mem_id)] - arrival;
-        response_log_.push_back(response);
-        if (options_.metrics != nullptr) {
-            const Histogram::Options opts{
-                .min_value = 1e-6, .growth = 2.0, .buckets = 32};
-            observeMetric(context, "runtime.response_seconds",
-                          std::max(response, 0.0), opts);
-            observeMetric(context, "runtime.queue_wait_seconds",
-                          std::max(queue_wait, 0.0), opts);
+        const double arrival = job_arrival_stamp_[p];
+        response = outcome.end - arrival;
+        if (metric_shards_.has_value()) {
+            metric_shards_->observe(c, hot_ids_.response_seconds,
+                                    std::max(response, 0.0));
+            metric_shards_->observe(c, hot_ids_.queue_wait_seconds,
+                                    std::max(task_start_[mem] - arrival,
+                                             0.0));
         }
-        const double slo = job_slo_[static_cast<std::size_t>(pair)];
-        if (slo > 0.0 && response > slo) {
-            deadline_missed = true;
+        const double slo = job_slo_[p];
+        deadline_missed = slo > 0.0 && response > slo;
+    }
+    finishSpan(pair, outcome.end,
+               deadline_missed ? obs::SpanOutcome::DeadlineMiss
+                               : obs::SpanOutcome::Completed);
+    observeReadyDepths(context);
+    unlockSuccessors(id, outcome.end);
+
+    std::lock_guard lock(mutex_);
+    completePairLocked(context, id, sample, publish_times && ids == nullptr,
+                       response, deadline_missed);
+    tryScheduleLocked();
+    maybeFinishLocked();
+}
+
+void
+Engine::completePairLocked(int context, TaskId id,
+                           const core::PairSample &sample,
+                           bool publish_times, double response,
+                           bool deadline_missed)
+{
+    ContextSlot &slot = contexts_[static_cast<std::size_t>(context)];
+    const stream::PairId pair = graph_.task(id).pair;
+    if (publish_times)
+        observePairTimes(context, resolveMtlIdsLocked(context, sample.mtl),
+                         sample);
+    backend_->pairCompleted(graph_.task(graph_.memoryTaskOf(pair)));
+    samples_.push_back(sample);
+    policy_.onPairMeasured(sample);
+    refreshMtlCacheLocked();
+    if (health_.has_value())
+        health_->onPairMeasured(sample.tm, sample.mtl);
+    if (open_loop_) {
+        response_log_.push_back(response);
+        if (deadline_missed) {
             ++jobs_deadline_missed_;
             if (MetricsRegistry *metrics = options_.metrics)
                 metrics->add("runtime.jobs_deadline_missed", 1);
         }
     }
-    closeSpan(pair, end,
-              deadline_missed ? obs::SpanOutcome::DeadlineMiss
-                              : obs::SpanOutcome::Completed);
+    recordSpanLocked(pair);
+    // Counted done in the same critical section that appended the
+    // sample, so no finish check can see the pair done before it.
+    slot.done.store(slot.done.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+    slot.running.store(stream::kInvalidTask, std::memory_order_relaxed);
+
+    if (--phase_remaining_ == 0 &&
+        current_phase_ + 1 < graph_.phaseCount()) {
+        tt_assert(ready_memory_->emptyApprox() &&
+                      ready_compute_->emptyApprox(),
+                  "ready tasks left at a phase barrier");
+        activatePhaseLocked(current_phase_ + 1, sample.end_time);
+    }
 }
 
 void
-Engine::observeMetric(int context, const std::string &name,
-                      double value, const Histogram::Options &options)
+Engine::observeReadyDepths(int context)
 {
-    if (metric_shards_.has_value())
-        metric_shards_->observe(static_cast<std::size_t>(context), name,
-                                value, options);
-    else
-        options_.metrics->observe(name, value, options);
+    if (!metric_shards_.has_value())
+        return;
+    const auto c = static_cast<std::size_t>(context);
+    metric_shards_->observe(c, hot_ids_.ready_memory_depth,
+                            static_cast<double>(ready_memory_->sizeApprox()));
+    metric_shards_->observe(
+        c, hot_ids_.ready_compute_depth,
+        static_cast<double>(ready_compute_->sizeApprox()));
+}
+
+void
+Engine::observePairTimes(int context, const MtlIds &ids,
+                         const core::PairSample &sample)
+{
+    const auto c = static_cast<std::size_t>(context);
+    metric_shards_->observe(c, ids.tm, sample.tm);
+    metric_shards_->observe(c, ids.tc, sample.tc);
+}
+
+const Engine::MtlIds *
+Engine::cachedMtlIds(int context, int mtl) const
+{
+    const std::vector<MtlIds> &cache =
+        contexts_[static_cast<std::size_t>(context)].mtl_ids;
+    const auto k = static_cast<std::size_t>(mtl);
+    return mtl >= 0 && k < cache.size() && cache[k].resolved ? &cache[k]
+                                                             : nullptr;
+}
+
+Engine::MtlIds
+Engine::resolveMtlIdsLocked(int context, int mtl)
+{
+    const std::string suffix = ".mtl=" + std::to_string(mtl);
+    const MtlIds ids{
+        metric_shards_->histogram("runtime.tm_seconds" + suffix),
+        metric_shards_->histogram("runtime.tc_seconds" + suffix), true};
+    if (mtl >= 0) {
+        std::vector<MtlIds> &cache =
+            contexts_[static_cast<std::size_t>(context)].mtl_ids;
+        if (static_cast<std::size_t>(mtl) >= cache.size())
+            cache.resize(static_cast<std::size_t>(mtl) + 1);
+        cache[static_cast<std::size_t>(mtl)] = ids;
+    }
+    return ids;
 }
 
 void
@@ -642,45 +732,13 @@ Engine::unlockSuccessors(TaskId id, double now)
     }
 }
 
-void
-Engine::completeAttempt(int context, TaskId id,
-                        const AttemptOutcome &outcome)
+int
+Engine::tasksDone() const
 {
-    const auto c = static_cast<std::size_t>(context);
-    const bool memory = graph_.task(id).kind == TaskKind::Memory;
-    recordAttemptEvent(context, id, outcome);
-    running_[c].store(stream::kInvalidTask, std::memory_order_relaxed);
-    if (memory)
-        gate_->release(c);
-    else
-        completePairLocked(context, id, outcome.start, outcome.end);
-
-    if (options_.metrics != nullptr) {
-        const Histogram::Options opts{
-            .min_value = 1.0, .growth = 2.0, .buckets = 24};
-        observeMetric(context, "runtime.ready_memory_depth",
-                      static_cast<double>(ready_memory_->sizeApprox()),
-                      opts);
-        observeMetric(context, "runtime.ready_compute_depth",
-                      static_cast<double>(ready_compute_->sizeApprox()),
-                      opts);
-    }
-    unlockSuccessors(id, outcome.end);
-
-    // Phase barrier. A memory task is never the last of its phase
-    // (its compute successor completes later), so only a compute
-    // completion, which holds mutex_, can trip it.
-    if (phase_remaining_.fetch_sub(1, std::memory_order_seq_cst) ==
-            1 &&
-        current_phase_ + 1 < graph_.phaseCount()) {
-        tt_assert(ready_memory_->emptyApprox() &&
-                      ready_compute_->emptyApprox(),
-                  "ready tasks left at a phase barrier");
-        activatePhaseLocked(current_phase_ + 1, outcome.end);
-    }
-    inflight_attempts_.fetch_sub(1, std::memory_order_seq_cst);
-    if (memory)
-        wakeWorkers(); // the freed gate slot may unblock a parked worker
+    int done = 0;
+    for (const ContextSlot &slot : contexts_)
+        done += slot.done.load(std::memory_order_relaxed);
+    return done;
 }
 
 void
@@ -702,28 +760,28 @@ Engine::abandonAttemptLocked(int context)
     // slot included -- goes back. Only a task that exhausted its
     // retries counts as a failure, and the caller counts it.
     const auto c = static_cast<std::size_t>(context);
-    const TaskId id = running_[c].load(std::memory_order_relaxed);
-    running_[c].store(stream::kInvalidTask, std::memory_order_relaxed);
+    const TaskId id = contexts_[c].running.load(std::memory_order_relaxed);
     if (graph_.task(id).kind == TaskKind::Memory)
         gate_->release(c);
-    inflight_attempts_.fetch_sub(1, std::memory_order_seq_cst);
+    contexts_[c].running.store(stream::kInvalidTask,
+                               std::memory_order_relaxed);
 }
 
 void
 Engine::abandonPendingRetriesLocked()
 {
-    const int n = static_cast<int>(pending_retry_.size());
+    const int n = static_cast<int>(contexts_.size());
     for (int c = 0; c < n; ++c) {
         // Only a retry still in backoff is ours to abandon: a Due one
         // belongs to its worker, which abandons it on seeing
         // run_failed_.
-        auto &pending = pending_retry_[static_cast<std::size_t>(c)];
-        if (pending.state.load(std::memory_order_relaxed) !=
+        ContextSlot &slot = contexts_[static_cast<std::size_t>(c)];
+        if (slot.retry.load(std::memory_order_relaxed) !=
             RetryState::Backoff)
             continue;
-        pending.state.store(RetryState::None, std::memory_order_relaxed);
-        backend_->cancel(pending.token);
-        pending.token = 0;
+        slot.retry.store(RetryState::None, std::memory_order_relaxed);
+        backend_->cancel(slot.retry_token);
+        slot.retry_token = 0;
         abandonAttemptLocked(c);
     }
 }
@@ -733,20 +791,25 @@ Engine::maybeFinishLocked()
 {
     if (finished_)
         return;
-    const int done = tasks_done_.load(std::memory_order_seq_cst);
-    // Open-loop: drained once every plan job was delivered and every
-    // task either completed or belongs to a shed pair.
+    // Drained once every pair completed (compute completions count
+    // under this mutex, and a pair's memory task completes before its
+    // compute task dispatches) or was shed -- and, open-loop, once
+    // every plan job was delivered.
     const bool drained =
-        open_loop_ ? next_job_ >= options_.arrival_plan->size() &&
-                         done + shed_tasks_ == graph_.taskCount()
-                   : done == graph_.taskCount();
-    // A failed run finishes once idle: inflight_attempts_ covers
-    // running bodies *and* retry reservations, so zero means every
-    // in-flight attempt has delivered.
-    if (!drained &&
-        (!run_failed_.load(std::memory_order_relaxed) ||
-         inflight_attempts_.load(std::memory_order_seq_cst) != 0))
-        return;
+        (!open_loop_ || next_job_ >= options_.arrival_plan->size()) &&
+        static_cast<long>(samples_.size()) + jobs_shed_ ==
+            graph_.pairCount();
+    if (!drained) {
+        // A failed run finishes once idle: a context stays reserved
+        // through its running body *and* its retry backoff, so no
+        // reservation means every in-flight attempt has delivered.
+        if (!run_failed_.load(std::memory_order_relaxed))
+            return;
+        for (const ContextSlot &slot : contexts_)
+            if (slot.running.load(std::memory_order_seq_cst) !=
+                stream::kInvalidTask)
+                return;
+    }
     finished_ = true;
     drain_seconds_ = backend_->now();
     run_complete_.store(true, std::memory_order_seq_cst);
@@ -890,7 +953,7 @@ Engine::emitTimeseriesRowLocked()
     row.time = finished_ ? drain_seconds_ : backend_->now();
     row.mtl = policy_.currentMtl();
     row.mem_in_flight = static_cast<int>(gate_->current());
-    row.tasks_done = tasks_done_.load(std::memory_order_relaxed);
+    row.tasks_done = tasksDone();
     row.pairs_done = static_cast<long>(samples_.size());
     row.ready_memory = ready_memory_->sizeApprox();
     row.ready_compute = ready_compute_->sizeApprox();
@@ -914,8 +977,14 @@ Engine::refreshMtlCacheLocked()
     // under mutex_ and mirrored here for the lock-free admission
     // bound. The mirror is exact: the policy only changes state
     // under this same mutex, and every such call refreshes it.
+    // Only this mutex writes the mirror, so an unchanged MTL needs no
+    // store: every dispatcher reads this line, and a per-pair write
+    // would pull it away from all of them.
     const int mtl = policy_.currentMtl();
-    const int prev = mtl_cache_.exchange(mtl, std::memory_order_seq_cst);
+    const int prev = mtl_cache_.load(std::memory_order_relaxed);
+    if (mtl == prev)
+        return;
+    mtl_cache_.store(mtl, std::memory_order_seq_cst);
     if (mtl > prev)
         wakeWorkers(); // new headroom may unblock admission waiters
 }
@@ -943,7 +1012,7 @@ Engine::workerShouldSleep(int worker) const
     const auto w = static_cast<std::size_t>(worker);
     if (run_complete_.load(std::memory_order_acquire))
         return false; // exit instead
-    switch (pending_retry_[w].state.load(std::memory_order_acquire)) {
+    switch (contexts_[w].retry.load(std::memory_order_acquire)) {
       case RetryState::Due:
         return false; // our retry is due
       case RetryState::Backoff:
@@ -970,12 +1039,10 @@ Engine::parkWorker(int worker)
         parked_.fetch_sub(1, std::memory_order_seq_cst);
         return;
     }
-    // Count the park on this worker's own metric shard: the worker
-    // is about to sleep anyway, so the map lookup is free contention-
-    // wise and the hot dispatch path stays untouched.
+    // Count the park on this worker's own metric shard.
     if (metric_shards_.has_value())
         metric_shards_->add(static_cast<std::size_t>(worker),
-                            "runtime.worker_parks", 1);
+                            hot_ids_.worker_parks);
     {
         std::unique_lock lock(park_mutex_);
         const std::uint64_t gen = park_gen_;
@@ -997,7 +1064,7 @@ Engine::nextAttempt(int worker, AttemptSpec &spec)
         if (run_complete_.load(std::memory_order_acquire))
             return false;
         RetryState retry = RetryState::Due;
-        if (pending_retry_[w].state.compare_exchange_strong(
+        if (contexts_[w].retry.compare_exchange_strong(
                 retry, RetryState::None, std::memory_order_acq_rel)) {
             // Our granted retry's backoff elapsed: re-run the same
             // task on this worker (the context stayed reserved, so
@@ -1008,7 +1075,8 @@ Engine::nextAttempt(int worker, AttemptSpec &spec)
                 maybeFinishLocked();
                 continue;
             }
-            spec = attemptSpec(running_[w].load(std::memory_order_relaxed));
+            spec = attemptSpec(
+                contexts_[w].running.load(std::memory_order_relaxed));
             return true;
         }
         // A worker reserved through a backoff never steals other work
@@ -1036,8 +1104,7 @@ Engine::crashDump()
         std::fprintf(stderr,
                      "tt: runtime progress: %d/%d tasks done, "
                      "%ld memory tasks in flight\n",
-                     tasks_done_.load(std::memory_order_relaxed),
-                     graph_.taskCount(), gate_->current());
+                     tasksDone(), graph_.taskCount(), gate_->current());
     else
         std::fprintf(stderr,
                      "tt: runtime progress: scheduler lock held "
@@ -1069,18 +1136,32 @@ Engine::run(ExecutionBackend &backend)
     const int contexts = backend.contexts();
     tt_assert(contexts >= 1, "need at least one execution context");
     const auto n_contexts = static_cast<std::size_t>(contexts);
-    running_ = std::vector<std::atomic<TaskId>>(n_contexts);
-    for (auto &slot : running_)
-        slot.store(stream::kInvalidTask, std::memory_order_relaxed);
-    pending_retry_ = std::vector<PendingRetry>(n_contexts);
-    worker_counters_.assign(n_contexts, WorkerCounters{});
+    contexts_ = std::vector<ContextSlot>(n_contexts);
     const auto n_pairs = static_cast<std::size_t>(graph_.pairCount());
     ready_memory_.emplace(n_pairs);
     ready_compute_.emplace(n_pairs);
     gate_.emplace(n_contexts);
     pull_mode_ = backend.pullDispatch();
-    if (pull_mode_ && options_.metrics != nullptr)
-        metric_shards_.emplace(*options_.metrics, n_contexts);
+    if (options_.metrics != nullptr) {
+        // Worker threads publish into shards; a single dispatcher
+        // straight into the registry, in publication order.
+        metric_shards_.emplace(*options_.metrics,
+                               pull_mode_ ? n_contexts : 0);
+        const Histogram::Options depth{
+            .min_value = 1.0, .growth = 2.0, .buckets = 24};
+        const Histogram::Options response{
+            .min_value = 1e-6, .growth = 2.0, .buckets = 32};
+        hot_ids_.ready_memory_depth =
+            metric_shards_->histogram("runtime.ready_memory_depth", depth);
+        hot_ids_.ready_compute_depth = metric_shards_->histogram(
+            "runtime.ready_compute_depth", depth);
+        hot_ids_.response_seconds =
+            metric_shards_->histogram("runtime.response_seconds", response);
+        hot_ids_.queue_wait_seconds = metric_shards_->histogram(
+            "runtime.queue_wait_seconds", response);
+        hot_ids_.worker_parks =
+            metric_shards_->counter("runtime.worker_parks");
+    }
     tracer_.emplace(contexts, ringCapacity(options_, graph_.taskCount()));
     span_ring_.emplace(std::max<std::size_t>(
         1, std::min(options_.span_capacity, n_pairs)));
@@ -1126,7 +1207,7 @@ Engine::run(ExecutionBackend &backend)
             // Arrivals replace phase activation: tasks become ready
             // as their jobs are admitted, never all at once.
             current_phase_ = 0;
-            phase_remaining_ = graph_.taskCount();
+            phase_remaining_ = graph_.pairCount();
             processArrivalsLocked(0.0);
             scheduleNextArrivalLocked(0.0);
         } else {
@@ -1138,7 +1219,8 @@ Engine::run(ExecutionBackend &backend)
         }
         // Worker threads publish through shards that only a fold
         // makes visible, so they get the live tick without a sink too.
-        if (options_.live_sink != nullptr || metric_shards_.has_value()) {
+        if (options_.live_sink != nullptr ||
+            (pull_mode_ && options_.metrics != nullptr)) {
             if (options_.live_sink != nullptr)
                 options_.live_sink->snapshot(backend.now());
             armObsTick(ObsTick::Live);
@@ -1167,13 +1249,15 @@ Engine::finishResult()
         metric_shards_->fold();
     bool saw_counters = false;
     obs::perf::CounterSet counter_totals;
-    for (const WorkerCounters &wc : worker_counters_) {
-        if (!wc.saw)
+    std::uint64_t trace_record_ns = obs_span_record_ns_;
+    for (const ContextSlot &slot : contexts_) {
+        trace_record_ns += slot.trace_record_ns;
+        if (!slot.saw_counters)
             continue;
         saw_counters = true;
-        counter_totals += wc.totals;
+        counter_totals += slot.counters;
     }
-    const int done = tasks_done_.load(std::memory_order_seq_cst);
+    const int done = tasksDone();
     RunResult result;
     result.failed = run_failed_.load(std::memory_order_relaxed);
     result.watchdog_fired = watchdog_fired_;
@@ -1183,10 +1267,10 @@ Engine::finishResult()
     result.task_failures = task_failures_;
     result.retries = retry_log_;
     tt_assert(result.failed ||
-                  done + shed_tasks_ == graph_.taskCount(),
-              "run drained with ", done, " of ",
-              graph_.taskCount(), " tasks done and ", shed_tasks_,
-              " shed (deadlock in graph or scheduler)");
+                  done + 2 * jobs_shed_ == graph_.taskCount(),
+              "run drained with ", done, " of ", graph_.taskCount(),
+              " tasks done and ", jobs_shed_,
+              " pairs shed (deadlock in graph or scheduler)");
 
     result.seconds =
         drain_seconds_ >= 0.0 ? drain_seconds_ : backend_->now();
@@ -1304,9 +1388,7 @@ Engine::finishResult()
         // charge live_export_ns as they serve, and the health engine
         // charged health_ns at drain.
         metrics->add("obs.overhead.trace_record_ns",
-                     static_cast<std::int64_t>(
-                         obs_trace_record_ns_.load(
-                             std::memory_order_relaxed)));
+                     static_cast<std::int64_t>(trace_record_ns));
         metrics->add("obs.overhead.sampler_ns",
                      static_cast<std::int64_t>(obs_sampler_ns_));
         metrics->add("obs.overhead.counter_read_ns", 0);

@@ -498,12 +498,15 @@ class ExecutionBackend
  *
  * Thread-safe, with one scheduler state for every backend: MPMC
  * ready rings, a sharded admission gate standing in for the paper's
- * "counter", atomic dependency/progress counters and per-context
- * retry reservations. The per-task fast path -- dispatch through
- * tryDispatch(), MTL admission, memory-task completion, successor
- * unlock, trace publication -- is lock-free. Only the slow path --
- * pair sample delivery to the policy, retries, failures, arrivals,
- * phase barriers, watchdog, finish -- takes the mutex.
+ * "counter", atomic dependency counts and one cache-line-aligned
+ * slot per context (its reservation, retry state and progress). The
+ * per-task fast path -- dispatch through tryDispatch(), MTL
+ * admission, memory-task completion, successor unlock, trace and
+ * metric publication -- is lock-free, and a compute completion does
+ * its pair-local work (sample, span, metrics, successor unlock)
+ * before it takes the mutex. The mutex covers only what must stay
+ * serialized with the policy: sample delivery, retries, failures,
+ * arrivals, phase barriers, watchdog and finish.
  *
  * Push vs. pull only decides who pops. Worker threads (host) call
  * tryDispatch() from nextAttempt(); for backends without threads
@@ -565,14 +568,47 @@ class Engine
         Live,       ///< live snapshot, or only the shard fold
     };
 
-    struct PendingRetry
+    /** The tm/tc histogram ids of one MTL. */
+    struct MtlIds
     {
+        obs::ShardedMetrics::HistogramId tm;
+        obs::ShardedMetrics::HistogramId tc;
+        bool resolved = false;
+    };
+
+    /**
+     * Everything one execution context owns, in one cache-line-
+     * aligned slot, so that no per-attempt write lands on a line
+     * another context writes. Other threads touch only the atomics
+     * (the retry timer and a failing run move `retry` and release
+     * `running` under mutex_; finish checks and time-series rows read
+     * `running` and `done`) and `retry_token`, under mutex_. The
+     * other plain fields belong to the context's own completions;
+     * finishResult reads them once drive() returned.
+     */
+    struct alignas(64) ContextSlot
+    {
+        /** Task this context runs, or holds through a retry backoff;
+         *  kInvalidTask when the context is idle. A failed run
+         *  finishes once no context is reserved. */
+        std::atomic<stream::TaskId> running{stream::kInvalidTask};
         /** One state, so a reserved context never reads as idle:
          *  None->Backoff (failAttemptLocked) and Backoff->Due or
          *  Backoff->None (retry timer, abandon) happen under mutex_;
          *  only the owning worker claims Due->None, lock-free. */
-        std::atomic<RetryState> state{RetryState::None};
-        ExecutionBackend::TimerToken token = 0;
+        std::atomic<RetryState> retry{RetryState::None};
+        ExecutionBackend::TimerToken retry_token = 0; ///< under mutex_
+        /** Tasks this context completed: a memory task at the end of
+         *  its lock-free completion, a compute task in the critical
+         *  section that appends its sample. */
+        std::atomic<int> done{0};
+        /** Wall ns spent recording this context's trace events. */
+        std::uint64_t trace_record_ns = 0;
+        bool saw_counters = false;
+        obs::perf::CounterSet counters; ///< hw-counter totals
+        /** tm/tc ids by MTL, resolved (under mutex_) the first time
+         *  this context measures a pair at that MTL. */
+        std::vector<MtlIds> mtl_ids;
     };
 
     void activatePhaseLocked(int phase, double now);
@@ -594,11 +630,14 @@ class Engine
     /** The spec of task `id`'s current attempt. */
     AttemptSpec attemptSpec(stream::TaskId id) const;
     /**
-     * Successful attempt: record it, release its context and gate
-     * slot, unlock its successors. A memory completion in a healthy
-     * run calls this without mutex_ -- everything it touches is
-     * context-owned, pair-serialized or atomic; every other
-     * completion (pair sample, phase barrier) holds mutex_.
+     * Successful attempt: record it, unlock its successors, release
+     * its gate slot and context, and run the dispatch scan and finish
+     * check where they are due. A memory completion needs no mutex_
+     * -- everything it touches is context-owned, pair-serialized or
+     * atomic -- unless the run failed meanwhile. A compute completion
+     * does its pair-local work first (trace event, sample, T_m/T_c,
+     * response and depth metrics, span critical path, successor
+     * unlock), then takes mutex_ for completePairLocked().
      */
     void completeAttempt(int context, stream::TaskId id,
                          const AttemptOutcome &outcome);
@@ -628,11 +667,14 @@ class Engine
     void openSpan(int pair, int priority, double arrival);
     /** Append one finished attempt to the pair's open span. */
     void spanAttempt(stream::TaskId id, int worker,
-                           const AttemptOutcome &outcome, bool failed,
-                           double backoff_seconds);
-    /** Finalize the pair's span: critical path, buffer, metrics. */
-    void closeSpan(int pair, double end,
-                         obs::SpanOutcome outcome);
+                     const AttemptOutcome &outcome, bool failed,
+                     double backoff_seconds);
+    /** Pair-local: stamp the open span's end and outcome, and
+     *  compute its critical path. */
+    void finishSpan(int pair, double end, obs::SpanOutcome outcome);
+    /** Move the finished span into span_ring_, whose one writer is
+     *  whoever holds mutex_. */
+    void recordSpanLocked(int pair);
     /** Best-effort diagnostics dump (crash hook / watchdog path). */
     void crashDump();
     /** Assemble the RunResult after drive() returned. */
@@ -645,15 +687,26 @@ class Engine
     void recordAttemptEvent(int context, stream::TaskId id,
                             const AttemptOutcome &outcome);
     void unlockSuccessors(stream::TaskId id, double now);
-    /** Compute-task completion tail: sample, policy, span close. */
+    /** Observe both ready-ring depths (metrics on). */
+    void observeReadyDepths(int context);
+    /** Observe a pair's T_m and T_c under its MTL's ids. */
+    void observePairTimes(int context, const MtlIds &ids,
+                          const core::PairSample &sample);
+    /** `context`'s cached tm/tc ids of `mtl`; nullptr until resolved. */
+    const MtlIds *cachedMtlIds(int context, int mtl) const;
+    /** Intern the tm/tc names of `mtl` and cache the ids for
+     *  `context`: the one place a completion builds a metric name. */
+    MtlIds resolveMtlIdsLocked(int context, int mtl);
+    /** Compute-completion critical section: hand the sample to the
+     *  policy, record the span, count the pair done, trip the phase
+     *  barrier. `publish_times` is set when the pair's T_m/T_c still
+     *  await their first ids on this context. */
     void completePairLocked(int context, stream::TaskId id,
-                            double start, double end);
-    /** Record a histogram observation: into `context`'s metric
-     *  shard when the backend runs worker threads, straight into
-     *  the registry otherwise. */
-    void observeMetric(int context, const std::string &name,
-                       double value,
-                       const Histogram::Options &options = {});
+                            const core::PairSample &sample,
+                            bool publish_times, double response,
+                            bool deadline_missed);
+    /** Tasks completed so far, summed over the context slots. */
+    int tasksDone() const;
     /** Abort the run once: reason, warn, abandon reservations. */
     void markRunFailedLocked(const std::string &reason);
     /** Publish policy_.currentMtl() to mtl_cache_; wake on raise. */
@@ -683,34 +736,30 @@ class Engine
      *  its context), so pushes cannot fail. */
     std::optional<util::MpmcQueue<stream::TaskId>> ready_memory_;
     std::optional<util::MpmcQueue<stream::TaskId>> ready_compute_;
-    /** Task each context runs, or holds through a retry backoff;
-     *  kInvalidTask when the context is idle. */
-    std::vector<std::atomic<stream::TaskId>> running_;
-    std::vector<PendingRetry> pending_retry_;
+    std::vector<ContextSlot> contexts_; ///< one per execution context
     std::vector<int> attempts_; ///< failed attempts per task
 
     /** backend->pullDispatch(): worker threads pop the rings. */
     bool pull_mode_ = false;
     std::optional<util::ShardedGate> gate_; ///< memory tasks in flight
-    /** Per-worker metric shards, built only for worker threads: a
-     *  single dispatcher writes the registry directly, and every
-     *  fold() re-allocates the shard entries. */
+    /** The hot-path metrics (set when options_.metrics is), by id:
+     *  one shard per worker thread; none for a single dispatcher,
+     *  which writes the registry directly. */
     std::optional<obs::ShardedMetrics> metric_shards_;
+    /** Ids of the fixed hot metrics, interned once per run. */
+    struct HotIds
+    {
+        obs::ShardedMetrics::HistogramId ready_memory_depth;
+        obs::ShardedMetrics::HistogramId ready_compute_depth;
+        obs::ShardedMetrics::HistogramId response_seconds;
+        obs::ShardedMetrics::HistogramId queue_wait_seconds;
+        obs::ShardedMetrics::CounterId worker_parks;
+    };
+    HotIds hot_ids_;
     /** policy_.currentMtl() mirrored after every policy interaction
      *  (all under mutex_); tryDispatch reads it lock-free as the
      *  admission bound. */
     std::atomic<int> mtl_cache_{0};
-    /** Dispatched attempts not yet completed/abandoned, including
-     *  attempts reserved through a retry backoff. */
-    std::atomic<int> inflight_attempts_{0};
-    /** Per-context hw-counter aggregation; folded once drive()
-     *  returned, so the slots need no synchronisation beyond it. */
-    struct WorkerCounters
-    {
-        bool saw = false;
-        obs::perf::CounterSet totals;
-    };
-    std::vector<WorkerCounters> worker_counters_;
     // Parking lot for idle workers. parked_ is a fast-path hint so
     // producers skip the lot entirely while everyone is busy; the
     // generation counter (under park_mutex_) makes wake-ups sticky
@@ -732,10 +781,9 @@ class Engine
     std::optional<load::AdmissionController> admission_;
     core::BackpressureState backpressure_ =
         core::BackpressureState::Accept;
-    int shed_tasks_ = 0; ///< tasks of shed pairs (never dispatched)
     long jobs_admitted_ = 0;
     long jobs_delayed_ = 0;
-    long jobs_shed_ = 0;
+    long jobs_shed_ = 0; ///< shed pairs, whose tasks never run
     long jobs_deadline_missed_ = 0;
     std::vector<JobRecord> job_log_;
     std::vector<double> response_log_;
@@ -743,8 +791,10 @@ class Engine
     std::vector<double> job_slo_;           ///< per pair, seconds
 
     int current_phase_ = -1;
-    std::atomic<int> phase_remaining_{0};
-    std::atomic<int> tasks_done_{0};
+    /** Compute tasks of the current phase not yet completed. Only
+     *  compute completions count (a memory task is never the last of
+     *  its phase), and they count under mutex_. */
+    int phase_remaining_ = 0;
     bool started_ = false;
     bool finished_ = false;
 
@@ -758,16 +808,16 @@ class Engine
 
     std::optional<obs::Tracer> tracer_; ///< one ring per context
 
-    // Per-job causal spans (see obs/span.hh). A span is closed, and
-    // recorded into span_ring_, only under mutex_ (admitJobLocked,
+    // Per-job causal spans (see obs/span.hh). A span is recorded
+    // into span_ring_ only under mutex_ (admitJobLocked,
     // failAttemptLocked, completePairLocked), so the ring has one
-    // writer at a time; finishResult drains it once. Opens and
-    // attempt appends for one pair are serialized by the pair's own
-    // dependency chain (memory completes-before compute dispatches),
-    // but *different* pairs' spans open and gain attempts
-    // concurrently on worker threads (lock-free memory completions),
-    // so the open flags must be independent atomics -- a packed
-    // vector<bool> would race on the shared words.
+    // writer at a time; finishResult drains it once. Opens, attempt
+    // appends and the finish (critical path) for one pair are
+    // serialized by the pair's own dependency chain (memory
+    // completes-before compute dispatches), but *different* pairs'
+    // spans open, gain attempts and finish concurrently on worker
+    // threads, so the open flags must be independent atomics -- a
+    // packed vector<bool> would race on the shared words.
     std::optional<obs::RecordRing<obs::JobSpan>> span_ring_;
     std::vector<obs::JobSpan> open_span_; ///< per pair, in assembly
     std::vector<std::atomic<bool>> span_open_;
@@ -775,9 +825,10 @@ class Engine
     // Self-observability: wall-clock nanoseconds spent inside
     // observability code (steady clock on every backend -- this is
     // the *real* cost of tracing, not simulated time), published as
-    // obs.overhead.* counters. trace_record accumulates from the
-    // lock-free completion path, hence atomic.
-    std::atomic<std::uint64_t> obs_trace_record_ns_{0};
+    // obs.overhead.* counters. Trace-event recording accumulates per
+    // context (ContextSlot::trace_record_ns); span recording, which
+    // runs under mutex_, here.
+    std::uint64_t obs_span_record_ns_ = 0;
     std::uint64_t obs_sampler_ns_ = 0;
 
     /** Streaming health engine (options_.health.enabled), driven

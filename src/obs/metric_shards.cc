@@ -1,61 +1,97 @@
 #include "obs/metric_shards.hh"
 
-#include <utility>
-
 namespace tt::obs {
 
 ShardedMetrics::ShardedMetrics(MetricsRegistry &sink,
                                std::size_t shards)
-    : sink_(sink), shards_(shards == 0 ? 1 : shards)
+    : sink_(sink), shards_(shards)
 {
 }
 
-void
-ShardedMetrics::add(std::size_t shard, const std::string &name,
-                    std::int64_t delta)
+ShardedMetrics::CounterId
+ShardedMetrics::counter(const std::string &name)
 {
-    auto &s = shards_[shard % shards_.size()];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.counters[name] += delta;
+    std::lock_guard names(names_mutex_);
+    const auto [it, inserted] = counter_ids_.try_emplace(
+        name, static_cast<std::uint32_t>(counter_names_.size()));
+    if (inserted) {
+        counter_names_.push_back(name);
+        // Every shard gets the slot before the id is handed out, so a
+        // publication never has to grow its shard.
+        for (Shard &s : shards_) {
+            std::lock_guard lock(s.mutex);
+            s.counters.push_back(0);
+        }
+    }
+    return {it->second};
+}
+
+ShardedMetrics::HistogramId
+ShardedMetrics::histogram(const std::string &name,
+                          const Histogram::Options &options)
+{
+    std::lock_guard names(names_mutex_);
+    const auto [it, inserted] = histogram_ids_.try_emplace(
+        name, static_cast<std::uint32_t>(histogram_names_.size()));
+    if (inserted) {
+        histogram_names_.push_back(name);
+        histogram_options_.push_back(options);
+        for (Shard &s : shards_) {
+            std::lock_guard lock(s.mutex);
+            s.histograms.emplace_back(options);
+        }
+    }
+    return {it->second};
 }
 
 void
-ShardedMetrics::observe(std::size_t shard, const std::string &name,
-                        double value)
+ShardedMetrics::add(std::size_t shard, CounterId id, std::int64_t delta)
 {
-    observe(shard, name, value, Histogram::Options{});
+    if (shards_.empty()) {
+        std::lock_guard names(names_mutex_);
+        sink_.add(counter_names_[id.index], delta);
+        return;
+    }
+    Shard &s = shards_[shard % shards_.size()];
+    std::lock_guard lock(s.mutex);
+    s.counters[id.index] += delta;
 }
 
 void
-ShardedMetrics::observe(std::size_t shard, const std::string &name,
-                        double value,
-                        const Histogram::Options &options)
+ShardedMetrics::observe(std::size_t shard, HistogramId id, double value)
 {
-    auto &s = shards_[shard % shards_.size()];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    auto it = s.histograms.find(name);
-    if (it == s.histograms.end())
-        it = s.histograms.emplace(name, Histogram(options)).first;
-    it->second.add(value);
+    if (shards_.empty()) {
+        std::lock_guard names(names_mutex_);
+        sink_.observe(histogram_names_[id.index], value,
+                      histogram_options_[id.index]);
+        return;
+    }
+    Shard &s = shards_[shard % shards_.size()];
+    std::lock_guard lock(s.mutex);
+    s.histograms[id.index].add(value);
 }
 
 void
 ShardedMetrics::fold()
 {
-    for (auto &s : shards_) {
-        std::map<std::string, std::int64_t> counters;
-        std::map<std::string, Histogram> histograms;
-        {
-            std::lock_guard<std::mutex> lock(s.mutex);
-            counters.swap(s.counters);
-            histograms.swap(s.histograms);
+    std::lock_guard names(names_mutex_);
+    for (Shard &s : shards_) {
+        // The worker waits out its own shard's merge (a few slots);
+        // in exchange nothing is swapped out or re-allocated.
+        std::lock_guard lock(s.mutex);
+        for (std::size_t i = 0; i < s.counters.size(); ++i) {
+            if (s.counters[i] == 0)
+                continue;
+            sink_.add(counter_names_[i], s.counters[i]);
+            s.counters[i] = 0;
         }
-        // Publish outside the shard mutex: the worker can keep
-        // publishing into its (now empty) shard meanwhile.
-        for (const auto &[name, delta] : counters)
-            sink_.add(name, delta);
-        for (const auto &[name, hist] : histograms)
-            sink_.merge(name, hist);
+        for (std::size_t i = 0; i < s.histograms.size(); ++i) {
+            Histogram &hist = s.histograms[i];
+            if (hist.empty())
+                continue;
+            sink_.merge(histogram_names_[i], hist);
+            hist.reset();
+        }
     }
 }
 

@@ -4,25 +4,32 @@
  * of the bound they jointly enforce through the engine: the Vyukov
  * MPMC ring (full/empty/wrap, no lost or duplicated elements under
  * contention), the sharded admission gate (never exceeds the bound
- * under racing admitters), and the end-to-end invariant that
- * concurrent memory tasks never exceed the MTL while
- * `peak_mem_in_flight` reports the true maximum exactly.
+ * under racing admitters), the per-worker metric shards (interned
+ * ids fold exactly while workers publish and intern), and the
+ * end-to-end invariant that concurrent memory tasks never exceed the
+ * MTL while `peak_mem_in_flight` reports the true maximum exactly.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/policy.hh"
+#include "obs/metric_shards.hh"
 #include "runtime/runtime.hh"
 #include "stream/builder.hh"
 #include "util/concurrency/mpmc_queue.hh"
 #include "util/concurrency/sharded_gate.hh"
+#include "util/stats.hh"
 
 namespace {
 
+using tt::Histogram;
+using tt::obs::ShardedMetrics;
 using tt::util::MpmcQueue;
 using tt::util::ShardedGate;
 
@@ -186,6 +193,124 @@ TEST(ShardedGate, NeverExceedsBoundUnderContention)
     EXPECT_EQ(gate.current(), 0);
     EXPECT_LE(gate.peak(), kBound);
     EXPECT_GE(observed_max.load(), 1);
+}
+
+/** The registry's copy of `name` equals `expected` exactly. */
+void
+expectSameHistogram(const tt::MetricsRegistry &registry,
+                    const std::string &name, const Histogram &expected)
+{
+    const Histogram got = registry.histogram(name);
+    ASSERT_EQ(got.count(), expected.count()) << name;
+    EXPECT_EQ(got.sum(), expected.sum()) << name;
+    EXPECT_EQ(got.min(), expected.min()) << name;
+    EXPECT_EQ(got.max(), expected.max()) << name;
+    ASSERT_EQ(got.bucketCount(), expected.bucketCount()) << name;
+    for (int b = 0; b < expected.bucketCount(); ++b)
+        EXPECT_EQ(got.bucketHits(b), expected.bucketHits(b))
+            << name << " bucket " << b;
+}
+
+TEST(ShardedMetrics, InternedIdsFoldExactlyUnderConcurrency)
+{
+    // Four workers publish into their own shards while a fifth thread
+    // folds without pause; halfway through, every worker interns the
+    // same new name and publishes into it too. Samples are integers,
+    // so sums are exact in any merge order: after the final fold the
+    // registry must hold exactly the single-threaded totals.
+    constexpr int kWorkers = 4;
+    constexpr int kRounds = 20000;
+    const Histogram::Options geometry{
+        .min_value = 1.0, .growth = 2.0, .buckets = 16};
+    const auto small = [](int w, int i) {
+        return static_cast<double>(i % 7 + w);
+    };
+    const auto large = [](int w, int i) {
+        return static_cast<double>((i * 37 + w) % 5000);
+    };
+    const auto late = [](int w, int i) {
+        return static_cast<double>((i + w) % 100);
+    };
+    const auto ticks = [](int i) { return std::int64_t{1 + i % 3}; };
+
+    tt::MetricsRegistry registry;
+    ShardedMetrics shards(registry, kWorkers);
+    const auto small_id = shards.histogram("test.small", geometry);
+    const auto large_id = shards.histogram("test.large", geometry);
+    const auto ticks_id = shards.counter("test.ticks");
+    std::vector<std::uint32_t> late_ids(kWorkers);
+
+    std::atomic<bool> publishing{true};
+    std::thread folder([&] {
+        while (publishing.load())
+            shards.fold();
+    });
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w)
+        workers.emplace_back([&, w] {
+            const auto shard = static_cast<std::size_t>(w);
+            ShardedMetrics::HistogramId late_id;
+            for (int i = 0; i < kRounds; ++i) {
+                shards.observe(shard, small_id, small(w, i));
+                shards.observe(shard, large_id, large(w, i));
+                shards.add(shard, ticks_id, ticks(i));
+                if (i == kRounds / 2) {
+                    late_id = shards.histogram("test.late", geometry);
+                    late_ids[shard] = late_id.index;
+                }
+                if (i >= kRounds / 2)
+                    shards.observe(shard, late_id, late(w, i));
+            }
+        });
+    for (auto &worker : workers)
+        worker.join();
+    publishing.store(false);
+    folder.join();
+    shards.fold();
+
+    Histogram small_ref(geometry);
+    Histogram large_ref(geometry);
+    Histogram late_ref(geometry);
+    std::int64_t ticks_ref = 0;
+    for (int w = 0; w < kWorkers; ++w)
+        for (int i = 0; i < kRounds; ++i) {
+            small_ref.add(small(w, i));
+            large_ref.add(large(w, i));
+            ticks_ref += ticks(i);
+            if (i >= kRounds / 2)
+                late_ref.add(late(w, i));
+        }
+    for (int w = 1; w < kWorkers; ++w)
+        EXPECT_EQ(late_ids[static_cast<std::size_t>(w)], late_ids[0])
+            << "one name, one id";
+    expectSameHistogram(registry, "test.small", small_ref);
+    expectSameHistogram(registry, "test.large", large_ref);
+    expectSameHistogram(registry, "test.late", late_ref);
+    EXPECT_EQ(registry.counter("test.ticks"), ticks_ref);
+}
+
+TEST(ShardedMetrics, NoShardsPublishStraightToTheRegistry)
+{
+    // A single dispatcher's publications land in the registry at
+    // once, with the interned geometry; interning alone creates no
+    // registry entry, and a fold has nothing to add.
+    tt::MetricsRegistry registry;
+    ShardedMetrics direct(registry, 0);
+    const Histogram::Options geometry{
+        .min_value = 1.0, .growth = 2.0, .buckets = 8};
+    const auto depth = direct.histogram("test.depth", geometry);
+    const auto parks = direct.counter("test.parks");
+    direct.histogram("test.unused");
+    direct.observe(0, depth, 3.0);
+    direct.observe(5, depth, 40.0);
+    direct.add(2, parks, 2);
+    EXPECT_EQ(registry.histogram("test.depth").count(), 2u);
+    EXPECT_EQ(registry.histogram("test.depth").bucketCount(), 10);
+    EXPECT_EQ(registry.counter("test.parks"), 2);
+    EXPECT_FALSE(registry.hasHistogram("test.unused"));
+    direct.fold();
+    EXPECT_EQ(registry.histogram("test.depth").count(), 2u);
+    EXPECT_EQ(registry.counter("test.parks"), 2);
 }
 
 /**

@@ -4,9 +4,9 @@
  * rings and their merge, the log-bucket histogram, the thread-safe
  * metrics registry, the shared Chrome exporter, and the host
  * runtime's end-to-end trace/metrics production (including that
- * per-task MTL annotations agree with the policy's mtlTrace(), and
- * that the registry serves worker-shard metrics while a run is
- * live).
+ * per-task MTL annotations agree with the policy's mtlTrace(), that
+ * the registry serves worker-shard metrics while a run is live, and
+ * that the hot-path histograms keep their names, counts and buckets).
  */
 
 #include <gtest/gtest.h>
@@ -21,10 +21,13 @@
 #include <vector>
 
 #include "core/dynamic_policy.hh"
+#include "cpu/machine_config.hh"
+#include "cpu/sim_machine.hh"
 #include "load/arrival.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/trace.hh"
 #include "runtime/runtime.hh"
+#include "simrt/sim_runtime.hh"
 #include "util/stats.hh"
 #include "workloads/synthetic.hh"
 
@@ -485,6 +488,164 @@ TEST(HostObservability, RegistryServesShardMetricsMidRun)
     EXPECT_GT(early_samples, 0u)
         << early_polls << " polls before the last arrival at "
         << last_arrival << " s saw no runtime.tm_seconds sample";
+}
+
+/** Every `runtime.*` histogram as "name count bucket:hits ...", in
+ *  name order. */
+std::vector<std::string>
+runtimeHistogramDigest(const MetricsRegistry &metrics)
+{
+    std::vector<std::string> digest;
+    for (const std::string &name : metrics.histogramNames()) {
+        if (name.rfind("runtime.", 0) != 0)
+            continue;
+        const Histogram hist = metrics.histogram(name);
+        std::string line = name + " " + std::to_string(hist.count());
+        for (int b = 0; b < hist.bucketCount(); ++b)
+            if (hist.bucketHits(b) != 0)
+                line += " " + std::to_string(b) + ":" +
+                        std::to_string(hist.bucketHits(b));
+        digest.push_back(line);
+    }
+    return digest;
+}
+
+/** Samples in every histogram whose name starts with `prefix`. */
+std::size_t
+countWithPrefix(const MetricsRegistry &metrics, const std::string &prefix)
+{
+    std::size_t count = 0;
+    for (const std::string &name : metrics.histogramNames())
+        if (name.rfind(prefix, 0) == 0)
+            count += metrics.histogram(name).count();
+    return count;
+}
+
+/**
+ * A deterministic open-loop sim run publishes every hot histogram:
+ * both ready depths, response and queue-wait times, and T_m/T_c at
+ * each MTL the SLO-aware dynamic policy visits. A single dispatcher
+ * publishes straight into the registry, through interned ids, so the
+ * names, counts and bucket hits must match the values recorded when
+ * every publication still built its name.
+ */
+TEST(HotMetrics, SimRunPinsEveryRuntimeHistogram)
+{
+    const auto config = tt::cpu::MachineConfig::i7_860_1dimm();
+    tt::workloads::SyntheticParams params;
+    params.tm1_over_tc = 0.5;
+    params.footprint_bytes = 2048;
+    params.pairs = 300;
+    const auto graph = tt::workloads::buildSyntheticSim(config, params);
+
+    tt::load::ArrivalConfig arrivals;
+    arrivals.seed = 9;
+    arrivals.process = tt::load::ArrivalProcess::Bursty;
+    arrivals.rate = 7.0e5;
+    arrivals.burst_period_seconds = 400.0 / arrivals.rate;
+    arrivals.slo_seconds = 10e-6;
+    const tt::load::ArrivalPlan plan =
+        tt::load::buildArrivalPlan(arrivals, params.pairs);
+
+    MetricsRegistry metrics;
+    tt::exec::EngineOptions options;
+    options.metrics = &metrics;
+    options.arrival_plan = &plan;
+    options.admission.queue_cap = 16;
+    options.admission.service_tml = 0.35e-6;
+    options.admission.service_tql = 0.17e-6;
+    options.admission.service_tc = 1.0e-6;
+    DynamicThrottlePolicy policy(config.contexts(), 16);
+    policy.setSloAware();
+    policy.bindMetrics(&metrics);
+    tt::cpu::SimMachine machine(config);
+    tt::simrt::SimRuntime runtime(machine, graph, policy, options);
+    const auto result = runtime.run();
+    ASSERT_FALSE(result.failed) << result.failure_reason;
+
+    const std::vector<std::string> expected{
+        "runtime.queue_wait_seconds 286 0:193 1:55 2:29 3:9",
+        "runtime.ready_compute_depth 572 0:572",
+        "runtime.ready_memory_depth 572 0:180 1:109 2:149 3:107 4:27",
+        "runtime.response_seconds 286 1:134 2:121 3:31",
+        "runtime.tc_seconds.mtl=1 37 10:37",
+        "runtime.tc_seconds.mtl=2 230 10:230",
+        "runtime.tc_seconds.mtl=4 19 10:19",
+        "runtime.tm_seconds.mtl=1 37 9:21 10:16",
+        "runtime.tm_seconds.mtl=2 230 9:27 10:202 11:1",
+        "runtime.tm_seconds.mtl=4 19 9:4 10:15",
+    };
+    EXPECT_EQ(runtimeHistogramDigest(metrics), expected);
+}
+
+/**
+ * Four workers: every completion observes both ready depths once, and
+ * every pair its T_m and T_c under the MTL it ran at, whichever
+ * worker interned that MTL's ids first.
+ */
+TEST(HotMetrics, HostCountsCoverEveryTaskAndPair)
+{
+    tt::workloads::SyntheticParams params;
+    params.pairs = 400;
+    params.footprint_bytes = 16 * 1024;
+    auto workload = tt::workloads::buildSyntheticHost(params, 4);
+
+    MetricsRegistry metrics;
+    DynamicThrottlePolicy policy(4, 4);
+    policy.bindMetrics(&metrics);
+    tt::exec::EngineOptions options;
+    options.threads = 4;
+    options.pin_affinity = false;
+    options.metrics = &metrics;
+    tt::runtime::Runtime runtime(workload.graph, policy, options);
+    const auto result = runtime.run();
+    ASSERT_FALSE(result.failed) << result.failure_reason;
+
+    const auto tasks =
+        static_cast<std::size_t>(workload.graph.taskCount());
+    const auto pairs =
+        static_cast<std::size_t>(workload.graph.pairCount());
+    EXPECT_EQ(metrics.histogram("runtime.ready_memory_depth").count(),
+              tasks);
+    EXPECT_EQ(metrics.histogram("runtime.ready_compute_depth").count(),
+              tasks);
+    EXPECT_EQ(countWithPrefix(metrics, "runtime.tm_seconds.mtl="), pairs);
+    EXPECT_EQ(countWithPrefix(metrics, "runtime.tc_seconds.mtl="), pairs);
+    EXPECT_EQ(result.samples.size(), pairs);
+}
+
+/**
+ * MTLs are the policy's, not bounded by the worker count: a static
+ * MTL of 6 on one and on two workers still publishes T_m and T_c
+ * under `mtl=6`.
+ */
+TEST(HotMetrics, MtlAboveTheContextCountGetsItsIds)
+{
+    tt::workloads::SyntheticParams params;
+    params.pairs = 64;
+    params.footprint_bytes = 16 * 1024;
+    auto workload = tt::workloads::buildSyntheticHost(params, 2);
+    const auto pairs =
+        static_cast<std::size_t>(workload.graph.pairCount());
+    for (const int threads : {1, 2}) {
+        MetricsRegistry metrics;
+        tt::core::StaticMtlPolicy policy(6, 6);
+        tt::exec::EngineOptions options;
+        options.threads = threads;
+        options.pin_affinity = false;
+        options.metrics = &metrics;
+        tt::runtime::Runtime runtime(workload.graph, policy, options);
+        const auto result = runtime.run();
+        ASSERT_FALSE(result.failed) << result.failure_reason;
+        EXPECT_EQ(metrics.histogram("runtime.tm_seconds.mtl=6").count(),
+                  pairs)
+            << threads << " workers";
+        EXPECT_EQ(metrics.histogram("runtime.tc_seconds.mtl=6").count(),
+                  pairs)
+            << threads << " workers";
+        EXPECT_EQ(countWithPrefix(metrics, "runtime.tm_seconds.mtl="),
+                  pairs);
+    }
 }
 
 } // namespace

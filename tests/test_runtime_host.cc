@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "core/dynamic_policy.hh"
@@ -169,6 +170,38 @@ TEST(HostRuntime, PhaseBarrierOrdersPhases)
     Runtime runtime(graph, policy, options(4));
     runtime.run();
     EXPECT_EQ(barrier_violations.load(), 0);
+}
+
+TEST(HostRuntime, PhaseBarriersHoldOverManyPhases)
+{
+    // Eight phases of 256 trivial pairs on four workers, twenty runs
+    // over: the barrier counts compute completions only, under the
+    // scheduler mutex, so every run must still keep each phase after
+    // the previous one and deliver one sample per pair.
+    constexpr int kPhases = 8;
+    constexpr int kPairsPerPhase = 256;
+    StreamProgramBuilder builder;
+    for (int p = 0; p < kPhases; ++p) {
+        builder.beginPhase("phase" + std::to_string(p));
+        builder.addPairs(kPairsPerPhase, [](int) {
+            PairSpec spec;
+            spec.bytes = 64;
+            spec.compute_cycles = 1;
+            return spec;
+        });
+    }
+    const TaskGraph graph = std::move(builder).build();
+    for (int run = 0; run < 20; ++run) {
+        ConventionalPolicy policy(4);
+        Runtime runtime(graph, policy, options(4));
+        const auto result = runtime.run();
+        ASSERT_FALSE(result.failed) << result.failure_reason;
+        ASSERT_EQ(tt::exec::validateSchedule(graph, result, 4), "")
+            << "run " << run;
+        ASSERT_EQ(result.samples.size(),
+                  static_cast<std::size_t>(graph.pairCount()))
+            << "run " << run;
+    }
 }
 
 TEST(HostRuntime, SingleThreadStillCompletes)
