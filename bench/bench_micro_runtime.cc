@@ -196,9 +196,11 @@ void
 BM_HostRuntimePairDispatch(benchmark::State &state)
 {
     // Cost of scheduling one (trivial) pair through the real-thread
-    // runtime, single worker: queue + gate + timing overhead.
+    // runtime, single worker: queue + gate + timing overhead. Timed
+    // by the dispatch window, as BM_HostDispatchThroughput is, so the
+    // graph build, the pool's spawn and join and the calling thread's
+    // CPU time stay out.
     for (auto _ : state) {
-        state.PauseTiming();
         tt::stream::StreamProgramBuilder builder;
         builder.beginPhase("p");
         builder.addPairs(256, [](int) {
@@ -213,12 +215,14 @@ BM_HostRuntimePairDispatch(benchmark::State &state)
         opts.threads = 1;
         opts.pin_affinity = false;
         tt::runtime::Runtime runtime(graph, policy, opts);
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(runtime.run().samples.size());
+        const tt::exec::RunResult result = runtime.run();
+        benchmark::DoNotOptimize(result.samples.size());
+        const tt::exec::PhaseResult &phase = result.phases.front();
+        state.SetIterationTime(phase.end - phase.start);
     }
     state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_HostRuntimePairDispatch);
+BENCHMARK(BM_HostRuntimePairDispatch)->UseManualTime();
 
 void
 BM_MpmcQueuePushPop(benchmark::State &state)

@@ -29,6 +29,13 @@ ringCapacity(const EngineOptions &options, int task_count)
     return std::max<std::size_t>(1, wanted);
 }
 
+/** `task`'s index in its PairSlot's per-task arrays. */
+std::size_t
+sideOf(const Task &task)
+{
+    return static_cast<std::size_t>(task.kind);
+}
+
 } // namespace
 
 void
@@ -58,18 +65,14 @@ Engine::Engine(const stream::TaskGraph &graph,
                   options_.health.tick_seconds > 0.0,
               "health tick must be positive");
 
-    const auto n_tasks = static_cast<std::size_t>(graph_.taskCount());
-    deps_left_ = std::vector<std::atomic<int>>(n_tasks);
-    succs_.assign(n_tasks, {});
-    attempts_.assign(n_tasks, 0);
-    task_start_.assign(n_tasks, 0.0);
-    task_end_.assign(n_tasks, 0.0);
-    task_mtl_.assign(n_tasks, 0);
-    pair_mem_mtl_.assign(static_cast<std::size_t>(graph_.pairCount()), 0);
+    succs_.assign(static_cast<std::size_t>(graph_.taskCount()), {});
+    pairs_ = std::vector<PairSlot>(
+        static_cast<std::size_t>(graph_.pairCount()));
     for (const Task &task : graph_.tasks()) {
-        deps_left_[static_cast<std::size_t>(task.id)].store(
-            static_cast<int>(task.deps.size()),
-            std::memory_order_relaxed);
+        pairs_[static_cast<std::size_t>(task.pair)]
+            .deps_left[sideOf(task)]
+            .store(static_cast<int>(task.deps.size()),
+                   std::memory_order_relaxed);
         for (TaskId dep : task.deps)
             succs_[static_cast<std::size_t>(dep)].push_back(task.id);
     }
@@ -93,12 +96,11 @@ Engine::Engine(const stream::TaskGraph &graph,
             tt_assert(job.pair >= 0 && job.pair < graph_.pairCount(),
                       "arrival plan names pair ", job.pair,
                       " outside the graph");
-            tt_assert(
-                deps_left_[static_cast<std::size_t>(
-                               graph_.memoryTaskOf(job.pair))]
-                        .load(std::memory_order_relaxed) == 0,
-                "open-loop pairs must have dependency-free memory "
-                "tasks");
+            tt_assert(pairs_[static_cast<std::size_t>(job.pair)]
+                              .deps_left[0]
+                              .load(std::memory_order_relaxed) == 0,
+                      "open-loop pairs must have dependency-free memory "
+                      "tasks");
         }
     }
 }
@@ -117,15 +119,16 @@ Engine::activatePhaseLocked(int phase, double now)
     // Snapshot the initially-ready set BEFORE the first enqueue. An
     // enqueued task is instantly poppable: a worker thread can run
     // and complete it lock-free while this loop is still scanning,
-    // releasing a same-phase compute successor whose deps_left_ then
+    // releasing a same-phase compute successor whose deps_left then
     // reads zero -- tripping the memory-only invariant, which holds
     // for the pre-activation state only.
     std::vector<const Task *> initially_ready;
     for (const Task &task : graph_.tasks()) {
         if (task.phase != phase)
             continue;
-        if (deps_left_[static_cast<std::size_t>(task.id)].load(
-                std::memory_order_relaxed) == 0) {
+        if (pairs_[static_cast<std::size_t>(task.pair)]
+                .deps_left[sideOf(task)]
+                .load(std::memory_order_relaxed) == 0) {
             tt_assert(task.kind == TaskKind::Memory,
                       "only memory tasks can be initially ready");
             initially_ready.push_back(&task);
@@ -208,9 +211,12 @@ Engine::openSpan(int pair, int priority, double arrival)
     span.priority = priority;
     span.open_loop = open_loop_;
     span.arrival = arrival;
+    // Room for a memory and a compute attempt, reserved here so that
+    // no worker reallocates on the second append.
+    span.attempts.reserve(2);
     // Release pairs with the fast path's acquire load: a worker that
     // sees the flag also sees the initialized span fields.
-    span_open_[static_cast<std::size_t>(pair)].store(
+    pairs_[static_cast<std::size_t>(pair)].span_open.store(
         true, std::memory_order_release);
 }
 
@@ -221,12 +227,12 @@ Engine::spanAttempt(stream::TaskId id, int worker,
 {
     const Task &task = graph_.task(id);
     const auto pair = static_cast<std::size_t>(task.pair);
-    if (!span_open_[pair].load(std::memory_order_acquire))
+    if (!pairs_[pair].span_open.load(std::memory_order_acquire))
         return;
     obs::SpanAttempt attempt;
     attempt.task = id;
     attempt.is_memory = task.kind == TaskKind::Memory;
-    attempt.attempt = attempts_[static_cast<std::size_t>(id)];
+    attempt.attempt = pairs_[pair].attempts[sideOf(task)];
     attempt.worker = worker;
     attempt.start = outcome.start;
     attempt.end = outcome.end;
@@ -243,7 +249,7 @@ void
 Engine::finishSpan(int pair, double end, obs::SpanOutcome outcome)
 {
     const auto index = static_cast<std::size_t>(pair);
-    if (!span_open_[index].load(std::memory_order_acquire))
+    if (!pairs_[index].span_open.load(std::memory_order_acquire))
         return;
     obs::JobSpan &span = open_span_[index];
     span.end = end;
@@ -255,14 +261,14 @@ void
 Engine::recordSpanLocked(int pair)
 {
     const auto index = static_cast<std::size_t>(pair);
-    if (!span_open_[index].load(std::memory_order_acquire))
+    if (!pairs_[index].span_open.load(std::memory_order_acquire))
         return;
     obs::JobSpan &span = open_span_[index];
     const std::uint64_t t0 = wallNanos();
     span_ring_->record(std::move(span));
     obs_span_record_ns_ += wallNanos() - t0;
     span = obs::JobSpan{};
-    span_open_[index].store(false, std::memory_order_release);
+    pairs_[index].span_open.store(false, std::memory_order_release);
 }
 
 void
@@ -388,11 +394,9 @@ Engine::tryDispatch(int context, AttemptSpec &spec)
     const Task &task = graph_.task(id);
     contexts_[c].running.store(id, std::memory_order_relaxed);
     // Fresh dispatches are always attempt 0: failed tasks never
-    // requeue (the retry stays reserved on its context), so these
-    // slots are quiescent for everyone else.
-    task_mtl_[static_cast<std::size_t>(id)] = mtl;
-    if (task.kind == TaskKind::Memory)
-        pair_mem_mtl_[static_cast<std::size_t>(task.pair)] = mtl;
+    // requeue (the retry stays reserved on its context), so this
+    // field is quiescent for everyone else.
+    pairs_[static_cast<std::size_t>(task.pair)].mtl[sideOf(task)] = mtl;
     spec = attemptSpec(id);
     return true;
 }
@@ -400,11 +404,13 @@ Engine::tryDispatch(int context, AttemptSpec &spec)
 AttemptSpec
 Engine::attemptSpec(TaskId id) const
 {
+    const Task &task = graph_.task(id);
     AttemptSpec spec;
     spec.task = id;
-    spec.attempt = attempts_[static_cast<std::size_t>(id)];
+    spec.attempt =
+        pairs_[static_cast<std::size_t>(task.pair)].attempts[sideOf(task)];
     spec.rerun_memory_first =
-        spec.attempt > 0 && graph_.task(id).kind == TaskKind::Compute;
+        spec.attempt > 0 && task.kind == TaskKind::Compute;
     const fault::FaultPlan *plan = options_.fault_plan;
     if (plan != nullptr && plan->enabled()) {
         spec.faults = plan->forTask(id, spec.attempt);
@@ -432,7 +438,10 @@ void
 Engine::failAttemptLocked(int context, TaskId id,
                           const AttemptOutcome &outcome)
 {
-    const int attempt = attempts_[static_cast<std::size_t>(id)];
+    const Task &task = graph_.task(id);
+    int &attempts =
+        pairs_[static_cast<std::size_t>(task.pair)].attempts[sideOf(task)];
+    const int attempt = attempts;
     if (!run_failed_.load(std::memory_order_relaxed) &&
         attempt < options_.max_task_retries) {
         const double backoff =
@@ -442,7 +451,7 @@ Engine::failAttemptLocked(int context, TaskId id,
         // Record the failed attempt -- and the backoff it was
         // granted -- on the pair's span before bumping the counter.
         spanAttempt(id, context, outcome, true, backoff);
-        ++attempts_[static_cast<std::size_t>(id)];
+        ++attempts;
         task_retries_.fetch_add(1, std::memory_order_relaxed);
         if (MetricsRegistry *metrics = options_.metrics)
             metrics->add("runtime.task_retries", 1);
@@ -466,9 +475,8 @@ Engine::failAttemptLocked(int context, TaskId id,
                         " failed after " +
                         std::to_string(options_.max_task_retries) +
                         " retries: " + outcome.error);
-    const stream::PairId pair = graph_.task(id).pair;
-    finishSpan(pair, outcome.end, obs::SpanOutcome::Failed);
-    recordSpanLocked(pair);
+    finishSpan(task.pair, outcome.end, obs::SpanOutcome::Failed);
+    recordSpanLocked(task.pair);
 }
 
 void
@@ -501,8 +509,10 @@ Engine::recordAttemptEvent(int context, TaskId id,
                            const AttemptOutcome &outcome)
 {
     const Task &task = graph_.task(id);
-    task_start_[static_cast<std::size_t>(id)] = outcome.start;
-    task_end_[static_cast<std::size_t>(id)] = outcome.end;
+    PairSlot &pair = pairs_[static_cast<std::size_t>(task.pair)];
+    const std::size_t side = sideOf(task);
+    pair.start[side] = outcome.start;
+    pair.end[side] = outcome.end;
 
     obs::TaskEvent event;
     event.task = id;
@@ -512,8 +522,8 @@ Engine::recordAttemptEvent(int context, TaskId id,
     event.worker = context;
     event.start = outcome.start;
     event.end = outcome.end;
-    event.mtl = task_mtl_[static_cast<std::size_t>(id)];
-    event.attempt = attempts_[static_cast<std::size_t>(id)];
+    event.mtl = pair.mtl[side];
+    event.attempt = pair.attempts[side];
     ContextSlot &slot = contexts_[static_cast<std::size_t>(context)];
     if (outcome.has_counters) {
         // The delta covers this (successful) attempt's body only --
@@ -539,102 +549,138 @@ Engine::completeAttempt(int context, TaskId id,
     ContextSlot &slot = contexts_[c];
     recordAttemptEvent(context, id, outcome);
     const Task &task = graph_.task(id);
-    if (task.kind == TaskKind::Memory) {
+    const bool memory = task.kind == TaskKind::Memory;
+    const auto p = static_cast<std::size_t>(task.pair);
+    PairSlot &pair = pairs_[p];
+    if (memory) {
         gate_->release(c);
-        observeReadyDepths(context);
-        unlockSuccessors(id, outcome.end);
-        slot.done.store(slot.done.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-        // Release the context last, and seq_cst: against the
-        // run_failed_ load below, a failing thread either sees this
-        // context idle or this worker sees the failure and runs the
-        // finish check itself.
-        slot.running.store(stream::kInvalidTask,
-                           std::memory_order_seq_cst);
-        wakeWorkers(); // the freed gate slot may unblock a parked worker
-        // A worker thread pulls its next attempt itself; it needs the
-        // lock only when the run aborted meanwhile.
-        if (pull_mode_ && !run_failed_.load(std::memory_order_seq_cst))
-            return;
-        std::lock_guard lock(mutex_);
-        tryScheduleLocked();
-        maybeFinishLocked();
-        return;
+    } else {
+        // Pair complete. Everything up to the hand-off is pair-local:
+        // the memory task's times and MTL, the pair's job stamps and
+        // span were published to this thread along the pair's
+        // dependency chain, and the metrics go to this context's shard.
+        const core::PairSample sample = pairSample(task.pair);
+        if (metric_shards_.has_value() && std::isfinite(sample.tm) &&
+            std::isfinite(sample.tc))
+            observePairTimes(context, sample);
+        if (open_loop_) {
+            // Deadline accounting against the *actual* completion:
+            // the admission model predicted, this is ground truth.
+            const double arrival = job_arrival_stamp_[p];
+            const double response = outcome.end - arrival;
+            if (metric_shards_.has_value()) {
+                metric_shards_->observe(c, hot_ids_.response_seconds,
+                                        std::max(response, 0.0));
+                metric_shards_->observe(
+                    c, hot_ids_.queue_wait_seconds,
+                    std::max(pair.start[0] - arrival, 0.0));
+            }
+            pair.deadline_missed = job_slo_[p] > 0.0 && response > job_slo_[p];
+        }
+        finishSpan(task.pair, outcome.end,
+                   pair.deadline_missed ? obs::SpanOutcome::DeadlineMiss
+                                        : obs::SpanOutcome::Completed);
     }
+    observeReadyDepths(context);
+    unlockSuccessors(id, outcome.end);
+    slot.done.store(slot.done.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+    if (!memory) {
+        // Push the pair before the context is released, so that a
+        // finish check that reads the context idle drains the pair.
+        stream::PairId head = handoff_head_.load(std::memory_order_relaxed);
+        do
+            pair.next = head;
+        while (!handoff_head_.compare_exchange_weak(
+            head, task.pair, std::memory_order_seq_cst,
+            std::memory_order_relaxed));
+    }
+    // Release the context last, and seq_cst: against the run_failed_
+    // load below, a failing thread's finish check either sees this
+    // context idle or this worker sees the failure and runs the check
+    // itself -- and that check drains the list.
+    slot.running.store(stream::kInvalidTask, std::memory_order_seq_cst);
+    if (memory)
+        wakeWorkers(); // the freed gate slot may unblock a parked worker
+    if (!run_failed_.load(std::memory_order_seq_cst)) {
+        if (!memory) {
+            combinePairs();
+            return;
+        }
+        if (pull_mode_)
+            return; // a worker thread pulls its next attempt itself
+    }
+    std::lock_guard lock(mutex_);
+    tryScheduleLocked();
+    maybeFinishLocked();
+}
 
-    // Pair complete. Everything up to the lock is pair-local: the
-    // memory task's times and MTL, the pair's job stamps and span
-    // were published to this thread along the pair's dependency
-    // chain, and the metrics go to this context's shard.
-    const stream::PairId pair = task.pair;
-    const auto p = static_cast<std::size_t>(pair);
-    const auto mem = static_cast<std::size_t>(graph_.memoryTaskOf(pair));
+core::PairSample
+Engine::pairSample(stream::PairId pair) const
+{
+    const PairSlot &slot = pairs_[static_cast<std::size_t>(pair)];
     core::PairSample sample;
-    sample.tm = task_end_[mem] - task_start_[mem];
-    sample.tc = outcome.end - outcome.start;
-    sample.end_time = outcome.end;
-    sample.mtl = pair_mem_mtl_[p];
+    sample.tm = slot.end[0] - slot.start[0];
+    sample.tc = slot.end[1] - slot.start[1];
+    sample.end_time = slot.end[1];
+    sample.mtl = slot.mtl[0];
     if (options_.fault_plan && options_.fault_plan->enabled()) {
         // Corruption models a broken clock read at measurement
         // time. Keyed by the compute task with attempt 0 so the
         // same pairs corrupt regardless of retry history -- and
         // identically on every backend.
-        const fault::TaskFaults faults =
-            options_.fault_plan->forTask(id, 0);
-        if (faults.corrupt_sample) {
+        const TaskId id = graph_.computeTaskOf(pair);
+        if (options_.fault_plan->forTask(id, 0).corrupt_sample) {
             sample.tm = options_.fault_plan->corruptValue(id, 0);
             sample.tc = options_.fault_plan->corruptValue(id, 1);
         }
     }
-    const bool publish_times = metric_shards_.has_value() &&
-                               std::isfinite(sample.tm) &&
-                               std::isfinite(sample.tc);
-    const MtlIds *ids =
-        publish_times ? cachedMtlIds(context, sample.mtl) : nullptr;
-    if (ids != nullptr)
-        observePairTimes(context, *ids, sample);
-
-    double response = 0.0;
-    bool deadline_missed = false;
-    if (open_loop_) {
-        // Deadline accounting against the *actual* completion:
-        // the admission model predicted, this is ground truth.
-        const double arrival = job_arrival_stamp_[p];
-        response = outcome.end - arrival;
-        if (metric_shards_.has_value()) {
-            metric_shards_->observe(c, hot_ids_.response_seconds,
-                                    std::max(response, 0.0));
-            metric_shards_->observe(c, hot_ids_.queue_wait_seconds,
-                                    std::max(task_start_[mem] - arrival,
-                                             0.0));
-        }
-        const double slo = job_slo_[p];
-        deadline_missed = slo > 0.0 && response > slo;
-    }
-    finishSpan(pair, outcome.end,
-               deadline_missed ? obs::SpanOutcome::DeadlineMiss
-                               : obs::SpanOutcome::Completed);
-    observeReadyDepths(context);
-    unlockSuccessors(id, outcome.end);
-
-    std::lock_guard lock(mutex_);
-    completePairLocked(context, id, sample, publish_times && ids == nullptr,
-                       response, deadline_missed);
-    tryScheduleLocked();
-    maybeFinishLocked();
+    return sample;
 }
 
 void
-Engine::completePairLocked(int context, TaskId id,
-                           const core::PairSample &sample,
-                           bool publish_times, double response,
-                           bool deadline_missed)
+Engine::combinePairs()
 {
-    ContextSlot &slot = contexts_[static_cast<std::size_t>(context)];
-    const stream::PairId pair = graph_.task(id).pair;
-    if (publish_times)
-        observePairTimes(context, resolveMtlIdsLocked(context, sample.mtl),
-                         sample);
+    // Flat combining: the token holder drains every pair pushed so
+    // far, and a completion that finds the token held goes back to
+    // work. The link CAS, the token exchange, the token-clearing
+    // store and the re-check below are all seq_cst, so a push that
+    // lost the token race is seen by the holder's re-check (the
+    // sharded gate's store-buffer argument, docs/substrate.md).
+    while (handoff_head_.load(std::memory_order_seq_cst) != kNoPair &&
+           !combining_.exchange(true, std::memory_order_seq_cst)) {
+        {
+            std::lock_guard lock(mutex_);
+            maybeFinishLocked(); // drains the list first
+            tryScheduleLocked();
+        }
+        combining_.store(false, std::memory_order_seq_cst);
+    }
+}
+
+void
+Engine::drainPairsLocked()
+{
+    // The list links newest first: reverse it, so the policy sees the
+    // pairs in push order.
+    stream::PairId pair =
+        handoff_head_.exchange(kNoPair, std::memory_order_seq_cst);
+    stream::PairId first = kNoPair;
+    while (pair != kNoPair) {
+        PairSlot &slot = pairs_[static_cast<std::size_t>(pair)];
+        first = std::exchange(pair, std::exchange(slot.next, first));
+    }
+    for (stream::PairId newer; first != kNoPair; first = newer) {
+        newer = pairs_[static_cast<std::size_t>(first)].next;
+        completePairLocked(first);
+    }
+}
+
+void
+Engine::completePairLocked(stream::PairId pair)
+{
+    const auto p = static_cast<std::size_t>(pair);
+    const core::PairSample sample = pairSample(pair);
     backend_->pairCompleted(graph_.task(graph_.memoryTaskOf(pair)));
     samples_.push_back(sample);
     policy_.onPairMeasured(sample);
@@ -642,19 +688,14 @@ Engine::completePairLocked(int context, TaskId id,
     if (health_.has_value())
         health_->onPairMeasured(sample.tm, sample.mtl);
     if (open_loop_) {
-        response_log_.push_back(response);
-        if (deadline_missed) {
+        response_log_.push_back(sample.end_time - job_arrival_stamp_[p]);
+        if (pairs_[p].deadline_missed) {
             ++jobs_deadline_missed_;
             if (MetricsRegistry *metrics = options_.metrics)
                 metrics->add("runtime.jobs_deadline_missed", 1);
         }
     }
     recordSpanLocked(pair);
-    // Counted done in the same critical section that appended the
-    // sample, so no finish check can see the pair done before it.
-    slot.done.store(slot.done.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-    slot.running.store(stream::kInvalidTask, std::memory_order_relaxed);
 
     if (--phase_remaining_ == 0 &&
         current_phase_ + 1 < graph_.phaseCount()) {
@@ -679,54 +720,43 @@ Engine::observeReadyDepths(int context)
 }
 
 void
-Engine::observePairTimes(int context, const MtlIds &ids,
-                         const core::PairSample &sample)
+Engine::observePairTimes(int context, const core::PairSample &sample)
 {
     const auto c = static_cast<std::size_t>(context);
+    std::vector<MtlIds> &cache = contexts_[c].mtl_ids;
+    const auto k = static_cast<std::size_t>(std::max(sample.mtl, 0));
+    MtlIds ids;
+    if (sample.mtl >= 0 && k < cache.size() && cache[k].resolved) {
+        ids = cache[k];
+    } else {
+        const std::string suffix = ".mtl=" + std::to_string(sample.mtl);
+        ids = {metric_shards_->histogram("runtime.tm_seconds" + suffix),
+               metric_shards_->histogram("runtime.tc_seconds" + suffix),
+               true};
+        if (sample.mtl >= 0) {
+            cache.resize(std::max(cache.size(), k + 1));
+            cache[k] = ids;
+        }
+    }
     metric_shards_->observe(c, ids.tm, sample.tm);
     metric_shards_->observe(c, ids.tc, sample.tc);
-}
-
-const Engine::MtlIds *
-Engine::cachedMtlIds(int context, int mtl) const
-{
-    const std::vector<MtlIds> &cache =
-        contexts_[static_cast<std::size_t>(context)].mtl_ids;
-    const auto k = static_cast<std::size_t>(mtl);
-    return mtl >= 0 && k < cache.size() && cache[k].resolved ? &cache[k]
-                                                             : nullptr;
-}
-
-Engine::MtlIds
-Engine::resolveMtlIdsLocked(int context, int mtl)
-{
-    const std::string suffix = ".mtl=" + std::to_string(mtl);
-    const MtlIds ids{
-        metric_shards_->histogram("runtime.tm_seconds" + suffix),
-        metric_shards_->histogram("runtime.tc_seconds" + suffix), true};
-    if (mtl >= 0) {
-        std::vector<MtlIds> &cache =
-            contexts_[static_cast<std::size_t>(context)].mtl_ids;
-        if (static_cast<std::size_t>(mtl) >= cache.size())
-            cache.resize(static_cast<std::size_t>(mtl) + 1);
-        cache[static_cast<std::size_t>(mtl)] = ids;
-    }
-    return ids;
 }
 
 void
 Engine::unlockSuccessors(TaskId id, double now)
 {
     // The final decrement (acq_rel) publishes this task's completion
-    // state -- task_start_/task_end_ above all -- to whichever worker
-    // later pops the successor off a ring.
+    // state -- its times above all -- to whichever worker later pops
+    // the successor off a ring.
     for (TaskId succ : succs_[static_cast<std::size_t>(id)]) {
-        if (deps_left_[static_cast<std::size_t>(succ)].fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
+        const Task &task = graph_.task(succ);
+        if (pairs_[static_cast<std::size_t>(task.pair)]
+                .deps_left[sideOf(task)]
+                .fetch_sub(1, std::memory_order_acq_rel) == 1) {
             // A dependency-unlocked memory task starts its pair's
             // span: runnable from this completion on.
-            if (graph_.task(succ).kind == TaskKind::Memory)
-                openSpan(graph_.task(succ).pair, 0, now);
+            if (task.kind == TaskKind::Memory)
+                openSpan(task.pair, 0, now);
             enqueueReady(succ);
         }
     }
@@ -789,27 +819,29 @@ Engine::abandonPendingRetriesLocked()
 void
 Engine::maybeFinishLocked()
 {
+    // A failed run finishes once idle: a context stays reserved
+    // through its running body *and* its retry backoff, so no
+    // reservation means every in-flight attempt has delivered. A
+    // compute completion pushes its pair before it releases its
+    // context, so the drain below, after the scan, takes every pair
+    // an idle context handed off.
+    bool idle = run_failed_.load(std::memory_order_relaxed);
+    for (const ContextSlot &slot : contexts_)
+        idle = idle && slot.running.load(std::memory_order_seq_cst) ==
+                           stream::kInvalidTask;
+    drainPairsLocked();
     if (finished_)
         return;
-    // Drained once every pair completed (compute completions count
-    // under this mutex, and a pair's memory task completes before its
+    // Drained once every pair completed (its sample is appended as it
+    // is drained, and a pair's memory task completes before its
     // compute task dispatches) or was shed -- and, open-loop, once
     // every plan job was delivered.
     const bool drained =
         (!open_loop_ || next_job_ >= options_.arrival_plan->size()) &&
         static_cast<long>(samples_.size()) + jobs_shed_ ==
             graph_.pairCount();
-    if (!drained) {
-        // A failed run finishes once idle: a context stays reserved
-        // through its running body *and* its retry backoff, so no
-        // reservation means every in-flight attempt has delivered.
-        if (!run_failed_.load(std::memory_order_relaxed))
-            return;
-        for (const ContextSlot &slot : contexts_)
-            if (slot.running.load(std::memory_order_seq_cst) !=
-                stream::kInvalidTask)
-                return;
-    }
+    if (!drained && !idle)
+        return;
     finished_ = true;
     drain_seconds_ = backend_->now();
     run_complete_.store(true, std::memory_order_seq_cst);
@@ -1166,9 +1198,6 @@ Engine::run(ExecutionBackend &backend)
     span_ring_.emplace(std::max<std::size_t>(
         1, std::min(options_.span_capacity, n_pairs)));
     open_span_.assign(n_pairs, obs::JobSpan{});
-    span_open_ = std::vector<std::atomic<bool>>(n_pairs);
-    for (auto &flag : span_open_)
-        flag.store(false, std::memory_order_relaxed);
 
     backend.beginRun(*this);
 
@@ -1325,16 +1354,11 @@ Engine::finishResult()
         double end = 0.0;
         for (int p = phase.first_pair;
              p < phase.first_pair + phase.pair_count; ++p) {
-            const TaskId mem_id = graph_.memoryTaskOf(p);
-            const TaskId cmp_id = graph_.computeTaskOf(p);
-            tm += task_end_[static_cast<std::size_t>(mem_id)] -
-                  task_start_[static_cast<std::size_t>(mem_id)];
-            tc += task_end_[static_cast<std::size_t>(cmp_id)] -
-                  task_start_[static_cast<std::size_t>(cmp_id)];
-            start = std::min(
-                start, task_start_[static_cast<std::size_t>(mem_id)]);
-            end = std::max(end,
-                           task_end_[static_cast<std::size_t>(cmp_id)]);
+            const PairSlot &slot = pairs_[static_cast<std::size_t>(p)];
+            tm += slot.end[0] - slot.start[0];
+            tc += slot.end[1] - slot.start[1];
+            start = std::min(start, slot.start[0]);
+            end = std::max(end, slot.end[1]);
         }
         if (phase.pair_count > 0) {
             pr.tm_mean = tm / phase.pair_count;

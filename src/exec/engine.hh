@@ -498,13 +498,15 @@ class ExecutionBackend
  *
  * Thread-safe, with one scheduler state for every backend: MPMC
  * ready rings, a sharded admission gate standing in for the paper's
- * "counter", atomic dependency counts and one cache-line-aligned
- * slot per context (its reservation, retry state and progress). The
- * per-task fast path -- dispatch through tryDispatch(), MTL
- * admission, memory-task completion, successor unlock, trace and
- * metric publication -- is lock-free, and a compute completion does
- * its pair-local work (sample, span, metrics, successor unlock)
- * before it takes the mutex. The mutex covers only what must stay
+ * "counter", one cache-line slot per pair (dependency counts,
+ * attempts, times, MTLs, span flag, hand-off link) and one per
+ * context (its reservation, retry state and progress). The per-task
+ * fast path -- dispatch through tryDispatch(), MTL admission,
+ * completion, successor unlock, trace and metric publication -- is
+ * lock-free. A compute completion does its pair-local work, pushes
+ * its pair onto a lock-free hand-off list and goes back to work;
+ * whichever thread takes the combiner token drains the list into the
+ * policy under the mutex. The mutex covers only what must stay
  * serialized with the policy: sample delivery, retries, failures,
  * arrivals, phase barriers, watchdog and finish.
  *
@@ -598,18 +600,42 @@ class Engine
          *  only the owning worker claims Due->None, lock-free. */
         std::atomic<RetryState> retry{RetryState::None};
         ExecutionBackend::TimerToken retry_token = 0; ///< under mutex_
-        /** Tasks this context completed: a memory task at the end of
-         *  its lock-free completion, a compute task in the critical
-         *  section that appends its sample. */
+        /** Tasks this context completed, counted by the completion
+         *  itself before it releases the context. */
         std::atomic<int> done{0};
         /** Wall ns spent recording this context's trace events. */
         std::uint64_t trace_record_ns = 0;
         bool saw_counters = false;
         obs::perf::CounterSet counters; ///< hw-counter totals
-        /** tm/tc ids by MTL, resolved (under mutex_) the first time
-         *  this context measures a pair at that MTL. */
+        /** tm/tc ids by MTL, interned by this context the first time
+         *  it measures a pair at that MTL. */
         std::vector<MtlIds> mtl_ids;
     };
+
+    static constexpr stream::PairId kNoPair = -1; ///< list end
+
+    /**
+     * Everything the engine tracks for one pair, in one cache line,
+     * so no completion writes a line another pair's completion
+     * writes. Per-task arrays are indexed by stream::TaskKind, memory
+     * 0 and compute 1. The pair's dependency chain (dispatch, memory
+     * completion, compute dispatch and completion, the hand-off's
+     * link CAS) orders every access to the plain fields.
+     */
+    struct alignas(64) PairSlot
+    {
+        /** Unfinished dependencies per task; the final fetch_sub
+         *  (acq_rel) publishes the predecessor's times. */
+        std::array<std::atomic<int>, 2> deps_left;
+        std::array<int, 2> attempts{}; ///< failed attempts per task
+        std::array<int, 2> mtl{};      ///< MTL at first dispatch
+        std::array<double, 2> start{}; ///< last attempt's body start
+        std::array<double, 2> end{};   ///< ... and end
+        stream::PairId next = kNoPair; ///< hand-off link, older pair
+        std::atomic<bool> span_open{false}; ///< span in assembly
+        bool deadline_missed = false;       ///< open-loop verdict
+    };
+    static_assert(sizeof(PairSlot) == 64, "one cache line per pair");
 
     void activatePhaseLocked(int phase, double now);
     /** Admit every plan job due at or before plan offset `upto`. */
@@ -632,12 +658,10 @@ class Engine
     /**
      * Successful attempt: record it, unlock its successors, release
      * its gate slot and context, and run the dispatch scan and finish
-     * check where they are due. A memory completion needs no mutex_
-     * -- everything it touches is context-owned, pair-serialized or
-     * atomic -- unless the run failed meanwhile. A compute completion
-     * does its pair-local work first (trace event, sample, T_m/T_c,
-     * response and depth metrics, span critical path, successor
-     * unlock), then takes mutex_ for completePairLocked().
+     * check where they are due. A compute completion first does its
+     * pair-local work (sample, metrics, span critical path) and
+     * pushes its pair onto the hand-off list; it takes mutex_ only in
+     * combinePairs() or when the run failed meanwhile.
      */
     void completeAttempt(int context, stream::TaskId id,
                          const AttemptOutcome &outcome);
@@ -651,7 +675,7 @@ class Engine
      *  it (exhausted task, or a retry a failed run abandoned). */
     void abandonAttemptLocked(int context);
     void abandonPendingRetriesLocked();
-    /** Finish the run when drained (or failed and idle). */
+    /** Drain the hand-off list; finish when drained (or failed, idle). */
     void maybeFinishLocked();
     /** Watchdog timer fired: terminate (host) or fail in-band. */
     void onWatchdogDeadline();
@@ -689,22 +713,20 @@ class Engine
     void unlockSuccessors(stream::TaskId id, double now);
     /** Observe both ready-ring depths (metrics on). */
     void observeReadyDepths(int context);
-    /** Observe a pair's T_m and T_c under its MTL's ids. */
-    void observePairTimes(int context, const MtlIds &ids,
-                          const core::PairSample &sample);
-    /** `context`'s cached tm/tc ids of `mtl`; nullptr until resolved. */
-    const MtlIds *cachedMtlIds(int context, int mtl) const;
-    /** Intern the tm/tc names of `mtl` and cache the ids for
-     *  `context`: the one place a completion builds a metric name. */
-    MtlIds resolveMtlIdsLocked(int context, int mtl);
-    /** Compute-completion critical section: hand the sample to the
-     *  policy, record the span, count the pair done, trip the phase
-     *  barrier. `publish_times` is set when the pair's T_m/T_c still
-     *  await their first ids on this context. */
-    void completePairLocked(int context, stream::TaskId id,
-                            const core::PairSample &sample,
-                            bool publish_times, double response,
-                            bool deadline_missed);
+    /** Observe a pair's T_m and T_c, interning the names of a new
+     *  MTL for `context`: the one place a completion builds a name. */
+    void observePairTimes(int context, const core::PairSample &sample);
+    /** The sample of completed `pair`, with fault-plan corruption. */
+    core::PairSample pairSample(stream::PairId pair) const;
+    /** While pairs wait and the combiner token is free: take it and
+     *  run the finish check, which drains, then the dispatch scan. */
+    void combinePairs();
+    /** Complete every handed-off pair, in push order. */
+    void drainPairsLocked();
+    /** Pair-completion critical section, run by the drainer: hand the
+     *  sample to the policy and the health engine, append it, record
+     *  the span, trip the phase barrier. */
+    void completePairLocked(stream::PairId pair);
     /** Tasks completed so far, summed over the context slots. */
     int tasksDone() const;
     /** Abort the run once: reason, warn, abandon reservations. */
@@ -718,29 +740,24 @@ class Engine
     /** Nudge parked workers (ring push, retry fire, MTL raise...). */
     void wakeWorkers();
 
+    // Four groups by who writes them, each on its own cache lines
+    // (docs/substrate.md, "Member layout"). First the read-mostly run
+    // state: set before the workers start, read on every attempt.
     const stream::TaskGraph &graph_;
     core::SchedulingPolicy &policy_;
     const EngineOptions &options_;
     ExecutionBackend *backend_ = nullptr;
-
-    std::mutex mutex_;
-
-    /** Per-task unfinished-dependency counts, decremented with
-     *  fetch_sub(acq_rel): the final decrement carries the
-     *  happens-before edge from predecessor completion state
-     *  (task_start_/task_end_) to the dispatcher. */
-    std::vector<std::atomic<int>> deps_left_;
+    /** backend->pullDispatch(): worker threads pop the rings. */
+    bool pull_mode_ = false;
+    bool open_loop_ = false; ///< see EngineOptions::arrival_plan
     std::vector<std::vector<stream::TaskId>> succs_;
+    std::vector<PairSlot> pairs_;       ///< one per pair
+    std::vector<ContextSlot> contexts_; ///< one per execution context
     /** Ready tasks, FIFO per kind, sized to the pair count: a task
      *  is enqueued at most once (a failed attempt stays reserved on
      *  its context), so pushes cannot fail. */
     std::optional<util::MpmcQueue<stream::TaskId>> ready_memory_;
     std::optional<util::MpmcQueue<stream::TaskId>> ready_compute_;
-    std::vector<ContextSlot> contexts_; ///< one per execution context
-    std::vector<int> attempts_; ///< failed attempts per task
-
-    /** backend->pullDispatch(): worker threads pop the rings. */
-    bool pull_mode_ = false;
     std::optional<util::ShardedGate> gate_; ///< memory tasks in flight
     /** The hot-path metrics (set when options_.metrics is), by id:
      *  one shard per worker thread; none for a single dispatcher,
@@ -756,25 +773,31 @@ class Engine
         obs::ShardedMetrics::CounterId worker_parks;
     };
     HotIds hot_ids_;
+    std::optional<obs::Tracer> tracer_; ///< one ring per context
+    /** Per pair, in assembly (see PairSlot::span_open). */
+    std::vector<obs::JobSpan> open_span_;
+    // Open-loop job stamps, per pair: written at admission, before
+    // the pair's memory task is enqueued.
+    std::vector<double> job_arrival_stamp_; ///< engine clock
+    std::vector<double> job_slo_;           ///< seconds
     /** policy_.currentMtl() mirrored after every policy interaction
      *  (all under mutex_); tryDispatch reads it lock-free as the
      *  admission bound. */
     std::atomic<int> mtl_cache_{0};
-    // Parking lot for idle workers. parked_ is a fast-path hint so
-    // producers skip the lot entirely while everyone is busy; the
-    // generation counter (under park_mutex_) makes wake-ups sticky
-    // across the register-then-recheck race.
-    std::mutex park_mutex_;
-    std::condition_variable park_cv_;
-    std::atomic<int> parked_{0};
-    std::uint64_t park_gen_ = 0;
-    /** Wake-ups that actually notified the lot (counted under
-     *  park_mutex_ on the already-slow notify path); parks are
-     *  counted per worker through the metric shards. */
-    std::uint64_t wake_notifies_ = 0;
+    // run_failed_ is written under mutex_ but read lock-free by
+    // completions, sleeping workers and the crash-dump path;
+    // run_complete_ gates late timer callbacks (watchdog, ticks).
+    std::atomic<bool> run_failed_{false};
+    std::atomic<bool> run_complete_{false};
 
-    // Open-loop state (see EngineOptions::arrival_plan).
-    bool open_loop_ = false;
+    // The combining hand-off, written by every compute completion:
+    // pairs linked through PairSlot::next, newest first, and a token.
+    alignas(64) std::atomic<stream::PairId> handoff_head_{kNoPair};
+    std::atomic<bool> combining_{false};
+
+    // The scheduler mutex and the state it guards, open-loop
+    // arrivals and admission first.
+    alignas(64) std::mutex mutex_;
     std::size_t next_job_ = 0;      ///< next undelivered plan job
     double scheduled_arrival_ = 0.0; ///< plan offset the timer targets
     ExecutionBackend::TimerToken arrival_token_ = 0;
@@ -787,26 +810,17 @@ class Engine
     long jobs_deadline_missed_ = 0;
     std::vector<JobRecord> job_log_;
     std::vector<double> response_log_;
-    std::vector<double> job_arrival_stamp_; ///< per pair, engine clock
-    std::vector<double> job_slo_;           ///< per pair, seconds
 
     int current_phase_ = -1;
     /** Compute tasks of the current phase not yet completed. Only
      *  compute completions count (a memory task is never the last of
-     *  its phase), and they count under mutex_. */
+     *  its phase), and they count as their pairs are drained. */
     int phase_remaining_ = 0;
     bool started_ = false;
     bool finished_ = false;
 
-    // Per-task and per-pair measurement state (engine-clock seconds).
-    std::vector<double> task_start_;
-    std::vector<double> task_end_;
-    std::vector<int> task_mtl_; ///< MTL at first dispatch (trace)
-    std::vector<int> pair_mem_mtl_;
     std::vector<core::PairSample> samples_;
     std::vector<RetryRecord> retry_log_;
-
-    std::optional<obs::Tracer> tracer_; ///< one ring per context
 
     // Per-job causal spans (see obs/span.hh). A span is recorded
     // into span_ring_ only under mutex_ (admitJobLocked,
@@ -816,11 +830,8 @@ class Engine
     // serialized by the pair's own dependency chain (memory
     // completes-before compute dispatches), but *different* pairs'
     // spans open, gain attempts and finish concurrently on worker
-    // threads, so the open flags must be independent atomics -- a
-    // packed vector<bool> would race on the shared words.
+    // threads, so each PairSlot has its own open flag.
     std::optional<obs::RecordRing<obs::JobSpan>> span_ring_;
-    std::vector<obs::JobSpan> open_span_; ///< per pair, in assembly
-    std::vector<std::atomic<bool>> span_open_;
 
     // Self-observability: wall-clock nanoseconds spent inside
     // observability code (steady clock on every backend -- this is
@@ -835,16 +846,12 @@ class Engine
      *  under mutex_; it times and publishes itself. */
     std::optional<obs::HealthEngine> health_;
 
-    // Fault tolerance. run_failed_ is written under mutex_ but read
-    // lock-free by sleeping workers and the crash-dump path.
-    std::atomic<bool> run_failed_{false};
+    // Fault tolerance.
     std::string failure_reason_;
     std::atomic<long> task_retries_{0};
     long task_failures_ = 0;
     bool watchdog_fired_ = false;
 
-    // run_complete_ gates late timer callbacks (watchdog, ticks).
-    std::atomic<bool> run_complete_{false};
     ExecutionBackend::TimerToken watchdog_token_ = 0;
     // The observation ticks re-arm their own token *outside* the
     // scheduler mutex, racing with the cancel at finish; atomic
@@ -853,6 +860,19 @@ class Engine
     std::array<std::atomic<ExecutionBackend::TimerToken>, 3>
         tick_token_{};
     double drain_seconds_ = -1.0; ///< engine clock at finish
+
+    // Parking lot for idle workers. parked_ is a fast-path hint so
+    // producers skip the lot entirely while everyone is busy; the
+    // generation counter (under park_mutex_) makes wake-ups sticky
+    // across the register-then-recheck race.
+    alignas(64) std::mutex park_mutex_;
+    std::condition_variable park_cv_;
+    std::atomic<int> parked_{0};
+    std::uint64_t park_gen_ = 0;
+    /** Wake-ups that actually notified the lot (counted under
+     *  park_mutex_ on the already-slow notify path); parks are
+     *  counted per worker through the metric shards. */
+    std::uint64_t wake_notifies_ = 0;
 };
 
 /**

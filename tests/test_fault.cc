@@ -688,4 +688,43 @@ TEST(HostStress, FourWorkersFailCleanlyWithRetriesInFlight)
     }
 }
 
+/**
+ * A run that fails while compute completions are still handing their
+ * pairs off: a completion in a failed run leaves its pair to the
+ * finish check, which must drain the hand-off list, so every compute
+ * task that ran has its sample and its Completed span.
+ */
+TEST(HostStress, FailedRunKeepsEveryHandedOffPair)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        FaultConfig config;
+        config.seed = seed;
+        config.fail_p = 0.02;
+        const FaultPlan plan(config);
+
+        CountedGraph counted = countedGraph(512);
+        ConventionalPolicy policy(4);
+        EngineOptions opts = hostOptions(4);
+        opts.fault_plan = &plan;
+        opts.max_task_retries = 0;
+        opts.watchdog_seconds = 60.0; // backstop only: must not fire
+        Runtime runtime(counted.graph, policy, opts);
+        const auto result = runtime.run();
+
+        ASSERT_TRUE(result.failed) << "seed " << seed;
+        EXPECT_FALSE(result.failure_reason.empty()) << "seed " << seed;
+        EXPECT_GE(result.task_failures, 1) << "seed " << seed;
+        long completed = 0;
+        for (const JobSpan &span : result.spans)
+            completed += span.outcome == SpanOutcome::Completed;
+        long computes = 0;
+        for (const auto &event : result.trace)
+            computes += !event.is_memory;
+        EXPECT_EQ(static_cast<long>(result.samples.size()), completed)
+            << "seed " << seed;
+        EXPECT_EQ(static_cast<long>(result.samples.size()), computes)
+            << "seed " << seed;
+    }
+}
+
 } // namespace

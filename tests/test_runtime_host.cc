@@ -23,6 +23,8 @@
 namespace {
 
 using tt::core::ConventionalPolicy;
+using tt::core::PairSample;
+using tt::core::SchedulingPolicy;
 using tt::core::StaticMtlPolicy;
 using tt::runtime::Runtime;
 using tt::exec::EngineOptions;
@@ -172,12 +174,62 @@ TEST(HostRuntime, PhaseBarrierOrdersPhases)
     EXPECT_EQ(barrier_violations.load(), 0);
 }
 
+/**
+ * Forwards to `inner` and fails the test if onPairMeasured() or
+ * currentMtl() is entered while another such call is still inside:
+ * policies are not thread-safe, so whichever thread drains a handed-
+ * off pair must hold the scheduler mutex.
+ */
+class SerialCheckPolicy final : public SchedulingPolicy
+{
+  public:
+    explicit SerialCheckPolicy(SchedulingPolicy &inner) : inner_(inner) {}
+
+    std::string name() const override { return inner_.name(); }
+
+    int
+    currentMtl() const override
+    {
+        const Inside inside(inside_);
+        return inner_.currentMtl();
+    }
+
+    void
+    onPairMeasured(const PairSample &sample) override
+    {
+        const Inside inside(inside_);
+        ++pair_calls_;
+        inner_.onPairMeasured(sample);
+    }
+
+    tt::core::PolicyStats stats() const override { return inner_.stats(); }
+
+    long pairCalls() const { return pair_calls_; }
+
+  private:
+    struct Inside
+    {
+        explicit Inside(std::atomic<int> &count) : count_(count)
+        {
+            if (count_.fetch_add(1) != 0)
+                ADD_FAILURE() << "policy entered concurrently";
+        }
+        ~Inside() { count_.fetch_sub(1); }
+        std::atomic<int> &count_;
+    };
+
+    SchedulingPolicy &inner_;
+    mutable std::atomic<int> inside_{0};
+    long pair_calls_ = 0; ///< guarded by the wrapper's own check
+};
+
 TEST(HostRuntime, PhaseBarriersHoldOverManyPhases)
 {
     // Eight phases of 256 trivial pairs on four workers, twenty runs
-    // over: the barrier counts compute completions only, under the
-    // scheduler mutex, so every run must still keep each phase after
-    // the previous one and deliver one sample per pair.
+    // over: the barrier counts compute completions only, as their
+    // pairs are drained under the scheduler mutex, so every run must
+    // still keep each phase after the previous one, deliver one
+    // sample per pair and never enter the policy concurrently.
     constexpr int kPhases = 8;
     constexpr int kPairsPerPhase = 256;
     StreamProgramBuilder builder;
@@ -192,7 +244,8 @@ TEST(HostRuntime, PhaseBarriersHoldOverManyPhases)
     }
     const TaskGraph graph = std::move(builder).build();
     for (int run = 0; run < 20; ++run) {
-        ConventionalPolicy policy(4);
+        ConventionalPolicy inner(4);
+        SerialCheckPolicy policy(inner);
         Runtime runtime(graph, policy, options(4));
         const auto result = runtime.run();
         ASSERT_FALSE(result.failed) << result.failure_reason;
@@ -200,6 +253,9 @@ TEST(HostRuntime, PhaseBarriersHoldOverManyPhases)
             << "run " << run;
         ASSERT_EQ(result.samples.size(),
                   static_cast<std::size_t>(graph.pairCount()))
+            << "run " << run;
+        ASSERT_EQ(policy.pairCalls(),
+                  static_cast<long>(result.samples.size()))
             << "run " << run;
     }
 }
