@@ -27,7 +27,6 @@
 #include "mem/dram_channel.hh"
 #include "obs/live.hh"
 #include "obs/ring.hh"
-#include "obs/span.hh"
 #include "runtime/runtime.hh"
 #include "sim/event_queue.hh"
 #include "simrt/sim_runtime.hh"
@@ -334,22 +333,13 @@ BENCHMARK(BM_SimDispatch64Contexts)->Iterations(8);
 void
 BM_SpanBufferRecord(benchmark::State &state)
 {
-    // Per-job cost of storing the causal span: one record with a
-    // typical two-attempt (memory + compute) history into the bounded
-    // span ring, which is already wrapping.
-    tt::obs::RecordRing<tt::obs::JobSpan> buffer(4096);
-    tt::obs::JobSpan span;
-    span.pair = 0;
-    span.arrival = 0.0;
-    span.end = 2e-4;
-    span.attempts.resize(2);
-    span.attempts[0].is_memory = true;
-    span.attempts[0].end = 1e-4;
-    span.attempts[1].start = 1e-4;
-    span.attempts[1].end = 2e-4;
+    // Per-job span cost while a run is live: the engine records the
+    // terminal pair's id into the bounded span ring, which is already
+    // wrapping, and builds the spans after the run.
+    tt::obs::RecordRing<tt::stream::PairId> buffer(4096);
+    tt::stream::PairId pair = 0;
     for (auto _ : state) {
-        ++span.pair;
-        buffer.record(span);
+        buffer.record(++pair);
         benchmark::DoNotOptimize(buffer.recorded());
     }
 }

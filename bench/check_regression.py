@@ -9,7 +9,10 @@ motivates it -- accidentally serializing a lock-free path, which
 costs integer factors, not percent -- so the threshold leaves room
 for the timing noise of shared hardware. Only benchmarks present in
 BOTH files are compared, so adding a benchmark never breaks the gate
-(it starts gating once the baseline is refreshed).
+(it starts gating once the baseline is refreshed). The dispatch
+benchmarks found on one side only are listed first, before any SKIP,
+so a renamed benchmark shows up in the output instead of dropping
+out of the comparison silently.
 
 Two defenses keep the gate usable on shared/virtualized hardware,
 where run-to-run swings of 10%+ are routine even for unchanged code:
@@ -115,6 +118,16 @@ def main():
     with open(args.baseline, encoding="utf-8") as handle:
         baseline = json.load(handle)
 
+    base_rates = throughputs(baseline)
+    cur_rates = throughputs(current)
+    for side, names in (("baseline", set(base_rates) - set(cur_rates)),
+                        ("current run", set(cur_rates) - set(base_rates))):
+        if names:
+            print(f"note: {len(names)} dispatch benchmark(s) only in "
+                  f"the {side}, not compared:")
+            for name in sorted(names):
+                print(f"  {name}")
+
     base_fp = fingerprint(baseline.get("context", {}))
     cur_fp = fingerprint(current.get("context", {}))
     if base_fp != cur_fp:
@@ -123,8 +136,6 @@ def main():
               f"refresh the baseline to re-arm the gate")
         return SKIP_EXIT
 
-    base_rates = throughputs(baseline)
-    cur_rates = throughputs(current)
     shared = sorted(set(base_rates) & set(cur_rates))
     if not shared:
         print("SKIP: no dispatch benchmarks shared with the baseline")

@@ -66,8 +66,9 @@ Engine::Engine(const stream::TaskGraph &graph,
               "health tick must be positive");
 
     succs_.assign(static_cast<std::size_t>(graph_.taskCount()), {});
-    pairs_ = std::vector<PairSlot>(
-        static_cast<std::size_t>(graph_.pairCount()));
+    const auto n_pairs = static_cast<std::size_t>(graph_.pairCount());
+    pairs_ = std::vector<PairSlot>(n_pairs);
+    job_arrival_stamp_.assign(n_pairs, 0.0);
     for (const Task &task : graph_.tasks()) {
         pairs_[static_cast<std::size_t>(task.pair)]
             .deps_left[sideOf(task)]
@@ -88,10 +89,8 @@ Engine::Engine(const stream::TaskGraph &graph,
                   "arrival plan offers ",
                   options_.arrival_plan->size(), " jobs for ",
                   graph_.pairCount(), " pairs");
-        const auto n_pairs =
-            static_cast<std::size_t>(graph_.pairCount());
-        job_arrival_stamp_.assign(n_pairs, 0.0);
-        job_slo_.assign(n_pairs, 0.0);
+        job_slo_.assign(static_cast<std::size_t>(graph_.pairCount()),
+                        0.0);
         for (const load::JobSpec &job : options_.arrival_plan->jobs) {
             tt_assert(job.pair >= 0 && job.pair < graph_.pairCount(),
                       "arrival plan names pair ", job.pair,
@@ -136,9 +135,8 @@ Engine::activatePhaseLocked(int phase, double now)
     }
     for (const Task *task : initially_ready) {
         // Closed-loop spans: the pair's "arrival" is the barrier
-        // instant its memory task became runnable. Open before
-        // the enqueue -- the completing worker appends to it.
-        openSpan(task->pair, 0, now);
+        // instant its memory task became runnable.
+        job_arrival_stamp_[static_cast<std::size_t>(task->pair)] = now;
         enqueueReady(task->id);
     }
     tt_assert(count > 0 || graph_.empty(), "phase ", phase,
@@ -203,75 +201,6 @@ Engine::onArrivalTimer()
 }
 
 void
-Engine::openSpan(int pair, int priority, double arrival)
-{
-    auto &span = open_span_[static_cast<std::size_t>(pair)];
-    span = obs::JobSpan{};
-    span.pair = pair;
-    span.priority = priority;
-    span.open_loop = open_loop_;
-    span.arrival = arrival;
-    // Room for a memory and a compute attempt, reserved here so that
-    // no worker reallocates on the second append.
-    span.attempts.reserve(2);
-    // Release pairs with the fast path's acquire load: a worker that
-    // sees the flag also sees the initialized span fields.
-    pairs_[static_cast<std::size_t>(pair)].span_open.store(
-        true, std::memory_order_release);
-}
-
-void
-Engine::spanAttempt(stream::TaskId id, int worker,
-                    const AttemptOutcome &outcome, bool failed,
-                    double backoff_seconds)
-{
-    const Task &task = graph_.task(id);
-    const auto pair = static_cast<std::size_t>(task.pair);
-    if (!pairs_[pair].span_open.load(std::memory_order_acquire))
-        return;
-    obs::SpanAttempt attempt;
-    attempt.task = id;
-    attempt.is_memory = task.kind == TaskKind::Memory;
-    attempt.attempt = pairs_[pair].attempts[sideOf(task)];
-    attempt.worker = worker;
-    attempt.start = outcome.start;
-    attempt.end = outcome.end;
-    attempt.failed = failed;
-    attempt.backoff_seconds = backoff_seconds;
-    if (outcome.has_counters) {
-        attempt.has_counters = true;
-        attempt.counters = outcome.counters;
-    }
-    open_span_[pair].attempts.push_back(attempt);
-}
-
-void
-Engine::finishSpan(int pair, double end, obs::SpanOutcome outcome)
-{
-    const auto index = static_cast<std::size_t>(pair);
-    if (!pairs_[index].span_open.load(std::memory_order_acquire))
-        return;
-    obs::JobSpan &span = open_span_[index];
-    span.end = end;
-    span.outcome = outcome;
-    span.critical_path = obs::computeCriticalPath(span);
-}
-
-void
-Engine::recordSpanLocked(int pair)
-{
-    const auto index = static_cast<std::size_t>(pair);
-    if (!pairs_[index].span_open.load(std::memory_order_acquire))
-        return;
-    obs::JobSpan &span = open_span_[index];
-    const std::uint64_t t0 = wallNanos();
-    span_ring_->record(std::move(span));
-    obs_span_record_ns_ += wallNanos() - t0;
-    span = obs::JobSpan{};
-    pairs_[index].span_open.store(false, std::memory_order_release);
-}
-
-void
 Engine::admitJobLocked(const load::JobSpec &job)
 {
     const load::AdmissionOutcome out = admission_->onArrival(job);
@@ -288,21 +217,19 @@ Engine::admitJobLocked(const load::JobSpec &job)
     job_log_.push_back(record);
 
     MetricsRegistry *metrics = options_.metrics;
+    const auto pair = static_cast<std::size_t>(job.pair);
+    // Deadlines are judged on the engine clock: exact plan time on
+    // the sim backend, the arrival timer's wall-clock firing on the
+    // host (see docs/robustness.md).
+    job_arrival_stamp_[pair] = backend_->now();
     if (out.decision == load::AdmissionDecision::Shed) {
         // Shed before dispatch: the pair's two tasks never run and
-        // the drain condition accounts for them explicitly.
+        // the drain condition accounts for them explicitly. Its span
+        // is terminal at the verdict.
         ++jobs_shed_;
         if (metrics != nullptr)
             metrics->add("runtime.jobs_shed", 1);
-        // The span is terminal at the verdict: no attempts, zero
-        // response, the shed reason preserved for attribution.
-        const double stamp = backend_->now();
-        openSpan(job.pair, job.priority, stamp);
-        auto &span = open_span_[static_cast<std::size_t>(job.pair)];
-        span.decision = out.decision;
-        span.shed_reason = out.shed_reason;
-        finishSpan(job.pair, stamp, obs::SpanOutcome::Shed);
-        recordSpanLocked(job.pair);
+        span_ring_->record(job.pair);
     } else {
         ++jobs_admitted_;
         if (metrics != nullptr)
@@ -312,17 +239,7 @@ Engine::admitJobLocked(const load::JobSpec &job)
             if (metrics != nullptr)
                 metrics->add("runtime.jobs_delayed", 1);
         }
-        const auto pair = static_cast<std::size_t>(job.pair);
-        // Deadlines are judged on the engine clock: exact plan time
-        // on the sim backend, the arrival timer's wall-clock firing
-        // on the host (see docs/robustness.md).
-        job_arrival_stamp_[pair] = backend_->now();
         job_slo_[pair] = job.slo_seconds;
-        // Span first, enqueue second: a worker thread can pop the
-        // task the instant it is in the ring and append attempts to
-        // the (pair-serialized) open span.
-        openSpan(job.pair, job.priority, job_arrival_stamp_[pair]);
-        open_span_[pair].decision = out.decision;
         enqueueReady(graph_.memoryTaskOf(job.pair));
     }
 
@@ -396,7 +313,8 @@ Engine::tryDispatch(int context, AttemptSpec &spec)
     // Fresh dispatches are always attempt 0: failed tasks never
     // requeue (the retry stays reserved on its context), so this
     // field is quiescent for everyone else.
-    pairs_[static_cast<std::size_t>(task.pair)].mtl[sideOf(task)] = mtl;
+    pairs_[static_cast<std::size_t>(task.pair)].mtl[sideOf(task)] =
+        static_cast<std::int16_t>(mtl);
     spec = attemptSpec(id);
     return true;
 }
@@ -442,31 +360,41 @@ Engine::failAttemptLocked(int context, TaskId id,
     int &attempts =
         pairs_[static_cast<std::size_t>(task.pair)].attempts[sideOf(task)];
     const int attempt = attempts;
+    FailedAttempt failed;
+    failed.attempt.task = id;
+    failed.attempt.is_memory = task.kind == TaskKind::Memory;
+    failed.attempt.attempt = attempt;
+    failed.attempt.worker = context;
+    failed.attempt.start = outcome.start;
+    failed.attempt.end = outcome.end;
+    failed.attempt.failed = true;
+    failed.attempt.has_counters = outcome.has_counters;
+    if (outcome.has_counters)
+        failed.attempt.counters = outcome.counters;
     if (!run_failed_.load(std::memory_order_relaxed) &&
         attempt < options_.max_task_retries) {
-        const double backoff =
+        failed.attempt.backoff_seconds =
             std::min(options_.retry_backoff_seconds *
                          std::ldexp(1.0, attempt),
                      50e-3);
-        // Record the failed attempt -- and the backoff it was
-        // granted -- on the pair's span before bumping the counter.
-        spanAttempt(id, context, outcome, true, backoff);
+        failed_attempts_.push_back(failed);
         ++attempts;
         task_retries_.fetch_add(1, std::memory_order_relaxed);
         if (MetricsRegistry *metrics = options_.metrics)
             metrics->add("runtime.task_retries", 1);
-        retry_log_.push_back(RetryRecord{id, attempt});
         // The context stays reserved through the backoff (its gate
         // slot included, for memory tasks), so the retry cannot be
         // starved out by fresh dispatches.
         ContextSlot &slot = contexts_[static_cast<std::size_t>(context)];
         slot.retry.store(RetryState::Backoff, std::memory_order_relaxed);
-        slot.retry_token = backend_->after(
-            backoff, [this, context] { onRetryTimer(context); });
+        slot.retry_token =
+            backend_->after(failed.attempt.backoff_seconds,
+                            [this, context] { onRetryTimer(context); });
         return;
     }
 
-    spanAttempt(id, context, outcome, true, 0.0);
+    failed.terminal = true;
+    failed_attempts_.push_back(failed);
     ++task_failures_;
     if (MetricsRegistry *metrics = options_.metrics)
         metrics->add("runtime.task_failures", 1);
@@ -475,8 +403,7 @@ Engine::failAttemptLocked(int context, TaskId id,
                         " failed after " +
                         std::to_string(options_.max_task_retries) +
                         " retries: " + outcome.error);
-    finishSpan(task.pair, outcome.end, obs::SpanOutcome::Failed);
-    recordSpanLocked(task.pair);
+    span_ring_->record(task.pair);
 }
 
 void
@@ -513,6 +440,7 @@ Engine::recordAttemptEvent(int context, TaskId id,
     const std::size_t side = sideOf(task);
     pair.start[side] = outcome.start;
     pair.end[side] = outcome.end;
+    pair.worker[side] = static_cast<std::int16_t>(context);
 
     obs::TaskEvent event;
     event.task = id;
@@ -534,11 +462,13 @@ Engine::recordAttemptEvent(int context, TaskId id,
         // Context-local aggregation, folded in finishResult.
         slot.saw_counters = true;
         slot.counters += outcome.counters;
+        if (!pair_counters_.empty())
+            pair_counters_[static_cast<std::size_t>(task.pair)][side] =
+                outcome.counters;
     }
     const std::uint64_t t0 = wallNanos();
     tracer_->ring(context).record(event);
     slot.trace_record_ns += wallNanos() - t0;
-    spanAttempt(id, context, outcome, false, 0.0);
 }
 
 void
@@ -556,9 +486,9 @@ Engine::completeAttempt(int context, TaskId id,
         gate_->release(c);
     } else {
         // Pair complete. Everything up to the hand-off is pair-local:
-        // the memory task's times and MTL, the pair's job stamps and
-        // span were published to this thread along the pair's
-        // dependency chain, and the metrics go to this context's shard.
+        // the memory task's times and MTL and the pair's job stamps
+        // were published to this thread along the pair's dependency
+        // chain, and the metrics go to this context's shard.
         const core::PairSample sample = pairSample(task.pair);
         if (metric_shards_.has_value() && std::isfinite(sample.tm) &&
             std::isfinite(sample.tc))
@@ -577,14 +507,23 @@ Engine::completeAttempt(int context, TaskId id,
             }
             pair.deadline_missed = job_slo_[p] > 0.0 && response > job_slo_[p];
         }
-        finishSpan(task.pair, outcome.end,
-                   pair.deadline_missed ? obs::SpanOutcome::DeadlineMiss
-                                        : obs::SpanOutcome::Completed);
     }
     observeReadyDepths(context);
-    unlockSuccessors(id, outcome.end);
+    const TaskId partner = unlockSuccessors(id, outcome.end);
     slot.done.store(slot.done.load(std::memory_order_relaxed) + 1,
                     std::memory_order_relaxed);
+    if (partner != stream::kInvalidTask) {
+        // Keep the partner: the reservation passes from the memory
+        // task to its compute task and the context never reads idle,
+        // so a failed run's finish check waits until nextAttempt has
+        // run the partner or abandoned it.
+        pair.mtl[1] = static_cast<std::int16_t>(
+            mtl_cache_.load(std::memory_order_relaxed));
+        slot.running.store(partner, std::memory_order_relaxed);
+        slot.kept = true;
+        wakeWorkers(); // the freed gate slot may unblock a parked worker
+        return;
+    }
     if (!memory) {
         // Push the pair before the context is released, so that a
         // finish check that reads the context idle drains the pair.
@@ -695,7 +634,7 @@ Engine::completePairLocked(stream::PairId pair)
                 metrics->add("runtime.jobs_deadline_missed", 1);
         }
     }
-    recordSpanLocked(pair);
+    span_ring_->record(pair);
 
     if (--phase_remaining_ == 0 &&
         current_phase_ + 1 < graph_.phaseCount()) {
@@ -742,24 +681,33 @@ Engine::observePairTimes(int context, const core::PairSample &sample)
     metric_shards_->observe(c, ids.tc, sample.tc);
 }
 
-void
+TaskId
 Engine::unlockSuccessors(TaskId id, double now)
 {
     // The final decrement (acq_rel) publishes this task's completion
     // state -- its times above all -- to whichever worker later pops
     // the successor off a ring.
+    const stream::PairId own_pair = graph_.task(id).pair;
+    TaskId partner = stream::kInvalidTask;
     for (TaskId succ : succs_[static_cast<std::size_t>(id)]) {
         const Task &task = graph_.task(succ);
         if (pairs_[static_cast<std::size_t>(task.pair)]
                 .deps_left[sideOf(task)]
-                .fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            // A dependency-unlocked memory task starts its pair's
-            // span: runnable from this completion on.
-            if (task.kind == TaskKind::Memory)
-                openSpan(task.pair, 0, now);
-            enqueueReady(succ);
+                .fetch_sub(1, std::memory_order_acq_rel) != 1)
+            continue;
+        if (task.kind == TaskKind::Memory) {
+            // A dependency-unlocked memory task is runnable from
+            // this completion on: its pair's closed-loop arrival.
+            job_arrival_stamp_[static_cast<std::size_t>(task.pair)] = now;
+        } else if (pull_mode_ && task.pair == own_pair) {
+            // A memory task released its own compute partner, which
+            // runs next on this context, on the data just gathered.
+            partner = succ;
+            continue;
         }
+        enqueueReady(succ);
     }
+    return partner;
 }
 
 int
@@ -1016,6 +964,8 @@ Engine::refreshMtlCacheLocked()
     const int prev = mtl_cache_.load(std::memory_order_relaxed);
     if (mtl == prev)
         return;
+    tt_assert(mtl <= std::numeric_limits<std::int16_t>::max(),
+              "MTL ", mtl, " exceeds the pair slot's 16 bits");
     mtl_cache_.store(mtl, std::memory_order_seq_cst);
     if (mtl > prev)
         wakeWorkers(); // new headroom may unblock admission waiters
@@ -1091,26 +1041,30 @@ Engine::parkWorker(int worker)
 bool
 Engine::nextAttempt(int worker, AttemptSpec &spec)
 {
-    const auto w = static_cast<std::size_t>(worker);
+    ContextSlot &slot = contexts_[static_cast<std::size_t>(worker)];
     for (;;) {
-        if (run_complete_.load(std::memory_order_acquire))
-            return false;
         RetryState retry = RetryState::Due;
-        if (contexts_[w].retry.compare_exchange_strong(
-                retry, RetryState::None, std::memory_order_acq_rel)) {
-            // Our granted retry's backoff elapsed: re-run the same
-            // task on this worker (the context stayed reserved, so
-            // retries are never starved).
+        if (slot.retry.compare_exchange_strong(
+                retry, RetryState::None, std::memory_order_acq_rel) ||
+            std::exchange(slot.kept, false)) {
+            // Our granted retry's backoff elapsed, or our memory
+            // completion kept its compute partner: run the task this
+            // context holds (it stayed reserved, so neither is ever
+            // starved), unless the run failed meanwhile. Checked
+            // before run_complete_, so no worker exits reserved: a
+            // failed run can finish before a worker that dispatched
+            // just before the failure completes its memory task.
             if (run_failed_.load(std::memory_order_acquire)) {
                 std::lock_guard lock(mutex_);
                 abandonAttemptLocked(worker);
                 maybeFinishLocked();
                 continue;
             }
-            spec = attemptSpec(
-                contexts_[w].running.load(std::memory_order_relaxed));
+            spec = attemptSpec(slot.running.load(std::memory_order_relaxed));
             return true;
         }
+        if (run_complete_.load(std::memory_order_acquire))
+            return false;
         // A worker reserved through a backoff never steals other work
         // (that would hand the retried task to the wrong context and
         // break the reservation invariant); it parks until its retry
@@ -1166,7 +1120,9 @@ Engine::run(ExecutionBackend &backend)
 
     backend_ = &backend;
     const int contexts = backend.contexts();
-    tt_assert(contexts >= 1, "need at least one execution context");
+    tt_assert(contexts >= 1 &&
+                  contexts <= std::numeric_limits<std::int16_t>::max(),
+              "need 1 to 32767 execution contexts, not ", contexts);
     const auto n_contexts = static_cast<std::size_t>(contexts);
     contexts_ = std::vector<ContextSlot>(n_contexts);
     const auto n_pairs = static_cast<std::size_t>(graph_.pairCount());
@@ -1197,7 +1153,8 @@ Engine::run(ExecutionBackend &backend)
     tracer_.emplace(contexts, ringCapacity(options_, graph_.taskCount()));
     span_ring_.emplace(std::max<std::size_t>(
         1, std::min(options_.span_capacity, n_pairs)));
-    open_span_.assign(n_pairs, obs::JobSpan{});
+    if (options_.counters != nullptr)
+        pair_counters_.resize(n_pairs);
 
     backend.beginRun(*this);
 
@@ -1278,7 +1235,7 @@ Engine::finishResult()
         metric_shards_->fold();
     bool saw_counters = false;
     obs::perf::CounterSet counter_totals;
-    std::uint64_t trace_record_ns = obs_span_record_ns_;
+    std::uint64_t trace_record_ns = 0;
     for (const ContextSlot &slot : contexts_) {
         trace_record_ns += slot.trace_record_ns;
         if (!slot.saw_counters)
@@ -1294,7 +1251,10 @@ Engine::finishResult()
     result.task_retries =
         task_retries_.load(std::memory_order_relaxed);
     result.task_failures = task_failures_;
-    result.retries = retry_log_;
+    for (const FailedAttempt &failed : failed_attempts_)
+        if (!failed.terminal)
+            result.retries.push_back(
+                {failed.attempt.task, failed.attempt.attempt});
     tt_assert(result.failed ||
                   done + 2 * jobs_shed_ == graph_.taskCount(),
               "run drained with ", done, " of ", graph_.taskCount(),
@@ -1312,7 +1272,9 @@ Engine::finishResult()
     result.peak_mem_in_flight = static_cast<int>(gate_->peak());
     result.trace = tracer_->merged();
     result.trace_dropped = tracer_->dropped();
-    result.spans = span_ring_->drain();
+    const std::uint64_t spans_t0 = wallNanos();
+    result.spans = buildSpans();
+    trace_record_ns += wallNanos() - spans_t0;
     result.spans_dropped = span_ring_->dropped();
     result.pin_failures = backend_->pinFailures();
 
@@ -1470,6 +1432,90 @@ Engine::finishResult()
 
     backend_->finalize(result);
     return result;
+}
+
+std::vector<obs::JobSpan>
+Engine::buildSpans()
+{
+    // Each pair's failed attempts as a list of log indices, oldest
+    // first. A pair's attempts run one after another along its
+    // dependency chain, so the log holds them in the order they ran.
+    std::vector<int> first_failure;
+    std::vector<int> next_failure(failed_attempts_.size(), -1);
+    if (!failed_attempts_.empty())
+        first_failure.assign(pairs_.size(), -1);
+    for (auto i = failed_attempts_.size(); i-- > 0;) {
+        const Task &task = graph_.task(failed_attempts_[i].attempt.task);
+        next_failure[i] = std::exchange(
+            first_failure[static_cast<std::size_t>(task.pair)],
+            static_cast<int>(i));
+    }
+    std::vector<const JobRecord *> job_of; // open loop: verdict by pair
+    if (open_loop_) {
+        job_of.assign(pairs_.size(), nullptr);
+        for (const JobRecord &job : job_log_)
+            job_of[static_cast<std::size_t>(job.pair)] = &job;
+    }
+
+    const std::vector<stream::PairId> terminal = span_ring_->drain();
+    std::vector<obs::JobSpan> spans(terminal.size());
+    for (std::size_t k = 0; k < terminal.size(); ++k) {
+        const stream::PairId pair = terminal[k];
+        const auto p = static_cast<std::size_t>(pair);
+        const PairSlot &slot = pairs_[p];
+        obs::JobSpan &span = spans[k];
+        span.pair = pair;
+        span.open_loop = open_loop_;
+        span.arrival = job_arrival_stamp_[p];
+        span.end = slot.end[1];
+        span.outcome = slot.deadline_missed ? obs::SpanOutcome::DeadlineMiss
+                                            : obs::SpanOutcome::Completed;
+        if (open_loop_) {
+            const JobRecord &job = *job_of[p];
+            span.priority = job.priority;
+            span.decision = job.decision;
+            if (job.decision == load::AdmissionDecision::Shed) {
+                // Terminal at the verdict: no attempts, zero response.
+                span.shed_reason = job.shed_reason;
+                span.end = span.arrival;
+                span.outcome = obs::SpanOutcome::Shed;
+            }
+        }
+        // Memory side, then compute: each side's failed attempts, then
+        // its successful one, up to a terminal failure.
+        for (std::size_t side = 0;
+             side < 2 && span.outcome != obs::SpanOutcome::Shed; ++side) {
+            const bool memory = side == 0; // see PairSlot
+            for (int i = first_failure.empty() ? -1 : first_failure[p];
+                 i >= 0; i = next_failure[static_cast<std::size_t>(i)]) {
+                const FailedAttempt &failed =
+                    failed_attempts_[static_cast<std::size_t>(i)];
+                if (failed.attempt.is_memory != memory)
+                    continue;
+                span.attempts.push_back(failed.attempt);
+                if (failed.terminal) {
+                    span.end = failed.attempt.end;
+                    span.outcome = obs::SpanOutcome::Failed;
+                }
+            }
+            if (span.outcome == obs::SpanOutcome::Failed)
+                break;
+            obs::SpanAttempt &ok = span.attempts.emplace_back();
+            ok.task = memory ? graph_.memoryTaskOf(pair)
+                             : graph_.computeTaskOf(pair);
+            ok.is_memory = memory;
+            ok.attempt = slot.attempts[side];
+            ok.worker = slot.worker[side];
+            ok.start = slot.start[side];
+            ok.end = slot.end[side];
+            if (!pair_counters_.empty() && pair_counters_[p][side]) {
+                ok.has_counters = true;
+                ok.counters = *pair_counters_[p][side];
+            }
+        }
+        span.critical_path = obs::computeCriticalPath(span);
+    }
+    return spans;
 }
 
 obs::TraceData

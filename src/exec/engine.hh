@@ -174,10 +174,11 @@ struct EngineOptions
     load::AdmissionConfig admission;
 
     /**
-     * Per-run span-buffer capacity (see obs/span.hh). Sized to
-     * min(span_capacity, pair count); when a run outgrows it the
-     * oldest spans are overwritten and counted in the
-     * `obs.spans_dropped` counter and RunResult::spans_dropped.
+     * Per-run span capacity (see obs/span.hh): the engine keeps the
+     * last min(span_capacity, pair count) pairs to reach a terminal
+     * state and builds their spans after the run. Older pairs are
+     * overwritten and counted in the `obs.spans_dropped` counter and
+     * RunResult::spans_dropped.
      */
     std::size_t span_capacity = 1 << 16;
 
@@ -278,12 +279,13 @@ struct RunResult
     /** Events lost to trace-ring overwrites (0 unless capped). */
     std::uint64_t trace_dropped = 0;
 
-    /** Per-job causal spans in terminal order (see obs/span.hh);
+    /** Per-job causal spans in terminal order (see obs/span.hh),
+     *  built once drive() returned from what the run recorded;
      *  closed-loop runs get spans too, with arrival = the instant
      *  the pair's memory task became ready. */
     std::vector<obs::JobSpan> spans;
 
-    /** Spans lost to span-buffer overwrites (0 unless capped). */
+    /** Spans lost to span-store overwrites (0 unless capped). */
     std::uint64_t spans_dropped = 0;
 
     /** Per-phase aggregates (phase order). */
@@ -499,22 +501,24 @@ class ExecutionBackend
  * Thread-safe, with one scheduler state for every backend: MPMC
  * ready rings, a sharded admission gate standing in for the paper's
  * "counter", one cache-line slot per pair (dependency counts,
- * attempts, times, MTLs, span flag, hand-off link) and one per
- * context (its reservation, retry state and progress). The per-task
- * fast path -- dispatch through tryDispatch(), MTL admission,
- * completion, successor unlock, trace and metric publication -- is
- * lock-free. A compute completion does its pair-local work, pushes
- * its pair onto a lock-free hand-off list and goes back to work;
- * whichever thread takes the combiner token drains the list into the
- * policy under the mutex. The mutex covers only what must stay
- * serialized with the policy: sample delivery, retries, failures,
- * arrivals, phase barriers, watchdog and finish.
+ * attempts, times, MTLs, workers, hand-off link) and one per context
+ * (its reservation, retry state and progress). The per-task fast
+ * path -- dispatch through tryDispatch(), MTL admission, completion,
+ * successor unlock, trace and metric publication -- is lock-free. A
+ * compute completion does its pair-local work, pushes its pair onto
+ * a lock-free hand-off list and goes back to work; whichever thread
+ * takes the combiner token drains the list into the policy under
+ * the mutex. The mutex covers only what must stay serialized with
+ * the policy: sample delivery, retries, failures, arrivals, phase
+ * barriers, watchdog and finish. Job spans are built after the run.
  *
  * Push vs. pull only decides who pops. Worker threads (host) call
- * tryDispatch() from nextAttempt(); for backends without threads
- * (sim, mocks) the engine calls it from an ascending idle-context
- * scan under the mutex, so their schedule is deterministic. See
- * docs/substrate.md for the memory-ordering argument.
+ * tryDispatch() from nextAttempt(), and a worker whose memory task
+ * releases its own pair's compute task keeps that task and runs it
+ * next; for backends without threads (sim, mocks) the engine calls
+ * tryDispatch() from an ascending idle-context scan under the mutex,
+ * so their schedule is deterministic. See docs/substrate.md for the
+ * memory-ordering argument.
  */
 class Engine
 {
@@ -539,8 +543,9 @@ class Engine
     /**
      * Pull-mode backend upcall: block until an attempt is available
      * for `worker` and fill `spec`, or return false when the run is
-     * over and the worker should exit. Ready tasks come off the MPMC
-     * rings; memory admission goes through the sharded gate; a
+     * over and the worker should exit. A compute task this worker's
+     * memory completion kept runs first; other ready tasks come off
+     * the MPMC rings, memory admission through the sharded gate. A
      * worker whose task is in retry backoff parks until its own
      * retry fires (the context stays reserved).
      */
@@ -585,15 +590,20 @@ class Engine
      * (the retry timer and a failing run move `retry` and release
      * `running` under mutex_; finish checks and time-series rows read
      * `running` and `done`) and `retry_token`, under mutex_. The
-     * other plain fields belong to the context's own completions;
-     * finishResult reads them once drive() returned.
+     * other plain fields belong to the context's own completions and
+     * its worker; finishResult reads them once drive() returned.
      */
     struct alignas(64) ContextSlot
     {
-        /** Task this context runs, or holds through a retry backoff;
-         *  kInvalidTask when the context is idle. A failed run
-         *  finishes once no context is reserved. */
+        /** Task this context runs, holds through a retry backoff, or
+         *  kept to run next; kInvalidTask when the context is idle.
+         *  A failed run finishes once no context is reserved. */
         std::atomic<stream::TaskId> running{stream::kInvalidTask};
+        /** Pull mode: `running` holds the compute task this context's
+         *  memory completion kept, which nextAttempt runs next. The
+         *  reservation passed to it without the context reading idle
+         *  in between. Only the context's own worker touches it. */
+        bool kept = false;
         /** One state, so a reserved context never reads as idle:
          *  None->Backoff (failAttemptLocked) and Backoff->Due or
          *  Backoff->None (retry timer, abandon) happen under mutex_;
@@ -620,7 +630,9 @@ class Engine
      * writes. Per-task arrays are indexed by stream::TaskKind, memory
      * 0 and compute 1. The pair's dependency chain (dispatch, memory
      * completion, compute dispatch and completion, the hand-off's
-     * link CAS) orders every access to the plain fields.
+     * link CAS) orders every access to the plain fields. With the
+     * failed-attempt log and the arrival stamps they hold everything
+     * a span is built from after the run.
      */
     struct alignas(64) PairSlot
     {
@@ -628,14 +640,23 @@ class Engine
          *  (acq_rel) publishes the predecessor's times. */
         std::array<std::atomic<int>, 2> deps_left;
         std::array<int, 2> attempts{}; ///< failed attempts per task
-        std::array<int, 2> mtl{};      ///< MTL at first dispatch
-        std::array<double, 2> start{}; ///< last attempt's body start
+        std::array<double, 2> start{}; ///< successful attempt's start
         std::array<double, 2> end{};   ///< ... and end
+        std::array<std::int16_t, 2> mtl{};    ///< MTL at first dispatch
+        std::array<std::int16_t, 2> worker{}; ///< successful attempt's context
         stream::PairId next = kNoPair; ///< hand-off link, older pair
-        std::atomic<bool> span_open{false}; ///< span in assembly
-        bool deadline_missed = false;       ///< open-loop verdict
+        bool deadline_missed = false;  ///< open-loop verdict
     };
     static_assert(sizeof(PairSlot) == 64, "one cache line per pair");
+
+    /** One failed attempt, logged under mutex_ as it is judged. */
+    struct FailedAttempt
+    {
+        obs::SpanAttempt attempt; ///< as the pair's span shows it
+        /** Not retried: the task exhausted its retries, or the run
+         *  had failed. */
+        bool terminal = false;
+    };
 
     void activatePhaseLocked(int phase, double now);
     /** Admit every plan job due at or before plan offset `upto`. */
@@ -687,22 +708,14 @@ class Engine
     void emitTimeseriesRowLocked();
     /** Cumulative hot-path totals the health ticks difference. */
     obs::HotPathTotals hotPathTotals() const;
-    /** Start assembling the span of `pair` (memory task ready). */
-    void openSpan(int pair, int priority, double arrival);
-    /** Append one finished attempt to the pair's open span. */
-    void spanAttempt(stream::TaskId id, int worker,
-                     const AttemptOutcome &outcome, bool failed,
-                     double backoff_seconds);
-    /** Pair-local: stamp the open span's end and outcome, and
-     *  compute its critical path. */
-    void finishSpan(int pair, double end, obs::SpanOutcome outcome);
-    /** Move the finished span into span_ring_, whose one writer is
-     *  whoever holds mutex_. */
-    void recordSpanLocked(int pair);
     /** Best-effort diagnostics dump (crash hook / watchdog path). */
     void crashDump();
     /** Assemble the RunResult after drive() returned. */
     RunResult finishResult();
+    /** The spans of the pairs in span_ring_, oldest first, built
+     *  from the pair slots, the failed-attempt log, the arrival
+     *  stamps and the job log (after drive() returned). */
+    std::vector<obs::JobSpan> buildSpans();
 
     // --- lock-free fast path helpers ---
 
@@ -710,7 +723,10 @@ class Engine
     void enqueueReady(stream::TaskId id);
     void recordAttemptEvent(int context, stream::TaskId id,
                             const AttemptOutcome &outcome);
-    void unlockSuccessors(stream::TaskId id, double now);
+    /** Release `id`'s successors made ready; pull mode keeps a
+     *  memory task's own compute partner and returns it instead of
+     *  enqueueing it (kInvalidTask when none was kept). */
+    stream::TaskId unlockSuccessors(stream::TaskId id, double now);
     /** Observe both ready-ring depths (metrics on). */
     void observeReadyDepths(int context);
     /** Observe a pair's T_m and T_c, interning the names of a new
@@ -725,7 +741,7 @@ class Engine
     void drainPairsLocked();
     /** Pair-completion critical section, run by the drainer: hand the
      *  sample to the policy and the health engine, append it, record
-     *  the span, trip the phase barrier. */
+     *  the pair in span_ring_, trip the phase barrier. */
     void completePairLocked(stream::PairId pair);
     /** Tasks completed so far, summed over the context slots. */
     int tasksDone() const;
@@ -774,12 +790,16 @@ class Engine
     };
     HotIds hot_ids_;
     std::optional<obs::Tracer> tracer_; ///< one ring per context
-    /** Per pair, in assembly (see PairSlot::span_open). */
-    std::vector<obs::JobSpan> open_span_;
-    // Open-loop job stamps, per pair: written at admission, before
-    // the pair's memory task is enqueued.
-    std::vector<double> job_arrival_stamp_; ///< engine clock
-    std::vector<double> job_slo_;           ///< seconds
+    /** Per pair, its span's arrival on the engine clock: the
+     *  admission stamp (open loop, shed jobs included) or the instant
+     *  its memory task became ready (closed loop). Written before the
+     *  memory task is enqueued. */
+    std::vector<double> job_arrival_stamp_;
+    std::vector<double> job_slo_; ///< open loop, per pair, seconds
+    /** Per pair and side, the successful attempt's hw-counter delta;
+     *  allocated only when options_.counters is set. */
+    std::vector<std::array<std::optional<obs::perf::CounterSet>, 2>>
+        pair_counters_;
     /** policy_.currentMtl() mirrored after every policy interaction
      *  (all under mutex_); tryDispatch reads it lock-free as the
      *  admission bound. */
@@ -820,26 +840,22 @@ class Engine
     bool finished_ = false;
 
     std::vector<core::PairSample> samples_;
-    std::vector<RetryRecord> retry_log_;
+    /** Every failed attempt, in judgement order: the granted retries
+     *  (RunResult::retries) and the spans' failed attempts. */
+    std::vector<FailedAttempt> failed_attempts_;
 
-    // Per-job causal spans (see obs/span.hh). A span is recorded
-    // into span_ring_ only under mutex_ (admitJobLocked,
-    // failAttemptLocked, completePairLocked), so the ring has one
-    // writer at a time; finishResult drains it once. Opens, attempt
-    // appends and the finish (critical path) for one pair are
-    // serialized by the pair's own dependency chain (memory
-    // completes-before compute dispatches), but *different* pairs'
-    // spans open, gain attempts and finish concurrently on worker
-    // threads, so each PairSlot has its own open flag.
-    std::optional<obs::RecordRing<obs::JobSpan>> span_ring_;
+    // Pairs in terminal order, recorded only under mutex_
+    // (admitJobLocked, failAttemptLocked, completePairLocked), so the
+    // ring has one writer at a time; buildSpans drains it once and
+    // builds each pair's span (see obs/span.hh).
+    std::optional<obs::RecordRing<stream::PairId>> span_ring_;
 
     // Self-observability: wall-clock nanoseconds spent inside
     // observability code (steady clock on every backend -- this is
     // the *real* cost of tracing, not simulated time), published as
     // obs.overhead.* counters. Trace-event recording accumulates per
-    // context (ContextSlot::trace_record_ns); span recording, which
-    // runs under mutex_, here.
-    std::uint64_t obs_span_record_ns_ = 0;
+    // context (ContextSlot::trace_record_ns) and finishResult adds
+    // the span build; time-series rows accumulate here.
     std::uint64_t obs_sampler_ns_ = 0;
 
     /** Streaming health engine (options_.health.enabled), driven

@@ -1,12 +1,13 @@
 /**
  * @file
  * Fixed-capacity record ring: the storage behind the per-context
- * trace rings (trace.hh) and the per-run span store (span.hh).
+ * trace rings (trace.hh) and the run's pairs in terminal order, from
+ * which exec::Engine builds the spans (span.hh).
  *
  * The rules are the same for every record type:
  *  - one writer at a time -- a trace ring belongs to one execution
- *    context, and spans are recorded under exec::Engine's run
- *    mutex -- so record() needs no synchronisation of its own;
+ *    context, and terminal pairs are recorded under exec::Engine's
+ *    run mutex -- so record() needs no synchronisation of its own;
  *  - the storage is reserved up front, so recording never
  *    allocates for the ring itself;
  *  - when full, the oldest record is overwritten and counted in

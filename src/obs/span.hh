@@ -1,29 +1,31 @@
 /**
  * @file
- * Per-job causal spans: the live-telemetry record of one job (one
+ * Per-job causal spans: the telemetry record of one job (one
  * memory/compute pair) from arrival to its terminal state.
  *
  * The trace ring (trace.hh) answers "what ran where"; a JobSpan
- * answers "where did *this job's* response time go". exec::Engine
- * assembles one span per pair from its existing JobRecord/TaskEvent
- * plumbing -- arrival, admission verdict, every dispatch attempt
+ * answers "where did *this job's* response time go". Each span
+ * holds the job's arrival, admission verdict, every dispatch attempt
  * (including failed attempts and the retry backoff each was granted)
- * and the terminal outcome -- then finalizes it with an additive
- * CriticalPath decomposition:
+ * and the terminal outcome, plus an additive CriticalPath
+ * decomposition:
  *
  *   response = admission + queue_wait + compute + mem_stall
  *            + retry_backoff
  *
  * The identity holds by construction (queue_wait is defined as the
  * non-executing remainder), so per-job components always sum to the
- * measured response. Spans land in a RecordRing<JobSpan> (ring.hh),
- * the same ring the trace uses: the engine records every span under
- * its run mutex and drains the ring once, after the run; the oldest
- * spans are overwritten when full and counted in dropped()
- * (published as `obs.spans_dropped`). chrome_trace.hh renders spans
- * as flow events linking the arrival instant to the completing
- * worker slice; analyzer.hh aggregates the critical-path components
- * per priority class.
+ * measured response. exec::Engine builds the spans once the run is
+ * over, from what the run recorded anyway: each pair's slot (times,
+ * workers, attempt counts), its failed-attempt log, the arrival
+ * stamps and the admission log. While the run is live it records
+ * only each pair's id, under its run mutex, into a RecordRing
+ * (ring.hh) in terminal order; when full, the oldest ids are
+ * overwritten and counted in dropped() (published as
+ * `obs.spans_dropped`), so the spans are those of the last pairs to
+ * finish. chrome_trace.hh renders spans as flow events linking the
+ * arrival instant to the completing worker slice; analyzer.hh
+ * aggregates the critical-path components per priority class.
  */
 
 #ifndef TT_OBS_SPAN_HH
@@ -130,7 +132,7 @@ struct JobSpan
 /**
  * Decompose a finalized span (terminal `end` set, attempts
  * complete). Pure accounting over the span's own records; the engine
- * calls it once per span at the terminal event.
+ * calls it once per span as it builds the span.
  */
 CriticalPath computeCriticalPath(const JobSpan &span);
 

@@ -424,4 +424,133 @@ TEST(EngineMock, TraceCapacityBoundsMemoryAndCountsDrops)
     EXPECT_GT(result.trace_dropped, 0u);
 }
 
+/**
+ * Pull-mode backend whose worker threads are a test script on the
+ * driving thread: it calls nextAttempt() and onAttemptDone() for
+ * each context in an exact order, so interleavings that real workers
+ * only hit by chance run every time. A script must not ask for work
+ * when none is runnable (nextAttempt would park for good).
+ */
+class ScriptedPullBackend final : public tt::exec::ExecutionBackend
+{
+  public:
+    explicit ScriptedPullBackend(int contexts) : contexts_(contexts) {}
+
+    /** Plays the workers; runs as drive(). */
+    std::function<void(Engine &)> script;
+    /** Set when the engine reported the run drained. */
+    bool drained = false;
+
+    int contexts() const override { return contexts_; }
+    double now() const override { return 0.0; }
+    bool pullDispatch() const override { return true; }
+
+    void
+    startAttempt(int context, const AttemptSpec &spec) override
+    {
+        ADD_FAILURE() << "pushed task " << spec.task << " to context "
+                      << context << " of a pull backend";
+    }
+
+    TimerToken
+    after(double seconds, std::function<void()> fn) override
+    {
+        (void)seconds;
+        (void)fn;
+        return ++timers_;
+    }
+
+    void cancel(TimerToken token) override { (void)token; }
+    void drive(Engine &engine) override { script(engine); }
+    void runDrained() override { drained = true; }
+
+  private:
+    int contexts_ = 1;
+    TimerToken timers_ = 0;
+};
+
+AttemptOutcome
+succeeded()
+{
+    AttemptOutcome out;
+    out.end = 1e-3;
+    return out;
+}
+
+/**
+ * A memory completion keeps its own compute partner on its context:
+ * with both memory tasks done and both computes ready, each context
+ * runs its own pair's compute task, where a shared ring would hand
+ * context 1 the older compute task 0.
+ */
+TEST(EnginePull, KeptPartnerRunsOnItsMemoryTasksContext)
+{
+    const TaskGraph graph = pairsGraph(2);
+    tt::core::ConventionalPolicy policy(2);
+    EngineOptions options;
+    ScriptedPullBackend backend(2);
+    backend.script = [&](Engine &engine) {
+        AttemptSpec spec;
+        for (int c = 0; c < 2; ++c) {
+            ASSERT_TRUE(engine.nextAttempt(c, spec));
+            EXPECT_EQ(spec.task, graph.memoryTaskOf(c));
+        }
+        engine.onAttemptDone(0, succeeded());
+        engine.onAttemptDone(1, succeeded());
+        for (int c : {1, 0}) {
+            ASSERT_TRUE(engine.nextAttempt(c, spec));
+            EXPECT_EQ(spec.task, graph.computeTaskOf(c)) << "context " << c;
+            engine.onAttemptDone(c, succeeded());
+        }
+        EXPECT_FALSE(engine.nextAttempt(0, spec));
+        EXPECT_FALSE(engine.nextAttempt(1, spec));
+    };
+    Engine engine(graph, policy, options);
+    const auto result = engine.run(backend);
+    EXPECT_FALSE(result.failed) << result.failure_reason;
+    EXPECT_EQ(result.samples.size(), 2u);
+    EXPECT_TRUE(backend.drained);
+}
+
+/**
+ * The reservation passes from a memory task to its kept partner with
+ * no idle moment: a run that fails while the partner waits must not
+ * finish until the context's worker has abandoned it, and the worker
+ * must abandon it rather than run it.
+ */
+TEST(EnginePull, KeptPartnerHoldsItsContextThroughAFailedRun)
+{
+    const TaskGraph graph = pairsGraph(2);
+    tt::core::ConventionalPolicy policy(2);
+    EngineOptions options;
+    options.max_task_retries = 0;
+    ScriptedPullBackend backend(2);
+    bool drained_at_failure = true;
+    backend.script = [&](Engine &engine) {
+        AttemptSpec spec;
+        ASSERT_TRUE(engine.nextAttempt(0, spec));
+        ASSERT_TRUE(engine.nextAttempt(1, spec));
+        engine.onAttemptDone(0, succeeded()); // keeps compute task 0
+        AttemptOutcome failed = succeeded();
+        failed.failed = true;
+        failed.error = "injected";
+        engine.onAttemptDone(1, failed); // no retries: the run fails
+        drained_at_failure = backend.drained;
+        EXPECT_FALSE(engine.nextAttempt(0, spec))
+            << "ran task " << spec.task << " in a failed run";
+    };
+    Engine engine(graph, policy, options);
+    const auto result = engine.run(backend);
+    EXPECT_FALSE(drained_at_failure)
+        << "the run finished while context 0 held its kept partner";
+    EXPECT_TRUE(backend.drained);
+    EXPECT_TRUE(result.failed);
+    ASSERT_EQ(result.trace.size(), 1u);
+    EXPECT_EQ(result.trace[0].task, graph.memoryTaskOf(0));
+    EXPECT_TRUE(result.samples.empty());
+    ASSERT_EQ(result.spans.size(), 1u);
+    EXPECT_EQ(result.spans[0].pair, 1);
+    EXPECT_EQ(result.spans[0].outcome, tt::obs::SpanOutcome::Failed);
+}
+
 } // namespace

@@ -19,6 +19,7 @@
 #include "core/policy.hh"
 #include "runtime/runtime.hh"
 #include "stream/builder.hh"
+#include "util/stats.hh"
 
 namespace {
 
@@ -258,6 +259,96 @@ TEST(HostRuntime, PhaseBarriersHoldOverManyPhases)
                   static_cast<long>(result.samples.size()))
             << "run " << run;
     }
+}
+
+/**
+ * A worker whose memory task releases its own pair's compute task
+ * keeps that task and runs it next: on four workers no compute task
+ * of a plain pair graph passes through the compute ring, each runs
+ * on the worker that ran its memory task, and every schedule stays
+ * valid.
+ */
+TEST(HostRuntime, ComputePartnerSkipsTheComputeRing)
+{
+    StreamProgramBuilder builder;
+    builder.beginPhase("p");
+    builder.addPairs(1000, [](int) {
+        PairSpec spec;
+        spec.bytes = 64;
+        spec.compute_cycles = 1;
+        spec.host_memory = [] {};
+        spec.host_compute = [] {};
+        return spec;
+    });
+    const TaskGraph graph = std::move(builder).build();
+    for (int run = 0; run < 5; ++run) {
+        tt::MetricsRegistry metrics;
+        ConventionalPolicy policy(4);
+        EngineOptions opts = options(4);
+        opts.metrics = &metrics;
+        Runtime runtime(graph, policy, opts);
+        const auto result = runtime.run();
+        ASSERT_FALSE(result.failed) << result.failure_reason;
+        EXPECT_EQ(metrics.gauge("runtime.ring_peak_compute", -1.0), 0.0)
+            << "run " << run;
+        std::vector<int> memory_worker(
+            static_cast<std::size_t>(graph.pairCount()), -1);
+        for (const auto &event : result.trace)
+            if (event.is_memory)
+                memory_worker[static_cast<std::size_t>(event.pair)] =
+                    event.worker;
+        for (const auto &event : result.trace) {
+            if (!event.is_memory) {
+                ASSERT_EQ(event.worker,
+                          memory_worker[static_cast<std::size_t>(
+                              event.pair)])
+                    << "run " << run << ", pair " << event.pair;
+            }
+        }
+        ASSERT_EQ(tt::exec::validateSchedule(graph, result, 4), "")
+            << "run " << run;
+    }
+}
+
+/**
+ * A compute task that another pair's memory completion releases goes
+ * through the compute ring. One worker makes the order exact: memory
+ * 1 finishes last for compute 0 (raw edge) and first for its own
+ * partner, which it keeps, so compute 1 runs before compute 0.
+ */
+TEST(HostRuntime, ComputeReleasedByAnotherPairUsesTheRing)
+{
+    // Bodies log "m<pair>" / "c<pair>"; one worker runs them in turn.
+    std::vector<std::string> order;
+    TaskGraph graph;
+    graph.beginPhase("p");
+    for (int p = 0; p < 2; ++p) {
+        tt::stream::Task memory;
+        memory.kind = tt::stream::TaskKind::Memory;
+        memory.host_work = [&order, p] {
+            order.push_back("m" + std::to_string(p));
+        };
+        tt::stream::Task compute;
+        compute.kind = tt::stream::TaskKind::Compute;
+        compute.host_work = [&order, p] {
+            order.push_back("c" + std::to_string(p));
+        };
+        graph.addPair(std::move(memory), std::move(compute));
+    }
+    graph.addDependency(graph.memoryTaskOf(1), graph.computeTaskOf(0));
+    graph.validate();
+
+    tt::MetricsRegistry metrics;
+    ConventionalPolicy policy(1);
+    EngineOptions opts = options(1);
+    opts.metrics = &metrics;
+    Runtime runtime(graph, policy, opts);
+    const auto result = runtime.run();
+    ASSERT_FALSE(result.failed) << result.failure_reason;
+    EXPECT_EQ(metrics.gauge("runtime.ring_peak_compute"), 1.0);
+    ASSERT_EQ(tt::exec::validateSchedule(graph, result, 1), "");
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"m0", "m1", "c1", "c0"}));
 }
 
 TEST(HostRuntime, SingleThreadStillCompletes)

@@ -2,7 +2,8 @@
  * @file
  * Schedule-trace validation: structural invariants of the simulated
  * scheduler checked on crafted workloads and on randomly fuzzed task
- * graphs under every policy family.
+ * graphs under every policy family, and of the host scheduler on the
+ * same fuzzed graphs on worker threads.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "core/online_exhaustive_policy.hh"
 #include "core/policy.hh"
 #include "cpu/machine_config.hh"
+#include "runtime/runtime.hh"
 #include "simrt/sim_runtime.hh"
 #include "stream/builder.hh"
 #include "util/random.hh"
@@ -111,24 +113,16 @@ TEST(ScheduleValidation, DetectsMissingTask)
 }
 
 /**
- * Fuzz: random multi-phase graphs (sizes, ratios, extra intra-phase
- * dependencies) under a randomly chosen policy; every schedule must
- * validate and every pair must be sampled.
+ * A random multi-phase graph (sizes, ratios, extra intra-phase
+ * dependencies between pairs) drawn from `rng`. Its tasks have no
+ * host bodies, which the host backend runs as empty ones.
  */
-class ScheduleFuzz : public ::testing::TestWithParam<std::uint64_t>
+TaskGraph
+fuzzGraph(tt::Rng &rng)
 {
-};
-
-TEST_P(ScheduleFuzz, RandomGraphsProduceValidSchedules)
-{
-    tt::Rng rng(GetParam());
-    const auto cfg = MachineConfig::i7_860_1dimm();
-    const int n = cfg.contexts();
-
     StreamProgramBuilder builder(/*uniform_pairs=*/false);
     const int phases = static_cast<int>(rng.nextInt(1, 4));
     int total_pairs = 0;
-    std::vector<std::pair<int, int>> phase_ranges;
     for (int p = 0; p < phases; ++p) {
         builder.beginPhase("fuzz" + std::to_string(p));
         const int pairs = static_cast<int>(rng.nextInt(2, 14));
@@ -144,7 +138,6 @@ TEST_P(ScheduleFuzz, RandomGraphsProduceValidSchedules)
             builder.addPair(std::move(spec));
         }
         total_pairs += pairs;
-        phase_ranges.emplace_back(first, total_pairs);
         // Random forward dependencies within the phase.
         for (int e = 0; e < pairs / 3; ++e) {
             const int a = static_cast<int>(
@@ -154,7 +147,24 @@ TEST_P(ScheduleFuzz, RandomGraphsProduceValidSchedules)
             builder.dependPairs(a, b);
         }
     }
-    const TaskGraph graph = std::move(builder).build();
+    return std::move(builder).build();
+}
+
+/**
+ * Fuzz: random graphs (fuzzGraph) under a randomly chosen policy;
+ * every schedule must validate and every pair must be sampled.
+ */
+class ScheduleFuzz : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(ScheduleFuzz, RandomGraphsProduceValidSchedules)
+{
+    tt::Rng rng(GetParam());
+    const auto cfg = MachineConfig::i7_860_1dimm();
+    const int n = cfg.contexts();
+    const TaskGraph graph = fuzzGraph(rng);
+    const int total_pairs = graph.pairCount();
 
     std::unique_ptr<SchedulingPolicy> policy;
     switch (rng.nextInt(0, 3)) {
@@ -184,5 +194,64 @@ TEST_P(ScheduleFuzz, RandomGraphsProduceValidSchedules)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleFuzz,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+/**
+ * The same graphs on four host worker threads with empty bodies,
+ * under a constant MTL (a moving one can leave a late starter over
+ * the MTL it was admitted under, on a real clock): cross-pair edges
+ * release memory tasks through the ring while each memory task keeps
+ * its compute partner. Every schedule must validate, every pair must
+ * be sampled once and close one Completed span, and each span
+ * attempt must name the worker and times its trace event has.
+ */
+class HostScheduleFuzz : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(HostScheduleFuzz, RandomGraphsRunOnWorkerThreads)
+{
+    constexpr int kWorkers = 4;
+    tt::Rng rng(GetParam());
+    const TaskGraph graph = fuzzGraph(rng);
+    tt::core::StaticMtlPolicy policy(
+        static_cast<int>(rng.nextInt(1, kWorkers)), kWorkers);
+    tt::exec::EngineOptions options;
+    options.threads = kWorkers;
+    options.pin_affinity = false;
+    tt::runtime::Runtime runtime(graph, policy, options);
+    const RunResult result = runtime.run();
+    ASSERT_FALSE(result.failed) << result.failure_reason;
+    EXPECT_EQ(validateSchedule(graph, result, kWorkers), "")
+        << "seed " << GetParam();
+    const auto pairs = static_cast<std::size_t>(graph.pairCount());
+    EXPECT_EQ(result.samples.size(), pairs);
+
+    std::vector<const tt::obs::TaskEvent *> event_of(
+        static_cast<std::size_t>(graph.taskCount()), nullptr);
+    for (const tt::obs::TaskEvent &event : result.trace)
+        event_of[static_cast<std::size_t>(event.task)] = &event;
+    ASSERT_EQ(result.spans.size(), pairs);
+    std::vector<int> spans_of(pairs, 0);
+    for (const tt::obs::JobSpan &span : result.spans) {
+        ++spans_of[static_cast<std::size_t>(span.pair)];
+        EXPECT_EQ(span.outcome, tt::obs::SpanOutcome::Completed);
+        ASSERT_EQ(span.attempts.size(), 2u) << "pair " << span.pair;
+        for (const tt::obs::SpanAttempt &attempt : span.attempts) {
+            const tt::obs::TaskEvent *event =
+                event_of[static_cast<std::size_t>(attempt.task)];
+            ASSERT_NE(event, nullptr) << "task " << attempt.task;
+            EXPECT_EQ(event->pair, span.pair);
+            EXPECT_EQ(attempt.worker, event->worker)
+                << "task " << attempt.task;
+            EXPECT_EQ(attempt.start, event->start);
+            EXPECT_EQ(attempt.end, event->end);
+        }
+    }
+    for (std::size_t p = 0; p < pairs; ++p)
+        EXPECT_EQ(spans_of[p], 1) << "pair " << p;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HostScheduleFuzz,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 } // namespace

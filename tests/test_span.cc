@@ -2,19 +2,23 @@
  * @file
  * Live-telemetry contracts: per-job causal spans (assembly under
  * retries, shedding and deadline misses; the additive critical-path
- * decomposition), the bounded span ring, the OpenMetrics exposition
- * format, the critical-path report section's diff contract, and the
- * self-observability budget (obs.overhead.* under 3% of makespan on
- * the host backend).
+ * decomposition; every field pinned on six sim runs), the bounded
+ * span ring, the OpenMetrics exposition format, the critical-path
+ * report section's diff contract, and the self-observability budget
+ * (obs.overhead.* under 3% of makespan on the host backend).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/dynamic_policy.hh"
 #include "core/policy.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/sim_machine.hh"
@@ -358,6 +362,213 @@ TEST(Span, DeadlineMissesCloseSpansAsDeadlineMiss)
         expectDecomposes(span);
     }
     EXPECT_EQ(missed, result.jobs_deadline_missed);
+}
+
+/** FNV-1a over the bytes of each value added, in order. */
+class FieldHash
+{
+  public:
+    template <class T>
+    void
+    add(const T &value)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        unsigned char bytes[sizeof(T)];
+        std::memcpy(bytes, &value, sizeof(T));
+        for (const unsigned char byte : bytes) {
+            hash_ ^= byte;
+            hash_ *= 0x100000001b3ULL;
+        }
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/** Hash of every field of every span, attempts included, in order;
+ *  doubles by their bits. */
+std::uint64_t
+spanDigest(const std::vector<JobSpan> &spans)
+{
+    FieldHash hash;
+    for (const JobSpan &span : spans) {
+        hash.add(span.pair);
+        hash.add(span.priority);
+        hash.add(span.open_loop);
+        hash.add(span.arrival);
+        hash.add(span.end);
+        hash.add(span.decision);
+        hash.add(span.shed_reason);
+        hash.add(span.outcome);
+        const CriticalPath &cp = span.critical_path;
+        for (const double part : {cp.admission, cp.queue_wait, cp.compute,
+                                  cp.mem_stall, cp.retry_backoff,
+                                  cp.response})
+            hash.add(part);
+        hash.add(span.attempts.size());
+        for (const tt::obs::SpanAttempt &attempt : span.attempts) {
+            hash.add(attempt.task);
+            hash.add(attempt.is_memory);
+            hash.add(attempt.attempt);
+            hash.add(attempt.worker);
+            hash.add(attempt.start);
+            hash.add(attempt.end);
+            hash.add(attempt.failed);
+            hash.add(attempt.backoff_seconds);
+            hash.add(attempt.has_counters);
+            hash.add(attempt.counters.llc_misses);
+            hash.add(attempt.counters.cycles);
+            hash.add(attempt.counters.stalled_cycles);
+            hash.add(attempt.counters.instructions);
+        }
+    }
+    return hash.value();
+}
+
+/** What a pinned run must reproduce. */
+struct SpanPin
+{
+    std::size_t spans = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t digest = 0;
+};
+
+SpanPin
+pinOf(const tt::exec::RunResult &result)
+{
+    return {result.spans.size(), result.spans_dropped,
+            spanDigest(result.spans)};
+}
+
+void
+expectPin(const SpanPin &got, const SpanPin &want)
+{
+    EXPECT_EQ(got.spans, want.spans);
+    EXPECT_EQ(got.dropped, want.dropped);
+    EXPECT_EQ(got.digest, want.digest)
+        << "digest 0x" << std::hex << got.digest;
+}
+
+/**
+ * Every field of every span of six deterministic sim runs, against
+ * digests recorded when the engine still assembled spans while the
+ * run was live: closed-loop dynamic scheduling with synthesized
+ * counters over two phases and cross-pair edges, granted retries
+ * with stalls, two runs that exhaust their retries, bursty open-loop
+ * load with shedding and deadline misses, and a capped span store.
+ */
+TEST(SpanPin, SimRunsKeepEverySpanField)
+{
+    {
+        SCOPED_TRACE("closed-loop dynamic with counters");
+        StreamProgramBuilder builder;
+        for (int phase = 0; phase < 2; ++phase) {
+            builder.beginPhase("p" + std::to_string(phase));
+            builder.addPairs(40, [](int) {
+                PairSpec spec;
+                spec.bytes = 96 * 1024;
+                spec.compute_cycles = 150000;
+                return spec;
+            });
+        }
+        for (int p = 0; p < 30; p += 3)
+            builder.dependPairs(p, p + 7);
+        const TaskGraph graph = std::move(builder).build();
+        tt::obs::perf::SimCounterProvider counters;
+        EngineOptions options;
+        options.counters = &counters;
+        tt::cpu::SimMachine machine(simConfig(4));
+        tt::core::DynamicThrottlePolicy policy(4, 8);
+        tt::simrt::SimRuntime sim(machine, graph, policy, options);
+        const auto result = sim.run();
+        ASSERT_FALSE(result.failed);
+        ASSERT_TRUE(result.has_counters);
+        expectPin(pinOf(result), {80, 0, 0x864d501aca08e4baULL});
+    }
+    {
+        SCOPED_TRACE("fault retries with stalls");
+        const TaskGraph graph = simGraph(48);
+        tt::fault::FaultConfig config;
+        config.seed = 11;
+        config.fail_p = 0.15;
+        config.stall_p = 0.1;
+        config.stall_seconds = 40e-6;
+        const tt::fault::FaultPlan plan(config);
+        EngineOptions options;
+        options.fault_plan = &plan;
+        options.max_task_retries = 5;
+        options.retry_backoff_seconds = 20e-6;
+        const auto result = runSim(graph, options, 2);
+        ASSERT_FALSE(result.failed);
+        ASSERT_GT(result.task_retries, 0);
+        expectPin(pinOf(result), {48, 0, 0xeb522d7664b08924ULL});
+    }
+    // Seed 24 exhausts a compute task's retries; seed 29 a memory
+    // task's, and a second task fails terminally in the failed run.
+    for (const auto &[seed, pin] :
+         {std::pair<std::uint64_t, SpanPin>{24, {85, 0, 0x249abb85b740a52cULL}},
+          std::pair<std::uint64_t, SpanPin>{29, {42, 0, 0xcda946f68bdfcb59ULL}}}) {
+        SCOPED_TRACE("retries exhausted, seed " + std::to_string(seed));
+        const TaskGraph graph = simGraph(96);
+        tt::fault::FaultConfig config;
+        config.seed = seed;
+        config.fail_p = 0.08;
+        const tt::fault::FaultPlan plan(config);
+        EngineOptions options;
+        options.fault_plan = &plan;
+        options.max_task_retries = 1;
+        options.retry_backoff_seconds = 20e-6;
+        const auto result = runSim(graph, options, 3);
+        ASSERT_TRUE(result.failed);
+        ASSERT_GE(result.task_failures, 1);
+        ASSERT_TRUE(std::any_of(
+            result.spans.begin(), result.spans.end(),
+            [](const JobSpan &span) {
+                return span.outcome == SpanOutcome::Failed;
+            }));
+        expectPin(pinOf(result), pin);
+    }
+    {
+        SCOPED_TRACE("open-loop bursty, shedding and deadline misses");
+        const TaskGraph graph = simGraph(96);
+        tt::load::ArrivalConfig arrivals;
+        arrivals.seed = 4;
+        arrivals.process = tt::load::ArrivalProcess::Bursty;
+        arrivals.rate = 2.0e4;
+        arrivals.burst_period_seconds = 1e-3;
+        arrivals.slo_seconds = 250e-6;
+        arrivals.priority_levels = 3;
+        const tt::load::ArrivalPlan plan =
+            tt::load::buildArrivalPlan(arrivals, graph.pairCount());
+        EngineOptions options;
+        options.arrival_plan = &plan;
+        options.admission.queue_cap = 6;
+        options.admission.service_tml = 60e-6;
+        options.admission.service_tql = 20e-6;
+        const auto result = runSim(graph, options, 2);
+        ASSERT_FALSE(result.failed);
+        ASSERT_GT(result.jobs_shed, 0);
+        ASSERT_GT(result.jobs_deadline_missed, 0);
+        expectPin(pinOf(result), {96, 0, 0x80e0e9dd30ba405eULL});
+    }
+    {
+        SCOPED_TRACE("span capacity below the pair count");
+        const TaskGraph graph = simGraph(40);
+        tt::fault::FaultConfig config;
+        config.seed = 3;
+        config.fail_p = 0.1;
+        const tt::fault::FaultPlan plan(config);
+        EngineOptions options;
+        options.fault_plan = &plan;
+        options.span_capacity = 12;
+        options.retry_backoff_seconds = 20e-6;
+        const auto result = runSim(graph, options, 2);
+        ASSERT_FALSE(result.failed);
+        ASSERT_GT(result.spans_dropped, 0u);
+        expectPin(pinOf(result), {12, 28, 0xf7a6603c55b5e5b0ULL});
+    }
 }
 
 TEST(OpenMetrics, NameSanitization)
