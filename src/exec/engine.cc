@@ -228,16 +228,16 @@ Engine::admitJobLocked(const load::JobSpec &job)
         // is terminal at the verdict.
         ++jobs_shed_;
         if (metrics != nullptr)
-            metrics->add("runtime.jobs_shed", 1);
+            metrics->add(hot_ids_.jobs_shed);
         span_ring_->record(job.pair);
     } else {
         ++jobs_admitted_;
         if (metrics != nullptr)
-            metrics->add("runtime.jobs_admitted", 1);
+            metrics->add(hot_ids_.jobs_admitted);
         if (out.decision == load::AdmissionDecision::Delay) {
             ++jobs_delayed_;
             if (metrics != nullptr)
-                metrics->add("runtime.jobs_delayed", 1);
+                metrics->add(hot_ids_.jobs_delayed);
         }
         job_slo_[pair] = job.slo_seconds;
         enqueueReady(graph_.memoryTaskOf(job.pair));
@@ -466,9 +466,18 @@ Engine::recordAttemptEvent(int context, TaskId id,
             pair_counters_[static_cast<std::size_t>(task.pair)][side] =
                 outcome.counters;
     }
+    // A ring store costs less than the clock pair that would time it,
+    // so only the last record of each kWallCostSampleStride this
+    // context makes is timed, and stands for the stride (the last, so
+    // the cold first record is never multiplied).
+    obs::RecordRing<obs::TaskEvent> &ring = tracer_->ring(context);
+    if ((ring.recorded() + 1) % kWallCostSampleStride != 0) {
+        ring.record(event);
+        return;
+    }
     const std::uint64_t t0 = wallNanos();
-    tracer_->ring(context).record(event);
-    slot.trace_record_ns += wallNanos() - t0;
+    ring.record(event);
+    slot.trace_record_ns += kWallCostSampleStride * (wallNanos() - t0);
 }
 
 void
@@ -482,6 +491,10 @@ Engine::completeAttempt(int context, TaskId id,
     const bool memory = task.kind == TaskKind::Memory;
     const auto p = static_cast<std::size_t>(task.pair);
     PairSlot &pair = pairs_[p];
+    // This completion's histogram observations, published together
+    // under one lock once the ready depths are read.
+    std::array<obs::ShardedMetrics::Observation, 6> batch;
+    std::size_t n = 0;
     if (memory) {
         gate_->release(c);
     } else {
@@ -491,24 +504,29 @@ Engine::completeAttempt(int context, TaskId id,
         // chain, and the metrics go to this context's shard.
         const core::PairSample sample = pairSample(task.pair);
         if (metric_shards_.has_value() && std::isfinite(sample.tm) &&
-            std::isfinite(sample.tc))
-            observePairTimes(context, sample);
+            std::isfinite(sample.tc)) {
+            const MtlIds ids = pairTimeIds(context, sample.mtl);
+            batch[n++] = {ids.tm, sample.tm};
+            batch[n++] = {ids.tc, sample.tc};
+        }
         if (open_loop_) {
             // Deadline accounting against the *actual* completion:
             // the admission model predicted, this is ground truth.
             const double arrival = job_arrival_stamp_[p];
             const double response = outcome.end - arrival;
-            if (metric_shards_.has_value()) {
-                metric_shards_->observe(c, hot_ids_.response_seconds,
-                                        std::max(response, 0.0));
-                metric_shards_->observe(
-                    c, hot_ids_.queue_wait_seconds,
-                    std::max(pair.start[0] - arrival, 0.0));
-            }
+            batch[n++] = {hot_ids_.response_seconds, std::max(response, 0.0)};
+            batch[n++] = {hot_ids_.queue_wait_seconds,
+                          std::max(pair.start[0] - arrival, 0.0)};
             pair.deadline_missed = job_slo_[p] > 0.0 && response > job_slo_[p];
         }
     }
-    observeReadyDepths(context);
+    if (metric_shards_.has_value()) {
+        batch[n++] = {hot_ids_.ready_memory_depth,
+                      static_cast<double>(ready_memory_->sizeApprox())};
+        batch[n++] = {hot_ids_.ready_compute_depth,
+                      static_cast<double>(ready_compute_->sizeApprox())};
+        metric_shards_->observe(c, {batch.data(), n});
+    }
     const TaskId partner = unlockSuccessors(id, outcome.end);
     slot.done.store(slot.done.load(std::memory_order_relaxed) + 1,
                     std::memory_order_relaxed);
@@ -631,7 +649,7 @@ Engine::completePairLocked(stream::PairId pair)
         if (pairs_[p].deadline_missed) {
             ++jobs_deadline_missed_;
             if (MetricsRegistry *metrics = options_.metrics)
-                metrics->add("runtime.jobs_deadline_missed", 1);
+                metrics->add(hot_ids_.jobs_deadline_missed);
         }
     }
     span_ring_->record(pair);
@@ -645,40 +663,23 @@ Engine::completePairLocked(stream::PairId pair)
     }
 }
 
-void
-Engine::observeReadyDepths(int context)
+Engine::MtlIds
+Engine::pairTimeIds(int context, int mtl)
 {
-    if (!metric_shards_.has_value())
-        return;
-    const auto c = static_cast<std::size_t>(context);
-    metric_shards_->observe(c, hot_ids_.ready_memory_depth,
-                            static_cast<double>(ready_memory_->sizeApprox()));
-    metric_shards_->observe(
-        c, hot_ids_.ready_compute_depth,
-        static_cast<double>(ready_compute_->sizeApprox()));
-}
-
-void
-Engine::observePairTimes(int context, const core::PairSample &sample)
-{
-    const auto c = static_cast<std::size_t>(context);
-    std::vector<MtlIds> &cache = contexts_[c].mtl_ids;
-    const auto k = static_cast<std::size_t>(std::max(sample.mtl, 0));
-    MtlIds ids;
-    if (sample.mtl >= 0 && k < cache.size() && cache[k].resolved) {
-        ids = cache[k];
-    } else {
-        const std::string suffix = ".mtl=" + std::to_string(sample.mtl);
-        ids = {metric_shards_->histogram("runtime.tm_seconds" + suffix),
-               metric_shards_->histogram("runtime.tc_seconds" + suffix),
-               true};
-        if (sample.mtl >= 0) {
-            cache.resize(std::max(cache.size(), k + 1));
-            cache[k] = ids;
-        }
+    std::vector<MtlIds> &cache =
+        contexts_[static_cast<std::size_t>(context)].mtl_ids;
+    const auto k = static_cast<std::size_t>(std::max(mtl, 0));
+    if (mtl >= 0 && k < cache.size() && cache[k].resolved)
+        return cache[k];
+    const std::string suffix = ".mtl=" + std::to_string(mtl);
+    const MtlIds ids{
+        metric_shards_->histogram("runtime.tm_seconds" + suffix),
+        metric_shards_->histogram("runtime.tc_seconds" + suffix), true};
+    if (mtl >= 0) {
+        cache.resize(std::max(cache.size(), k + 1));
+        cache[k] = ids;
     }
-    metric_shards_->observe(c, ids.tm, sample.tm);
-    metric_shards_->observe(c, ids.tc, sample.tc);
+    return ids;
 }
 
 TaskId
@@ -1149,10 +1150,22 @@ Engine::run(ExecutionBackend &backend)
             "runtime.queue_wait_seconds", response);
         hot_ids_.worker_parks =
             metric_shards_->counter("runtime.worker_parks");
+        MetricsRegistry &metrics = *options_.metrics;
+        hot_ids_.jobs_admitted = metrics.counterId("runtime.jobs_admitted");
+        hot_ids_.jobs_delayed = metrics.counterId("runtime.jobs_delayed");
+        hot_ids_.jobs_shed = metrics.counterId("runtime.jobs_shed");
+        hot_ids_.jobs_deadline_missed =
+            metrics.counterId("runtime.jobs_deadline_missed");
     }
     tracer_.emplace(contexts, ringCapacity(options_, graph_.taskCount()));
     span_ring_.emplace(std::max<std::size_t>(
         1, std::min(options_.span_capacity, n_pairs)));
+    // One entry per pair at most, so the logs never reallocate mid-run.
+    samples_.reserve(n_pairs);
+    if (open_loop_) {
+        job_log_.reserve(n_pairs);
+        response_log_.reserve(n_pairs);
+    }
     if (options_.counters != nullptr)
         pair_counters_.resize(n_pairs);
 
@@ -1263,7 +1276,8 @@ Engine::finishResult()
 
     result.seconds =
         drain_seconds_ >= 0.0 ? drain_seconds_ : backend_->now();
-    result.samples = samples_;
+    // The run is over: the logs move into the result, not copied.
+    result.samples = std::move(samples_);
     result.policy_stats = policy_.stats();
     result.mtl_trace = policy_.mtlTrace();
     result.decisions = policy_.decisions();
@@ -1286,7 +1300,7 @@ Engine::finishResult()
     double tm_sum = 0.0;
     double tc_sum = 0.0;
     long clean = 0;
-    for (const auto &sample : samples_) {
+    for (const auto &sample : result.samples) {
         if (!summary_guard.accept(sample))
             continue;
         tm_sum += sample.tm;
@@ -1297,13 +1311,13 @@ Engine::finishResult()
         result.avg_tm = tm_sum / static_cast<double>(clean);
         result.avg_tc = tc_sum / static_cast<double>(clean);
     }
-    if (!samples_.empty()) {
+    if (!result.samples.empty()) {
         // Probe overhead counts only samples a selection accepted;
         // stale pairs (measured under a pre-probe MTL) are tracked
         // separately in policy_stats.stale_pairs.
         result.monitor_overhead =
             static_cast<double>(result.policy_stats.probe_pairs) /
-            static_cast<double>(samples_.size());
+            static_cast<double>(result.samples.size());
     }
 
     // Per-phase aggregates.
@@ -1348,8 +1362,8 @@ Engine::finishResult()
         result.jobs_delayed = jobs_delayed_;
         result.jobs_shed = jobs_shed_;
         result.jobs_deadline_missed = jobs_deadline_missed_;
-        result.jobs = job_log_;
-        result.response_seconds = response_log_;
+        result.jobs = std::move(job_log_);
+        result.response_seconds = std::move(response_log_);
         if (result.jobs_offered > 0) {
             // Shed jobs count as missed: attainment is over offered
             // load, not over what the system deigned to admit.
@@ -1402,10 +1416,10 @@ Engine::finishResult()
             // Zero-delta adds materialize the full jobs_* schema even
             // for runs that never delayed or shed, so host and sim
             // open-loop runs expose identical metric names.
-            metrics->add("runtime.jobs_admitted", 0);
-            metrics->add("runtime.jobs_delayed", 0);
-            metrics->add("runtime.jobs_shed", 0);
-            metrics->add("runtime.jobs_deadline_missed", 0);
+            metrics->add(hot_ids_.jobs_admitted, 0);
+            metrics->add(hot_ids_.jobs_delayed, 0);
+            metrics->add(hot_ids_.jobs_shed, 0);
+            metrics->add(hot_ids_.jobs_deadline_missed, 0);
             metrics->set("runtime.slo_attainment",
                          result.slo_attainment);
             metrics->set("runtime.backpressure_state",
@@ -1482,7 +1496,10 @@ Engine::buildSpans()
             }
         }
         // Memory side, then compute: each side's failed attempts, then
-        // its successful one, up to a terminal failure.
+        // its successful one, up to a terminal failure. Two attempts
+        // unless the pair failed some: one allocation per span.
+        if (span.outcome != obs::SpanOutcome::Shed)
+            span.attempts.reserve(2);
         for (std::size_t side = 0;
              side < 2 && span.outcome != obs::SpanOutcome::Shed; ++side) {
             const bool memory = side == 0; // see PairSlot

@@ -613,7 +613,9 @@ class Engine
         /** Tasks this context completed, counted by the completion
          *  itself before it releases the context. */
         std::atomic<int> done{0};
-        /** Wall ns spent recording this context's trace events. */
+        /** Wall ns spent recording this context's trace events,
+         *  estimated from the last record of each
+         *  kWallCostSampleStride. */
         std::uint64_t trace_record_ns = 0;
         bool saw_counters = false;
         obs::perf::CounterSet counters; ///< hw-counter totals
@@ -727,11 +729,9 @@ class Engine
      *  memory task's own compute partner and returns it instead of
      *  enqueueing it (kInvalidTask when none was kept). */
     stream::TaskId unlockSuccessors(stream::TaskId id, double now);
-    /** Observe both ready-ring depths (metrics on). */
-    void observeReadyDepths(int context);
-    /** Observe a pair's T_m and T_c, interning the names of a new
-     *  MTL for `context`: the one place a completion builds a name. */
-    void observePairTimes(int context, const core::PairSample &sample);
+    /** The tm/tc ids of `mtl`, interning the names of a new MTL for
+     *  `context`: the one place a completion builds a name. */
+    MtlIds pairTimeIds(int context, int mtl);
     /** The sample of completed `pair`, with fault-plan corruption. */
     core::PairSample pairSample(stream::PairId pair) const;
     /** While pairs wait and the combiner token is free: take it and
@@ -779,7 +779,9 @@ class Engine
      *  one shard per worker thread; none for a single dispatcher,
      *  which writes the registry directly. */
     std::optional<obs::ShardedMetrics> metric_shards_;
-    /** Ids of the fixed hot metrics, interned once per run. */
+    /** Ids of the fixed hot metrics, interned once per run. The
+     *  per-job counters are written under mutex_, straight to the
+     *  registry's slots; the rest go through metric_shards_. */
     struct HotIds
     {
         obs::ShardedMetrics::HistogramId ready_memory_depth;
@@ -787,6 +789,10 @@ class Engine
         obs::ShardedMetrics::HistogramId response_seconds;
         obs::ShardedMetrics::HistogramId queue_wait_seconds;
         obs::ShardedMetrics::CounterId worker_parks;
+        MetricsRegistry::CounterId jobs_admitted;
+        MetricsRegistry::CounterId jobs_delayed;
+        MetricsRegistry::CounterId jobs_shed;
+        MetricsRegistry::CounterId jobs_deadline_missed;
     };
     HotIds hot_ids_;
     std::optional<obs::Tracer> tracer_; ///< one ring per context

@@ -40,7 +40,9 @@
  * publishes each edge as it happens (`obs.alerts_active.<rule>`,
  * `obs.alerts_fired.<rule>`, `obs.alerts_cleared.<rule>`,
  * `obs.alerts_dropped`) and its own wall-clock cost at drain
- * (`obs.overhead.health_ns`).
+ * (`obs.overhead.health_ns`; per-verdict work is estimated from the
+ * last verdict of each kWallCostSampleStride, the rest timed in
+ * full).
  *
  * The class is not thread-safe; exec::Engine drives it under its
  * run mutex, off the lock-free fast path.
@@ -321,7 +323,10 @@ class HealthEngine
     JobWindowSample job_;
     TickWindowSample tick_;
     HotPathTotals prev_totals_;
-    std::uint64_t overhead_ns_ = 0; ///< wall ns in the raw inputs
+    /** Wall ns in the raw inputs; per-verdict work is estimated from
+     *  the last verdict of each kWallCostSampleStride. */
+    std::uint64_t overhead_ns_ = 0;
+    std::uint64_t verdicts_ = 0; ///< verdicts seen, the sampling stride
 
     std::vector<AlertEvent> alerts_;
     std::uint64_t alerts_dropped_ = 0;

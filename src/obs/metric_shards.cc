@@ -11,45 +11,36 @@ ShardedMetrics::ShardedMetrics(MetricsRegistry &sink,
 ShardedMetrics::CounterId
 ShardedMetrics::counter(const std::string &name)
 {
-    std::lock_guard names(names_mutex_);
-    const auto [it, inserted] = counter_ids_.try_emplace(
-        name, static_cast<std::uint32_t>(counter_names_.size()));
-    if (inserted) {
-        counter_names_.push_back(name);
-        // Every shard gets the slot before the id is handed out, so a
-        // publication never has to grow its shard.
-        for (Shard &s : shards_) {
-            std::lock_guard lock(s.mutex);
-            s.counters.push_back(0);
-        }
+    const CounterId id = sink_.counterId(name);
+    for (Shard &s : shards_) {
+        std::lock_guard lock(s.mutex);
+        if (s.counters.size() <= id.index)
+            s.counters.resize(id.index + 1, 0);
     }
-    return {it->second};
+    return id;
 }
 
 ShardedMetrics::HistogramId
 ShardedMetrics::histogram(const std::string &name,
                           const Histogram::Options &options)
 {
-    std::lock_guard names(names_mutex_);
-    const auto [it, inserted] = histogram_ids_.try_emplace(
-        name, static_cast<std::uint32_t>(histogram_names_.size()));
-    if (inserted) {
-        histogram_names_.push_back(name);
-        histogram_options_.push_back(options);
-        for (Shard &s : shards_) {
-            std::lock_guard lock(s.mutex);
-            s.histograms.emplace_back(options);
-        }
+    const HistogramId id = sink_.histogramId(name, options);
+    for (Shard &s : shards_) {
+        std::lock_guard lock(s.mutex);
+        // Concurrent interns may grow a shard in either order: each
+        // slot takes the geometry its own id was interned with.
+        while (s.histograms.size() <= id.index)
+            s.histograms.emplace_back(sink_.histogramOptions(
+                {static_cast<std::uint32_t>(s.histograms.size())}));
     }
-    return {it->second};
+    return id;
 }
 
 void
 ShardedMetrics::add(std::size_t shard, CounterId id, std::int64_t delta)
 {
     if (shards_.empty()) {
-        std::lock_guard names(names_mutex_);
-        sink_.add(counter_names_[id.index], delta);
+        sink_.add(id, delta);
         return;
     }
     Shard &s = shards_[shard % shards_.size()];
@@ -60,21 +51,27 @@ ShardedMetrics::add(std::size_t shard, CounterId id, std::int64_t delta)
 void
 ShardedMetrics::observe(std::size_t shard, HistogramId id, double value)
 {
+    const Observation one{id, value};
+    observe(shard, {&one, 1});
+}
+
+void
+ShardedMetrics::observe(std::size_t shard,
+                        std::span<const Observation> batch)
+{
     if (shards_.empty()) {
-        std::lock_guard names(names_mutex_);
-        sink_.observe(histogram_names_[id.index], value,
-                      histogram_options_[id.index]);
+        sink_.observe(batch);
         return;
     }
     Shard &s = shards_[shard % shards_.size()];
     std::lock_guard lock(s.mutex);
-    s.histograms[id.index].add(value);
+    for (const Observation &o : batch)
+        s.histograms[o.id.index].add(o.value);
 }
 
 void
 ShardedMetrics::fold()
 {
-    std::lock_guard names(names_mutex_);
     for (Shard &s : shards_) {
         // The worker waits out its own shard's merge (a few slots);
         // in exchange nothing is swapped out or re-allocated.
@@ -82,14 +79,15 @@ ShardedMetrics::fold()
         for (std::size_t i = 0; i < s.counters.size(); ++i) {
             if (s.counters[i] == 0)
                 continue;
-            sink_.add(counter_names_[i], s.counters[i]);
+            sink_.add(CounterId{static_cast<std::uint32_t>(i)},
+                      s.counters[i]);
             s.counters[i] = 0;
         }
         for (std::size_t i = 0; i < s.histograms.size(); ++i) {
             Histogram &hist = s.histograms[i];
             if (hist.empty())
                 continue;
-            sink_.merge(histogram_names_[i], hist);
+            sink_.merge(HistogramId{static_cast<std::uint32_t>(i)}, hist);
             hist.reset();
         }
     }

@@ -13,16 +13,18 @@
  * tick (health, time series and live; on worker threads the live
  * tick runs, fold only, even without a snapshot sink) and at drain.
  *
- * Names are resolved to ids once, not per publication. counter() and
- * histogram() intern a name (with its bucket geometry) and return a
- * dense id, and every shard keeps one array slot per id, so a
- * publication is an index, not a string build and a map search. The
+ * Names are resolved to ids once, not per publication: counter() and
+ * histogram() intern a name (with its bucket geometry) in the
+ * registry itself (MetricsRegistry::counterId / histogramId) and
+ * return the registry's slot id, and every shard keeps one array slot
+ * per id, so a publication is an index, not a string build and a map
+ * search, and a fold merges each slot into the registry by id. The
  * engine interns its fixed hot metrics when a run starts, and a
  * `runtime.tm_seconds.mtl=K` / `runtime.tc_seconds.mtl=K` pair the
  * first time a context measures a pair at MTL K; MTLs are whatever
  * the policy publishes, so ids can be interned while workers publish
- * and a fold runs. Interning only creates shard slots: a name reaches
- * the registry at the first fold that finds its slot non-empty.
+ * and a fold runs. Interning only creates slots: a name reaches the
+ * registry at the first fold that finds its slot non-empty.
  *
  * Each shard carries its own small mutex rather than per-slot
  * atomics: the hot path is the *only* writer of its shard, so that
@@ -40,9 +42,11 @@
  * hold: at most one live interval.
  *
  * With zero shards there is nothing to fold: each publication goes
- * straight to the registry under its interned name. That serves a
- * backend with one dispatcher, which has nothing to contend on and
- * whose registry must see every observation in publication order.
+ * straight to the registry's interned slot. That serves a backend
+ * with one dispatcher, which has nothing to contend on and whose
+ * registry must see every observation in publication order (a
+ * shard folded at ticks would re-round histogram means through
+ * RunningStat::merge).
  */
 
 #ifndef TT_OBS_METRIC_SHARDS_HH
@@ -50,8 +54,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,17 +66,14 @@ namespace tt::obs {
 class ShardedMetrics
 {
   public:
-    /** An interned counter name. */
-    struct CounterId
-    {
-        std::uint32_t index = 0;
-    };
+    /** An interned counter name: the registry's slot id. */
+    using CounterId = MetricsRegistry::CounterId;
 
     /** An interned histogram name and its bucket geometry. */
-    struct HistogramId
-    {
-        std::uint32_t index = 0;
-    };
+    using HistogramId = MetricsRegistry::HistogramId;
+
+    /** One histogram observation, for batches. */
+    using Observation = MetricsRegistry::Observation;
 
     /**
      * `shards` worker-local shards folding into `sink`; with 0 shards
@@ -100,6 +101,10 @@ class ShardedMetrics
     /** Record one histogram observation in shard `shard`. */
     void observe(std::size_t shard, HistogramId id, double value);
 
+    /** Record each observation in turn in shard `shard`, under one
+     *  lock (the shard's, or with zero shards the registry's). */
+    void observe(std::size_t shard, std::span<const Observation> batch);
+
     /**
      * Fold every shard into the sink and reset the shards in place.
      * Safe concurrently with publications (each shard is merged under
@@ -109,6 +114,11 @@ class ShardedMetrics
     void fold();
 
   private:
+    /** Slots by registry id; interning grows every shard's arrays to
+     *  cover the new id before handing it out, so a publication never
+     *  grows its shard. Ids interned by other registry users get
+     *  slots too, which stay empty. Lock order: a shard mutex, then
+     *  the sink's. */
     struct alignas(64) Shard
     {
         std::mutex mutex;
@@ -118,16 +128,6 @@ class ShardedMetrics
 
     MetricsRegistry &sink_;
     std::vector<Shard> shards_;
-
-    /** Guards the name tables below and the growth of every shard's
-     *  arrays. Lock order: names_mutex_, then a shard mutex, then the
-     *  sink's. */
-    std::mutex names_mutex_;
-    std::map<std::string, std::uint32_t> counter_ids_;
-    std::map<std::string, std::uint32_t> histogram_ids_;
-    std::vector<std::string> counter_names_;
-    std::vector<std::string> histogram_names_;
-    std::vector<Histogram::Options> histogram_options_;
 };
 
 } // namespace tt::obs

@@ -67,7 +67,11 @@ class Tracer
     const RecordRing<TaskEvent> &ring(int worker) const;
 
     /** Drain every ring into one stream sorted by (start, end,
-     *  task); the rings are empty afterwards, their counters kept. */
+     *  task): a k-way merge of the rings, each already in start order
+     *  (one out of order is sorted on its own first), so the result
+     *  is the whole-trace sort's. The merge runs in place over the
+     *  appended rings, so the trace is held once. The rings are empty
+     *  afterwards, their counters kept. */
     std::vector<TaskEvent> merged();
 
     /** Total events recorded across all rings. */

@@ -42,6 +42,7 @@ void
 SimBackend::beginRun(exec::Engine &engine)
 {
     ExecutionBackend::beginRun(engine);
+    in_flight_.assign(static_cast<std::size_t>(machine_.contexts()), {});
     if (counters_ != nullptr)
         counters_->prepare(machine_.contexts());
     // Engine times are seconds from run start even when the machine's
@@ -59,22 +60,26 @@ SimBackend::startAttempt(int context, const exec::AttemptSpec &spec)
         // resident footprint (released only at pair completion).
         machine_.mem().llc().install(task.sim_work.footprint_bytes);
     }
+    // The context runs this attempt alone until it is delivered, so
+    // the spec waits in the context's slot and the body callbacks
+    // capture only the context: small enough to stay out of the heap.
+    in_flight_[static_cast<std::size_t>(context)].spec = spec;
     if (spec.rerun_memory_first) {
         // Pair-granularity retry: re-gather before re-computing.
         const Task &mem = graph_.task(graph_.memoryTaskOf(task.pair));
-        machine_.run(context, mem, 0.0, [this, context, spec] {
-            runMainBody(context, spec);
-        });
+        machine_.run(context, mem, 0.0,
+                     [this, context] { runMainBody(context); });
         return;
     }
-    runMainBody(context, spec);
+    runMainBody(context);
 }
 
 void
-SimBackend::runMainBody(int context, const exec::AttemptSpec &spec)
+SimBackend::runMainBody(int context)
 {
-    const Task &task = graph_.task(spec.task);
-    const sim::Tick start_tick = machine_.events().now();
+    InFlight &attempt = in_flight_[static_cast<std::size_t>(context)];
+    const Task &task = graph_.task(attempt.spec.task);
+    attempt.start_tick = machine_.events().now();
     const double miss_fraction =
         task.kind == TaskKind::Compute
             ? machine_.mem().llc().missFraction()
@@ -83,7 +88,7 @@ SimBackend::runMainBody(int context, const exec::AttemptSpec &spec)
     // for a memory task, the demand-fetched spill for compute (the
     // same rounding SimCore applies); this becomes the synthesized
     // llc_misses count.
-    const std::uint64_t miss_lines =
+    attempt.miss_lines =
         task.kind == TaskKind::Memory
             ? (task.sim_work.bytes + mem::kLineBytes - 1) /
                   mem::kLineBytes
@@ -92,15 +97,18 @@ SimBackend::runMainBody(int context, const exec::AttemptSpec &spec)
                   static_cast<double>(task.sim_work.footprint_bytes /
                                       mem::kLineBytes));
     machine_.run(context, task, miss_fraction,
-                 [this, context, spec, start_tick, miss_lines] {
-                     onBodyDone(context, spec, start_tick, miss_lines);
-                 });
+                 [this, context] { onBodyDone(context); });
 }
 
 void
-SimBackend::onBodyDone(int context, const exec::AttemptSpec &spec,
-                       sim::Tick start_tick, std::uint64_t miss_lines)
+SimBackend::onBodyDone(int context)
 {
+    // Read before delivery: the engine may start the context's next
+    // attempt, which overwrites the slot, from inside onAttemptDone.
+    const InFlight &attempt = in_flight_[static_cast<std::size_t>(context)];
+    const exec::AttemptSpec &spec = attempt.spec;
+    const sim::Tick start_tick = attempt.start_tick;
+    const std::uint64_t miss_lines = attempt.miss_lines;
     exec::AttemptOutcome out;
     out.start = sim::toSeconds(start_tick) - start_seconds_;
 

@@ -14,6 +14,9 @@
 #ifndef TT_SIMRT_SIM_BACKEND_HH
 #define TT_SIMRT_SIM_BACKEND_HH
 
+#include <cstdint>
+#include <vector>
+
 #include "cpu/sim_machine.hh"
 #include "exec/engine.hh"
 #include "obs/perf/sim_counter_provider.hh"
@@ -53,12 +56,20 @@ class SimBackend final : public exec::ExecutionBackend
     void finalize(exec::RunResult &result) override;
 
   private:
-    /** Run the attempt's own task body (after any memory re-run). */
-    void runMainBody(int context, const exec::AttemptSpec &spec);
-    /** Body finished: realize fail/stall/straggler faults, deliver.
-     *  `miss_lines` is the LLC-miss line count the body modelled. */
-    void onBodyDone(int context, const exec::AttemptSpec &spec,
-                    sim::Tick start_tick, std::uint64_t miss_lines);
+    /** The attempt one context runs, from startAttempt() until it is
+     *  delivered: a context runs one attempt at a time. */
+    struct InFlight
+    {
+        exec::AttemptSpec spec;
+        sim::Tick start_tick = 0;     ///< the main body's start
+        std::uint64_t miss_lines = 0; ///< LLC-miss lines it modelled
+    };
+
+    /** Run the context's attempt's own task body (after any memory
+     *  re-run). */
+    void runMainBody(int context);
+    /** Body finished: realize fail/stall/straggler faults, deliver. */
+    void onBodyDone(int context);
 
     cpu::SimMachine &machine_;
     const stream::TaskGraph &graph_;
@@ -67,6 +78,7 @@ class SimBackend final : public exec::ExecutionBackend
     double start_seconds_ = 0.0; ///< sim clock at beginRun()
     /** Wall ns spent synthesizing counters (obs.overhead.*). */
     std::uint64_t counter_read_ns_ = 0;
+    std::vector<InFlight> in_flight_; ///< by context, from beginRun()
 };
 
 } // namespace tt::simrt

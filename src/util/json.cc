@@ -284,8 +284,7 @@ class Parser
     parseNumber(Value &out)
     {
         const std::size_t start = pos_;
-        if (consume('-'))
-            ;
+        consume('-'); // an optional sign
         while (pos_ < text_.size() &&
                (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
                 text_[pos_] == '.' || text_[pos_] == 'e' ||

@@ -282,11 +282,67 @@ Histogram::quantile(double q) const
     return stat_.max();
 }
 
+MetricsRegistry::CounterId
+MetricsRegistry::counterId(const std::string &name)
+{
+    std::lock_guard lock(mutex_);
+    const auto [it, inserted] = counter_ids_.try_emplace(
+        name, static_cast<std::uint32_t>(counter_slots_.size()));
+    if (inserted)
+        counter_slots_.push_back({name});
+    return {it->second};
+}
+
+MetricsRegistry::HistogramId
+MetricsRegistry::histogramId(const std::string &name,
+                             const Histogram::Options &options)
+{
+    std::lock_guard lock(mutex_);
+    const auto [it, inserted] = histogram_ids_.try_emplace(
+        name, static_cast<std::uint32_t>(histogram_slots_.size()));
+    if (inserted)
+        histogram_slots_.push_back({name, options});
+    return {it->second};
+}
+
+Histogram::Options
+MetricsRegistry::histogramOptions(HistogramId id) const
+{
+    std::lock_guard lock(mutex_);
+    return histogram_slots_[id.index].options;
+}
+
+std::int64_t &
+MetricsRegistry::counterLocked(CounterId id)
+{
+    CounterSlot &slot = counter_slots_[id.index];
+    if (slot.value == nullptr)
+        slot.value = &counters_[slot.name];
+    return *slot.value;
+}
+
+Histogram &
+MetricsRegistry::histogramLocked(HistogramId id)
+{
+    HistogramSlot &slot = histogram_slots_[id.index];
+    if (slot.hist == nullptr)
+        slot.hist = &histograms_.try_emplace(slot.name, slot.options)
+                         .first->second;
+    return *slot.hist;
+}
+
 void
 MetricsRegistry::add(const std::string &name, std::int64_t delta)
 {
     std::lock_guard lock(mutex_);
     counters_[name] += delta;
+}
+
+void
+MetricsRegistry::add(CounterId id, std::int64_t delta)
+{
+    std::lock_guard lock(mutex_);
+    counterLocked(id) += delta;
 }
 
 void
@@ -308,32 +364,25 @@ MetricsRegistry::setMax(const std::string &name, double value)
 void
 MetricsRegistry::observe(const std::string &name, double value)
 {
-    observe(name, value, Histogram::Options{});
+    std::lock_guard lock(mutex_);
+    histograms_[name].add(value);
 }
 
 void
-MetricsRegistry::observe(const std::string &name, double value,
-                         const Histogram::Options &options)
+MetricsRegistry::observe(std::span<const Observation> batch)
 {
     std::lock_guard lock(mutex_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        it = histograms_.emplace(name, Histogram(options)).first;
-    it->second.add(value);
+    for (const Observation &o : batch)
+        histogramLocked(o.id).add(o.value);
 }
 
 void
-MetricsRegistry::merge(const std::string &name,
-                       const Histogram &shard)
+MetricsRegistry::merge(HistogramId id, const Histogram &shard)
 {
     if (shard.empty())
         return;
     std::lock_guard lock(mutex_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        it = histograms_.emplace(name, Histogram(shard.options()))
-                 .first;
-    it->second.merge(shard);
+    histogramLocked(id).merge(shard);
 }
 
 std::int64_t
@@ -453,6 +502,11 @@ MetricsRegistry::clear()
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
+    // The slots pointed into the maps just cleared.
+    for (CounterSlot &slot : counter_slots_)
+        slot.value = nullptr;
+    for (HistogramSlot &slot : histogram_slots_)
+        slot.hist = nullptr;
 }
 
 void

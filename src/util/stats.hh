@@ -23,6 +23,7 @@
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -187,18 +188,67 @@ class Histogram
 std::uint64_t wallNanos();
 
 /**
+ * Stride of the sampled wall-cost counters: a per-event cost (a trace
+ * record, a health verdict) times the last event of every this many
+ * and charges the stride times the delta, so the clock pair that
+ * measures the event does not cost more than the event itself.
+ */
+inline constexpr std::uint64_t kWallCostSampleStride = 64;
+
+/**
  * Thread-safe registry of named metrics: monotonic counters, last- or
  * max-value gauges, and log-bucket Histogram distributions. Policies
  * and runtimes publish into one registry during a run; afterwards it
  * renders as JSON (writeJson) or an aligned text table (summaryTable,
  * built on TablePrinter). All operations take one internal mutex --
  * cheap next to the work each published sample represents.
+ *
+ * A hot publisher interns its names once (counterId, histogramId) and
+ * then writes by slot: the mutex and an index, no string built or
+ * searched. Interning only reserves the slot; the name enters the
+ * registry -- counterNames(), writeJson, the snapshots -- at its
+ * first write, exactly as a by-name write would create it, so the
+ * two kinds of write are interchangeable. Ids stay valid for the
+ * registry's lifetime, across clear().
  */
 class MetricsRegistry
 {
   public:
+    /** An interned counter name. */
+    struct CounterId
+    {
+        std::uint32_t index = 0;
+    };
+
+    /** An interned histogram name and its bucket geometry. */
+    struct HistogramId
+    {
+        std::uint32_t index = 0;
+    };
+
+    /** One histogram observation by slot, for batched writes. */
+    struct Observation
+    {
+        HistogramId id;
+        double value = 0.0;
+    };
+
+    /** Intern a counter name; the same name yields the same id. */
+    CounterId counterId(const std::string &name);
+
+    /** Intern a histogram name with the geometry its first write
+     *  creates it with (the first interning's geometry wins). */
+    HistogramId histogramId(const std::string &name,
+                            const Histogram::Options &options = {});
+
+    /** The geometry interned with `id`. */
+    Histogram::Options histogramOptions(HistogramId id) const;
+
     /** Add `delta` to a counter, creating it at zero. */
     void add(const std::string &name, std::int64_t delta = 1);
+
+    /** As add(name, delta), by interned slot. */
+    void add(CounterId id, std::int64_t delta = 1);
 
     /** Set a gauge to `value`. */
     void set(const std::string &name, double value);
@@ -209,17 +259,19 @@ class MetricsRegistry
     /** Record one observation into a histogram (default geometry). */
     void observe(const std::string &name, double value);
 
-    /** As observe(), with explicit geometry on first use. */
-    void observe(const std::string &name, double value,
-                 const Histogram::Options &options);
+    /** Record each observation in turn, by interned slot, under one
+     *  lock; a slot's first write creates its histogram with the
+     *  interned geometry. */
+    void observe(std::span<const Observation> batch);
 
     /**
-     * Merge a whole histogram into the named one (creating it with
-     * `shard`'s geometry if absent) — the fold point for per-worker
-     * metric shards. Exact for bucket hits, counts, sums and
-     * min/max; equivalent to having observed every sample here.
+     * Merge a whole histogram into the slot's (creating it with the
+     * interned geometry, which must match `shard`'s) — the fold point
+     * for per-worker metric shards. Exact for bucket hits, counts,
+     * sums and min/max; equivalent to having observed every sample
+     * here.
      */
-    void merge(const std::string &name, const Histogram &shard);
+    void merge(HistogramId id, const Histogram &shard);
 
     std::int64_t counter(const std::string &name) const;
     double gauge(const std::string &name, double fallback = 0.0) const;
@@ -236,6 +288,9 @@ class MetricsRegistry
     std::vector<std::string> histogramNames() const;
 
     bool empty() const;
+
+    /** Drop every metric. Interned ids stay valid: their next write
+     *  re-creates the name. */
     void clear();
 
     /** Render every metric as one JSON object. */
@@ -245,10 +300,35 @@ class MetricsRegistry
     std::string summaryTable() const;
 
   private:
+    /** An interned counter: its name and, once written, its value
+     *  (a std::map node, which stays put until clear()). */
+    struct CounterSlot
+    {
+        std::string name;
+        std::int64_t *value = nullptr;
+    };
+
+    /** An interned histogram, as CounterSlot, with its geometry. */
+    struct HistogramSlot
+    {
+        std::string name;
+        Histogram::Options options;
+        Histogram *hist = nullptr;
+    };
+
+    /** `id`'s counter, created at zero on first use; under mutex_. */
+    std::int64_t &counterLocked(CounterId id);
+    /** `id`'s histogram, created on first use; under mutex_. */
+    Histogram &histogramLocked(HistogramId id);
+
     mutable std::mutex mutex_;
     std::map<std::string, std::int64_t> counters_;
     std::map<std::string, double> gauges_;
     std::map<std::string, Histogram> histograms_;
+    std::map<std::string, std::uint32_t> counter_ids_;
+    std::map<std::string, std::uint32_t> histogram_ids_;
+    std::vector<CounterSlot> counter_slots_;     ///< by CounterId
+    std::vector<HistogramSlot> histogram_slots_; ///< by HistogramId
 };
 
 } // namespace tt

@@ -4,7 +4,9 @@
 # through bench/check_regression.py. Exits 77 (the ctest's
 # SKIP_RETURN_CODE) when nothing can be compared: a sanitizer build,
 # no python3, or the script's own skips (machine fingerprint or
-# benchmark set differs from the baseline's).
+# benchmark set differs from the baseline's). The fingerprint is
+# compared first, from one cheap benchmark, so a skip costs well
+# under a second instead of the whole sweep.
 #
 # usage: perf_gate.sh SANITIZER PYTHON3 BENCH_MICRO CHECK_REGRESSION \
 #                     BASELINE WORK_DIR
@@ -24,9 +26,40 @@ case $python3 in
     ;;
 esac
 
+mkdir -p "$work_dir" || exit 1
+# Any benchmark's JSON carries the machine context: take it from one
+# cheap benchmark, and compare it with check_regression.py's own
+# fingerprint() before paying for the sweep.
+if ! "$bench" --benchmark_filter='^BM_ModelSpeedup$' \
+    --benchmark_min_time=0.01 \
+    --json-out "$work_dir/fingerprint.json" >/dev/null 2>&1; then
+    echo "bench_micro_runtime failed"
+    exit 1
+fi
+"$python3" - "$check" "$work_dir/fingerprint.json" "$baseline" <<'PY'
+import importlib.util
+import json
+import sys
+
+spec = importlib.util.spec_from_file_location("check_regression",
+                                              sys.argv[1])
+check = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(check)
+prints = []
+for path in sys.argv[2:]:
+    with open(path, encoding="utf-8") as handle:
+        prints.append(check.fingerprint(json.load(handle).get("context", {})))
+current, baseline = prints
+if current != baseline:
+    print(f"SKIP: machine fingerprint changed (baseline {baseline}, "
+          f"current {current}); refresh the baseline to re-arm the gate")
+    sys.exit(check.SKIP_EXIT)
+PY
+status=$?
+[ "$status" -eq 0 ] || exit "$status"
+
 # Five repetitions per benchmark, so the script compares medians, not
 # one noisy sample.
-mkdir -p "$work_dir" || exit 1
 if ! "$bench" \
     --benchmark_filter='HostDispatch|HostRuntimePairDispatch|MpmcQueue|ShardedGate|SimDispatch' \
     --benchmark_min_time=0.1 --benchmark_repetitions=5 \

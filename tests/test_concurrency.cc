@@ -289,6 +289,50 @@ TEST(ShardedMetrics, InternedIdsFoldExactlyUnderConcurrency)
     EXPECT_EQ(registry.counter("test.ticks"), ticks_ref);
 }
 
+TEST(ShardedMetrics, ConcurrentInternsKeepTheirOwnGeometry)
+{
+    // The ids live in the registry, and every interning grows every
+    // shard to cover its id, so concurrent interns of different names
+    // grow a shard in either order. Each slot must still take the
+    // geometry its own name was interned with.
+    constexpr int kWorkers = 4;
+    constexpr int kNames = 8;
+    tt::MetricsRegistry registry;
+    ShardedMetrics shards(registry, kWorkers);
+    const auto geometry = [](int w, int k) {
+        return Histogram::Options{
+            .min_value = 1.0, .growth = 2.0, .buckets = 4 + w * kNames + k};
+    };
+    const auto name = [](int w, int k) {
+        return "test.g" + std::to_string(w) + "." + std::to_string(k);
+    };
+    std::atomic<bool> publishing{true};
+    std::thread folder([&] {
+        while (publishing.load())
+            shards.fold();
+    });
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w)
+        workers.emplace_back([&, w] {
+            for (int k = 0; k < kNames; ++k)
+                shards.observe(static_cast<std::size_t>(w),
+                               shards.histogram(name(w, k), geometry(w, k)),
+                               static_cast<double>(k + 1));
+        });
+    for (auto &worker : workers)
+        worker.join();
+    publishing.store(false);
+    folder.join();
+    shards.fold();
+    for (int w = 0; w < kWorkers; ++w)
+        for (int k = 0; k < kNames; ++k) {
+            const Histogram hist = registry.histogram(name(w, k));
+            EXPECT_EQ(hist.count(), 1u) << name(w, k);
+            EXPECT_EQ(hist.bucketCount(), geometry(w, k).buckets + 2)
+                << name(w, k);
+        }
+}
+
 TEST(ShardedMetrics, NoShardsPublishStraightToTheRegistry)
 {
     // A single dispatcher's publications land in the registry at

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the runtime observability layer: the per-worker trace
- * rings and their merge, the log-bucket histogram, the thread-safe
+ * rings and their merge (against the whole-trace sort it replaced),
+ * the log-bucket histogram, the thread-safe
  * metrics registry, the shared Chrome exporter, and the host
  * runtime's end-to-end trace/metrics production (including that
  * per-task MTL annotations agree with the policy's mtlTrace(), that
@@ -11,9 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -102,6 +107,119 @@ TEST(Tracer, MergeSortsAcrossWorkerRings)
         EXPECT_EQ(merged[static_cast<std::size_t>(i)].task, i);
     EXPECT_EQ(tracer.recorded(), 5u);
     EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+/** The order Tracer::merged() used to get from one std::sort over
+ *  every ring's events. */
+bool
+sortedBefore(const TaskEvent &a, const TaskEvent &b)
+{
+    if (a.start != b.start)
+        return a.start < b.start;
+    if (a.end != b.end)
+        return a.end < b.end;
+    return a.task < b.task;
+}
+
+bool
+sameEvent(const TaskEvent &a, const TaskEvent &b)
+{
+    return a.task == b.task && a.pair == b.pair && a.phase == b.phase &&
+           a.is_memory == b.is_memory && a.worker == b.worker &&
+           a.start == b.start && a.end == b.end && a.mtl == b.mtl &&
+           a.attempt == b.attempt && a.has_counters == b.has_counters &&
+           a.counters == b.counters;
+}
+
+/**
+ * The k-way merge gives exactly what sorting the whole trace gave,
+ * field by field, on seeded traces of 1 to 8 rings. Times sit on a
+ * coarse grid, so starts (and whole (start, end) keys) tie within and
+ * across rings, and some events have zero length. Ring 0 wraps and
+ * drops its oldest events; in the last ring, runs of zero-length
+ * events at one instant are recorded in descending task order, and
+ * one seed shuffles that ring outright, so it is out of
+ * (start, end, task) order and must be sorted on its own.
+ */
+TEST(TraceMerge, MatchesSortOnSeededRings)
+{
+    constexpr std::size_t kCapacity = 48;
+    for (int rings = 1; rings <= 8; ++rings) {
+        for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+            std::mt19937 rng(seed * 131 + static_cast<std::uint32_t>(rings));
+            const auto pick = [&rng](int n) {
+                return static_cast<int>(rng() % static_cast<unsigned>(n));
+            };
+            // Task ids unique across the trace, uncorrelated with time.
+            std::vector<int> ids(static_cast<std::size_t>(rings) * 80);
+            std::iota(ids.begin(), ids.end(), 0);
+            std::shuffle(ids.begin(), ids.end(), rng);
+            std::size_t next_id = 0;
+
+            Tracer tracer(rings, kCapacity);
+            std::vector<TaskEvent> survivors;
+            std::uint64_t dropped = 0;
+            for (int w = 0; w < rings; ++w) {
+                const bool wraps = w == 0;
+                const bool last = w == rings - 1; // ring 0 when alone
+                const int count = wraps ? 70 : 20 + pick(20);
+                std::vector<TaskEvent> events;
+                double t = 1e-6 * pick(4);
+                while (static_cast<int>(events.size()) < count) {
+                    // A burst of zero-length events at one instant,
+                    // recorded in descending task order.
+                    const int burst = last && pick(3) == 0 ? 2 + pick(3) : 1;
+                    std::vector<int> burst_ids;
+                    for (int b = 0; b < burst; ++b)
+                        burst_ids.push_back(ids[next_id++]);
+                    std::sort(burst_ids.rbegin(), burst_ids.rend());
+                    for (int b = 0; b < burst; ++b) {
+                        TaskEvent e;
+                        e.task = burst_ids[static_cast<std::size_t>(b)];
+                        e.pair = e.task / 2;
+                        e.phase = pick(3);
+                        e.is_memory = pick(2) == 0;
+                        e.worker = w;
+                        e.start = t;
+                        e.end = burst > 1 || pick(4) == 0
+                                    ? t
+                                    : t + 1e-6 * (1 + pick(3));
+                        e.mtl = 1 + pick(4);
+                        e.attempt = pick(3);
+                        e.has_counters = pick(2) == 0;
+                        if (e.has_counters)
+                            e.counters = {static_cast<std::uint64_t>(pick(100)),
+                                          static_cast<std::uint64_t>(pick(100)),
+                                          static_cast<std::uint64_t>(pick(100)),
+                                          static_cast<std::uint64_t>(pick(100))};
+                        events.push_back(e);
+                    }
+                    t = events.back().end + 1e-6 * pick(2);
+                }
+                if (last && seed == 6)
+                    std::shuffle(events.begin(), events.end(), rng);
+                for (const TaskEvent &e : events)
+                    tracer.ring(w).record(e);
+                const std::size_t keep = std::min(events.size(), kCapacity);
+                dropped += events.size() - keep;
+                survivors.insert(survivors.end(),
+                                 events.end() - static_cast<std::ptrdiff_t>(keep),
+                                 events.end());
+            }
+            std::sort(survivors.begin(), survivors.end(), sortedBefore);
+
+            const std::vector<TaskEvent> merged = tracer.merged();
+            ASSERT_EQ(merged.size(), survivors.size())
+                << rings << " rings, seed " << seed;
+            for (std::size_t i = 0; i < merged.size(); ++i)
+                ASSERT_TRUE(sameEvent(merged[i], survivors[i]))
+                    << rings << " rings, seed " << seed << ", event " << i
+                    << ": task " << merged[i].task << " vs "
+                    << survivors[i].task;
+            EXPECT_EQ(tracer.dropped(), dropped);
+            EXPECT_GT(dropped, 0u);
+        }
+    }
 }
 
 TEST(Tracer, ConcurrentWorkersRecordWithoutInterference)
@@ -233,6 +351,44 @@ TEST(MetricsRegistryTest, CountersGaugesHistograms)
 
     metrics.clear();
     EXPECT_TRUE(metrics.empty());
+}
+
+/**
+ * Interned slots: a name enters the registry only at its first write,
+ * slot and by-name writes reach the same metric, the interned
+ * geometry is the one a first slot write creates, and clear() leaves
+ * no slot pointing at a dropped metric.
+ */
+TEST(MetricsRegistryTest, InternedSlotsActAsTheirNames)
+{
+    MetricsRegistry metrics;
+    const auto hits = metrics.counterId("a.hits");
+    EXPECT_EQ(metrics.counterId("a.hits").index, hits.index);
+    const Histogram::Options depth{
+        .min_value = 1.0, .growth = 2.0, .buckets = 8};
+    const auto queue = metrics.histogramId("a.queue", depth);
+    EXPECT_TRUE(metrics.empty()); // interning alone publishes nothing
+
+    metrics.add(hits, 2);
+    metrics.add("a.hits", 3);
+    const MetricsRegistry::Observation batch[] = {{queue, 3.0},
+                                                  {queue, 40.0}};
+    metrics.observe(batch);
+    EXPECT_EQ(metrics.counterNames(), std::vector<std::string>{"a.hits"});
+    EXPECT_EQ(metrics.counter("a.hits"), 5);
+    const Histogram hist = metrics.histogram("a.queue");
+    EXPECT_EQ(hist.count(), 2u);
+    EXPECT_EQ(hist.bucketCount(), depth.buckets + 2);
+    EXPECT_DOUBLE_EQ(hist.max(), 40.0);
+
+    metrics.clear();
+    EXPECT_TRUE(metrics.empty());
+    metrics.add(hits);
+    metrics.observe(batch);
+    EXPECT_EQ(metrics.counter("a.hits"), 1);
+    EXPECT_EQ(metrics.histogram("a.queue").count(), 2u);
+    EXPECT_EQ(metrics.histogram("a.queue").bucketCount(),
+              depth.buckets + 2);
 }
 
 TEST(MetricsRegistryTest, ConcurrentPublishersLoseNothing)

@@ -302,9 +302,10 @@ TEST(SimCounters, SynthesizedSchemaMatchesMemoryModel)
         kPairBytes / tt::mem::kLineBytes;
     for (const auto &event : result.trace) {
         ASSERT_TRUE(event.has_counters);
-        if (event.is_memory)
+        if (event.is_memory) {
             EXPECT_EQ(event.counters.llc_misses, lines_per_pair)
                 << "task " << event.task;
+        }
     }
     EXPECT_EQ(metrics.gauge("runtime.perf_unavailable", -1.0), 0.0);
 }

@@ -9,10 +9,11 @@
  * obs surface -- must reproduce the executed event count, the final
  * tick and every summed ChannelStats field (the open-loop runs also
  * their job verdicts, MTL trace, time-series rows, live snapshots and
- * alert edges). A change meant only to make the simulator or the
- * engine faster or smaller must leave all of them untouched; a change
- * that alters simulated results has to update these constants
- * deliberately.
+ * alert edges, and the every-surface run hashes of its metrics
+ * registry and time-series text). A change meant only to make the
+ * simulator or the engine faster or smaller must leave all of them
+ * untouched; a change that alters simulated results has to update
+ * these constants deliberately.
  */
 
 #include <gtest/gtest.h>
@@ -74,6 +75,36 @@ operator<<(std::ostream &os, const Fingerprint &f)
               << f.write_read_turnarounds << "u, " << f.refresh_stalls
               << "u, " << f.queue_wait_ticks << "u, " << f.busy_ticks
               << "u}";
+}
+
+/** 64-bit FNV-1a of `text`: a pin for a whole rendered artefact. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    for (const unsigned char c : text) {
+        hash ^= c;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+/**
+ * The registry's JSON without its `obs.overhead.*` lines: those
+ * counters are wall-clock nanoseconds, so they differ from run to
+ * run; every other line is a function of the simulation alone.
+ */
+std::string
+registryJsonWithoutWallClock(const tt::MetricsRegistry &metrics)
+{
+    std::ostringstream json;
+    metrics.writeJson(json);
+    std::istringstream lines(json.str());
+    std::string kept;
+    for (std::string line; std::getline(lines, line);)
+        if (line.find("\"obs.overhead.") == std::string::npos)
+            kept += line + '\n';
+    return kept;
 }
 
 Fingerprint
@@ -229,7 +260,8 @@ TEST(SimGolden, OpenLoopSloAwareDynamicSheds)
  * times. The obs timers draw their event ids from the kernel's one
  * counter, so the executed count pins the whole timer sequence; the
  * row count, snapshot count and alert edges pin what each surface
- * saw.
+ * saw, and two hashes pin the registry's JSON (less the wall-clock
+ * `obs.overhead.*` counters) and the time-series text byte for byte.
  */
 TEST(SimGolden, OpenLoopEveryObsSurface)
 {
@@ -279,6 +311,10 @@ TEST(SimGolden, OpenLoopEveryObsSurface)
     };
     EXPECT_EQ(edges, expected_edges);
     EXPECT_EQ(result.alerts_dropped, 0u);
+
+    EXPECT_EQ(fnv1a(registryJsonWithoutWallClock(metrics)),
+              14999563454326534126ull);
+    EXPECT_EQ(fnv1a(rows), 15569914864697472532ull);
 }
 
 } // namespace
