@@ -18,7 +18,7 @@
 
 #include "core/analytical_model.hh"
 #include "util/concurrency/mpmc_queue.hh"
-#include "util/concurrency/sharded_gate.hh"
+#include "util/concurrency/mtl_gate.hh"
 #include "core/dynamic_policy.hh"
 #include "core/mtl_selector.hh"
 #include "core/phase_detector.hh"
@@ -241,20 +241,21 @@ BM_MpmcQueuePushPop(benchmark::State &state)
 BENCHMARK(BM_MpmcQueuePushPop);
 
 void
-BM_ShardedGateAdmit(benchmark::State &state)
+BM_MtlGateAdmit(benchmark::State &state)
 {
-    // One MTL admission + release through the sharded gate (the
-    // lock-free form of the mem_in_flight < MTL check); the fold
-    // walks `shards` cache lines.
-    const auto shards = static_cast<std::size_t>(state.range(0));
-    tt::util::ShardedGate gate(shards);
+    // One MTL admission + release through the gate (the lock-free
+    // form of the mem_in_flight < MTL check), uncontended and from
+    // four threads on one gate, which share its count's line. The
+    // bound is the thread count, so no admission is refused.
+    static tt::util::MtlGate gate(4);
+    const auto worker = static_cast<std::size_t>(state.thread_index());
     for (auto _ : state) {
-        benchmark::DoNotOptimize(gate.tryAcquire(0, 4));
-        gate.release(0);
+        benchmark::DoNotOptimize(gate.tryAcquire(worker, 4));
+        gate.release();
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ShardedGateAdmit)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_MtlGateAdmit)->Threads(1)->Threads(4);
 
 void
 BM_HostDispatchThroughput(benchmark::State &state)

@@ -44,13 +44,6 @@ DynamicThrottlePolicy::setFaultTolerance(int reject_limit,
 }
 
 void
-DynamicThrottlePolicy::setSampleGuardOptions(
-    const SampleGuard::Options &options)
-{
-    guard_ = SampleGuard(options);
-}
-
-void
 DynamicThrottlePolicy::setIdleBoundHysteresis(int amount)
 {
     tt_assert(amount >= 0, "hysteresis must be non-negative");

@@ -89,9 +89,6 @@ class DynamicThrottlePolicy : public SchedulingPolicy
      */
     void setFaultTolerance(int reject_limit, int reenter_after);
 
-    /** As setFaultTolerance, plus explicit outlier-screen options. */
-    void setSampleGuardOptions(const SampleGuard::Options &options);
-
     /** True while degraded to the safe static MTL. */
     bool degraded() const override { return state_ == State::Degraded; }
 

@@ -294,9 +294,8 @@ Engine::tryDispatch(int context, AttemptSpec &spec)
     if (!ready_compute_->tryPop(id)) {
         if (ready_memory_->emptyApprox())
             return false;
-        // The push scan is the only dispatcher, so it can probe the
-        // gate exactly and never records a full MTL as a rejection;
-        // concurrent workers rely on tryAcquire's conservative fold.
+        // The push scan is the only dispatcher, so it probes the gate
+        // first and never records a full MTL as a refusal.
         if (!pull_mode_ && gate_->current() >= mtl)
             return false;
         if (!gate_->tryAcquire(c, mtl))
@@ -304,7 +303,7 @@ Engine::tryDispatch(int context, AttemptSpec &spec)
         if (!ready_memory_->tryPop(id)) {
             // Another worker drained the ring between the probe and
             // the pop; give the slot back.
-            gate_->release(c);
+            gate_->release();
             return false;
         }
     }
@@ -496,7 +495,7 @@ Engine::completeAttempt(int context, TaskId id,
     std::array<obs::ShardedMetrics::Observation, 6> batch;
     std::size_t n = 0;
     if (memory) {
-        gate_->release(c);
+        gate_->release();
     } else {
         // Pair complete. Everything up to the hand-off is pair-local:
         // the memory task's times and MTL and the pair's job stamps
@@ -531,14 +530,14 @@ Engine::completeAttempt(int context, TaskId id,
     slot.done.store(slot.done.load(std::memory_order_relaxed) + 1,
                     std::memory_order_relaxed);
     if (partner != stream::kInvalidTask) {
-        // Keep the partner: the reservation passes from the memory
-        // task to its compute task and the context never reads idle,
-        // so a failed run's finish check waits until nextAttempt has
-        // run the partner or abandoned it.
+        // Keep the partner, due to run next: the reservation passes
+        // from the memory task to its compute task and the context
+        // never reads idle, so a failed run's finish check waits
+        // until nextAttempt has run the partner or abandoned it.
         pair.mtl[1] = static_cast<std::int16_t>(
             mtl_cache_.load(std::memory_order_relaxed));
         slot.running.store(partner, std::memory_order_relaxed);
-        slot.kept = true;
+        slot.retry.store(RetryState::Due, std::memory_order_relaxed);
         wakeWorkers(); // the freed gate slot may unblock a parked worker
         return;
     }
@@ -601,9 +600,10 @@ Engine::combinePairs()
     // Flat combining: the token holder drains every pair pushed so
     // far, and a completion that finds the token held goes back to
     // work. The link CAS, the token exchange, the token-clearing
-    // store and the re-check below are all seq_cst, so a push that
-    // lost the token race is seen by the holder's re-check (the
-    // sharded gate's store-buffer argument, docs/substrate.md).
+    // store and the re-check below are all seq_cst, so in their
+    // single total order a push that lost the token race precedes
+    // the holder's re-check, which sees it (the store-buffer
+    // argument, docs/substrate.md).
     while (handoff_head_.load(std::memory_order_seq_cst) != kNoPair &&
            !combining_.exchange(true, std::memory_order_seq_cst)) {
         {
@@ -741,7 +741,7 @@ Engine::abandonAttemptLocked(int context)
     const auto c = static_cast<std::size_t>(context);
     const TaskId id = contexts_[c].running.load(std::memory_order_relaxed);
     if (graph_.task(id).kind == TaskKind::Memory)
-        gate_->release(c);
+        gate_->release();
     contexts_[c].running.store(stream::kInvalidTask,
                                std::memory_order_relaxed);
 }
@@ -841,12 +841,12 @@ Engine::onWatchdogDeadline()
             stderr,
             "tt: watchdog: run exceeded %.3f s deadline; dumping "
             "diagnostics and exiting with code %d\n",
-            options_.watchdog_seconds, options_.watchdog_exit_code);
+            options_.watchdog_seconds, kWatchdogExitCode);
         runCrashDumpHooks(); // includes this engine's crashDump()
         std::fflush(nullptr);
         // Workers may be wedged holding locks; a normal exit would
         // hang in their joins/destructors, so leave without unwinding.
-        backend_->terminateProcess(options_.watchdog_exit_code);
+        backend_->terminateProcess(kWatchdogExitCode);
         return;
     }
 
@@ -1046,8 +1046,7 @@ Engine::nextAttempt(int worker, AttemptSpec &spec)
     for (;;) {
         RetryState retry = RetryState::Due;
         if (slot.retry.compare_exchange_strong(
-                retry, RetryState::None, std::memory_order_acq_rel) ||
-            std::exchange(slot.kept, false)) {
+                retry, RetryState::None, std::memory_order_acq_rel)) {
             // Our granted retry's backoff elapsed, or our memory
             // completion kept its compute partner: run the task this
             // context holds (it stayed reserved, so neither is ever

@@ -45,7 +45,7 @@
 #include "obs/trace.hh"
 #include "stream/task_graph.hh"
 #include "util/concurrency/mpmc_queue.hh"
-#include "util/concurrency/sharded_gate.hh"
+#include "util/concurrency/mtl_gate.hh"
 
 namespace tt {
 class MetricsRegistry;
@@ -58,6 +58,10 @@ class LiveFileSink;
 namespace tt::exec {
 
 class Engine;
+
+/** Process exit code when the host watchdog fires (ttsim's exit-code
+ *  table: 3, watchdog deadline exceeded). */
+inline constexpr int kWatchdogExitCode = 3;
 
 /** Options controlling an Engine run (host and sim alike). */
 struct EngineOptions
@@ -117,16 +121,13 @@ struct EngineOptions
      * assumed wedged (stalled worker, livelocked policy). On the
      * host the watchdog dumps diagnostics -- crash-dump hooks flush
      * bound trace rings and metrics -- and terminates the process
-     * with `watchdog_exit_code`, because wedged threads cannot be
+     * with kWatchdogExitCode, because wedged threads cannot be
      * unwound. On the sim (and any backend without real threads) it
      * fails the run in-band through the same diagnostics path:
      * `failed`/`watchdog_fired`/`failure_reason` are set and run()
      * returns normally.
      */
     double watchdog_seconds = 0.0;
-
-    /** Process exit code used when the host watchdog fires. */
-    int watchdog_exit_code = 3;
 
     /**
      * Optional time-series sink (not owned). When set, the engine
@@ -457,8 +458,8 @@ class ExecutionBackend
      * shards. False: the engine pushes attempts through
      * startAttempt(), scanning idle contexts in ascending order
      * whenever an attempt completes, a retry fires or work arrives.
-     * The scheduler state -- ready rings, sharded MTL gate, per-
-     * context reservations -- is the same either way.
+     * The scheduler state -- ready rings, MTL gate, per-context
+     * reservations -- is the same either way.
      */
     virtual bool pullDispatch() const { return false; }
 
@@ -499,8 +500,8 @@ class ExecutionBackend
  * observation ticks, trace rings and metrics.
  *
  * Thread-safe, with one scheduler state for every backend: MPMC
- * ready rings, a sharded admission gate standing in for the paper's
- * "counter", one cache-line slot per pair (dependency counts,
+ * ready rings, one atomic admission counter standing in for the
+ * paper's "counter", one cache-line slot per pair (dependency counts,
  * attempts, times, MTLs, workers, hand-off link) and one per context
  * (its reservation, retry state and progress). The per-task fast
  * path -- dispatch through tryDispatch(), MTL admission, completion,
@@ -545,7 +546,7 @@ class Engine
      * for `worker` and fill `spec`, or return false when the run is
      * over and the worker should exit. A compute task this worker's
      * memory completion kept runs first; other ready tasks come off
-     * the MPMC rings, memory admission through the sharded gate. A
+     * the MPMC rings, memory admission through the MTL gate. A
      * worker whose task is in retry backoff parks until its own
      * retry fires (the context stays reserved).
      */
@@ -564,7 +565,10 @@ class Engine
     {
         None,    ///< no retry reserved
         Backoff, ///< granted; the backoff timer is pending
-        Due,     ///< backoff elapsed; the owning worker re-runs it
+        /** The owning worker runs the reserved task next: its
+         *  backoff elapsed, or it is the compute partner the
+         *  context's memory completion kept. */
+        Due,
     };
 
     /** The self-re-arming observation ticks, one timer each. */
@@ -599,15 +603,11 @@ class Engine
          *  kept to run next; kInvalidTask when the context is idle.
          *  A failed run finishes once no context is reserved. */
         std::atomic<stream::TaskId> running{stream::kInvalidTask};
-        /** Pull mode: `running` holds the compute task this context's
-         *  memory completion kept, which nextAttempt runs next. The
-         *  reservation passed to it without the context reading idle
-         *  in between. Only the context's own worker touches it. */
-        bool kept = false;
         /** One state, so a reserved context never reads as idle:
          *  None->Backoff (failAttemptLocked) and Backoff->Due or
          *  Backoff->None (retry timer, abandon) happen under mutex_;
-         *  only the owning worker claims Due->None, lock-free. */
+         *  only the owning worker moves None->Due (a kept partner)
+         *  and claims Due->None, lock-free. */
         std::atomic<RetryState> retry{RetryState::None};
         ExecutionBackend::TimerToken retry_token = 0; ///< under mutex_
         /** Tasks this context completed, counted by the completion
@@ -774,7 +774,7 @@ class Engine
      *  its context), so pushes cannot fail. */
     std::optional<util::MpmcQueue<stream::TaskId>> ready_memory_;
     std::optional<util::MpmcQueue<stream::TaskId>> ready_compute_;
-    std::optional<util::ShardedGate> gate_; ///< memory tasks in flight
+    std::optional<util::MtlGate> gate_; ///< memory tasks in flight
     /** The hot-path metrics (set when options_.metrics is), by id:
      *  one shard per worker thread; none for a single dispatcher,
      *  which writes the registry directly. */

@@ -69,12 +69,8 @@ HealthEngine::onJobVerdict(bool shed, double predicted_response,
                            double time)
 {
     // A verdict's few increments cost less than the clock pair that
-    // would time them, so only the last verdict of each
-    // kWallCostSampleStride is timed and stands for the stride (the
-    // last, so the cold first verdict is never multiplied); a window
-    // close, which runs the detectors, is timed every time.
-    const bool timed = ++verdicts_ % kWallCostSampleStride == 0;
-    const std::uint64_t t0 = timed ? wallNanos() : 0;
+    // would time them, so only a window close, which runs the
+    // detectors, is timed.
     ++job_.offered;
     if (shed) {
         ++job_.shed;
@@ -86,12 +82,10 @@ HealthEngine::onJobVerdict(bool shed, double predicted_response,
         ++job_.predicted_late;
     }
     job_.backlog = backlog;
-    if (timed)
-        overhead_ns_ += kWallCostSampleStride * (wallNanos() - t0);
     if (job_.offered >= kHealthWindowJobs) {
-        const std::uint64_t w0 = wallNanos();
+        const std::uint64_t t0 = wallNanos();
         closeJobWindow(time);
-        overhead_ns_ += wallNanos() - w0;
+        overhead_ns_ += wallNanos() - t0;
     }
 }
 

@@ -16,8 +16,8 @@
  *    cross-backend-tested half of the alert stream.
  *  - *Tick windows* close on the engine's health tick (sim-time on
  *    the simulator; onTick) and carry the deltas of the cumulative
- *    hot-path totals the engine reads there — sharded-gate admit
- *    failures and folds, trace/span records and drops — plus the
+ *    hot-path totals the engine reads there — MTL-gate refusals
+ *    and admission attempts, trace/span records and drops — plus the
  *    measured-vs-model memory-time sums of the pairs measured since
  *    the last tick (onPairMeasured: T_m and the MTL it ran under).
  *    These feed `gate_saturation`, `drop_rate` and `model_bound`.
@@ -40,9 +40,8 @@
  * publishes each edge as it happens (`obs.alerts_active.<rule>`,
  * `obs.alerts_fired.<rule>`, `obs.alerts_cleared.<rule>`,
  * `obs.alerts_dropped`) and its own wall-clock cost at drain
- * (`obs.overhead.health_ns`; per-verdict work is estimated from the
- * last verdict of each kWallCostSampleStride, the rest timed in
- * full).
+ * (`obs.overhead.health_ns`: window closes and ticks, timed in
+ * full; a single verdict's few increments are not timed).
  *
  * The class is not thread-safe; exec::Engine drives it under its
  * run mutex, off the lock-free fast path.
@@ -124,9 +123,10 @@ inline constexpr double kBurnSlowThreshold = 1.0;
 inline constexpr long kQueueGrowthFloor = 4;
 
 // gate_saturation (tick windows, warning)
-/** Admit-failure share of gate folds that counts as saturated. */
+/** Refused share of gate admission attempts (folds) that counts as
+ *  saturated. */
 inline constexpr double kGateFailureRatio = 0.5;
-/** Ignore windows with fewer gate folds than this. */
+/** Ignore windows with fewer gate admission attempts than this. */
 inline constexpr long kGateMinFolds = 16;
 
 // drop_rate (tick windows, warning)
@@ -186,8 +186,8 @@ struct TickWindowSample
     std::uint64_t window = 0; ///< tick-window index (0-based)
     double time = 0.0;        ///< engine clock at window close
 
-    long gate_failures = 0; ///< sharded-gate rejects this window
-    long gate_folds = 0;    ///< sharded-gate folds this window
+    long gate_failures = 0; ///< MTL-gate refusals this window
+    long gate_folds = 0;    ///< MTL-gate admission attempts this window
 
     long trace_dropped = 0; ///< trace-ring drops this window
     long span_dropped = 0;  ///< span-buffer drops this window
@@ -201,8 +201,8 @@ struct TickWindowSample
 /** Cumulative hot-path totals since run start, read at each tick. */
 struct HotPathTotals
 {
-    long gate_failures = 0;          ///< sharded-gate rejects
-    long gate_folds = 0;             ///< sharded-gate folds
+    long gate_failures = 0;          ///< MTL-gate refusals
+    long gate_folds = 0;             ///< MTL-gate admission attempts
     std::uint64_t trace_dropped = 0; ///< trace-ring drops
     std::uint64_t span_dropped = 0;  ///< span-buffer drops
     std::uint64_t records = 0;       ///< trace + span records
@@ -323,10 +323,8 @@ class HealthEngine
     JobWindowSample job_;
     TickWindowSample tick_;
     HotPathTotals prev_totals_;
-    /** Wall ns in the raw inputs; per-verdict work is estimated from
-     *  the last verdict of each kWallCostSampleStride. */
+    /** Wall ns in window closes and ticks. */
     std::uint64_t overhead_ns_ = 0;
-    std::uint64_t verdicts_ = 0; ///< verdicts seen, the sampling stride
 
     std::vector<AlertEvent> alerts_;
     std::uint64_t alerts_dropped_ = 0;

@@ -45,46 +45,40 @@ openMetricsName(const std::string &name)
     return out;
 }
 
-void
-writeOpenMetrics(const MetricsRegistry &metrics, std::ostream &os,
-                 double snapshot_seconds)
+std::string
+openMetricsText(const MetricsRegistry &metrics, double snapshot_seconds)
 {
-    // Each accessor takes the registry mutex briefly; nothing holds
-    // it across the stream writes, so a live run is never stalled
-    // behind a slow reader.
-    for (const std::string &raw : metrics.counterNames()) {
-        const std::string name = openMetricsName(raw);
-        os << "# TYPE " << name << " counter\n";
-        os << name << "_total " << metrics.counter(raw) << "\n";
-    }
-    for (const std::string &raw : metrics.gaugeNames()) {
-        const std::string name = openMetricsName(raw);
-        os << "# TYPE " << name << " gauge\n";
-        os << name << " " << metrics.gauge(raw) << "\n";
-    }
-    for (const std::string &raw : metrics.histogramNames()) {
-        const std::string name = openMetricsName(raw);
-        const Histogram h = metrics.histogram(raw);
-        os << "# TYPE " << name << " summary\n";
-        writeQuantile(os, name, 0.5, h.p50());
-        writeQuantile(os, name, 0.9, h.p90());
-        writeQuantile(os, name, 0.95, h.p95());
-        writeQuantile(os, name, 0.99, h.p99());
-        os << name << "_sum " << h.sum() << "\n";
-        os << name << "_count " << h.count() << "\n";
-    }
+    // One walk under the registry mutex renders into memory; the
+    // caller writes the file or socket after the lock is released,
+    // so a live run never waits on a slow reader.
+    std::ostringstream os;
+    metrics.visit([&os](const MetricsRegistry::View &view) {
+        for (const auto &[raw, value] : view.counters) {
+            const std::string name = openMetricsName(raw);
+            os << "# TYPE " << name << " counter\n";
+            os << name << "_total " << value << "\n";
+        }
+        for (const auto &[raw, value] : view.gauges) {
+            const std::string name = openMetricsName(raw);
+            os << "# TYPE " << name << " gauge\n";
+            os << name << " " << value << "\n";
+        }
+        for (const auto &[raw, h] : view.histograms) {
+            const std::string name = openMetricsName(raw);
+            os << "# TYPE " << name << " summary\n";
+            writeQuantile(os, name, 0.5, h.p50());
+            writeQuantile(os, name, 0.9, h.p90());
+            writeQuantile(os, name, 0.95, h.p95());
+            writeQuantile(os, name, 0.99, h.p99());
+            os << name << "_sum " << h.sum() << "\n";
+            os << name << "_count " << h.count() << "\n";
+        }
+    });
     if (snapshot_seconds >= 0.0) {
         os << "# TYPE obs_snapshot_time_seconds gauge\n";
         os << "obs_snapshot_time_seconds " << snapshot_seconds << "\n";
     }
     os << "# EOF\n";
-}
-
-std::string
-openMetricsText(const MetricsRegistry &metrics, double snapshot_seconds)
-{
-    std::ostringstream os;
-    writeOpenMetrics(metrics, os, snapshot_seconds);
     return os.str();
 }
 
@@ -97,11 +91,11 @@ void
 LiveFileSink::snapshot(double now_seconds)
 {
     const std::uint64_t t0 = wallNanos();
+    const std::string text = openMetricsText(metrics_, now_seconds);
     const std::string tmp = path_ + ".tmp";
     {
         std::ofstream os(tmp, std::ios::trunc);
-        if (os)
-            writeOpenMetrics(metrics_, os, now_seconds);
+        os << text;
         if (!os) {
             if (ok_)
                 tt_warn("live-metrics snapshot to '", tmp,
@@ -198,7 +192,6 @@ LiveMetricsServer::serveLoop()
             sent += static_cast<std::size_t>(n);
         }
         ::close(client);
-        served_.fetch_add(1, std::memory_order_relaxed);
         metrics_.add("obs.overhead.live_export_ns",
                      static_cast<std::int64_t>(wallNanos() - t0));
     }

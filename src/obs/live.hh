@@ -7,11 +7,11 @@
  * traces, time series) is post-mortem -- written after the run
  * drains. This module exposes the registry *while the run is live*:
  *
- *  - writeOpenMetrics() renders a snapshot in the OpenMetrics text
+ *  - openMetricsText() renders a snapshot in the OpenMetrics text
  *    format (counters as `_total`, gauges, histograms as summaries
  *    with p50/p90/p95/p99 quantile lines, `# EOF` terminator). The
- *    render is lock-light: it snapshots through the registry's
- *    public accessors, never holding its mutex across the write.
+ *    render is one walk of the registry under its mutex, into
+ *    memory; the sinks write the file or socket after it.
  *
  *  - LiveMetricsServer serves snapshots over a Unix-domain socket
  *    from a background thread (host backend: real time, poll on
@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <thread>
 
@@ -54,10 +53,6 @@ std::string openMetricsName(const std::string &name);
  * `snapshot_seconds` is >= 0 an extra `obs_snapshot_time_seconds`
  * gauge stamps the engine-clock snapshot time.
  */
-void writeOpenMetrics(const MetricsRegistry &metrics, std::ostream &os,
-                      double snapshot_seconds = -1.0);
-
-/** As writeOpenMetrics(), into a string. */
 std::string openMetricsText(const MetricsRegistry &metrics,
                             double snapshot_seconds = -1.0);
 
@@ -114,12 +109,6 @@ class LiveMetricsServer
     const std::string &path() const { return path_; }
     const std::string &error() const { return error_; }
 
-    /** Snapshots served so far. */
-    std::uint64_t served() const
-    {
-        return served_.load(std::memory_order_relaxed);
-    }
-
   private:
     void serveLoop();
 
@@ -129,7 +118,6 @@ class LiveMetricsServer
     int listen_fd_ = -1;
     std::thread thread_;
     std::atomic<bool> stop_{false};
-    std::atomic<std::uint64_t> served_{0};
 };
 
 } // namespace tt::obs

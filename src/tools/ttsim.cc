@@ -847,7 +847,7 @@ main(int argc, char **argv)
                      result.failure_reason.c_str());
         if (!metrics_path.empty())
             writeMetricsFile(metrics_path, metrics);
-        return result.watchdog_fired ? 3 : 4;
+        return result.watchdog_fired ? tt::exec::kWatchdogExitCode : 4;
     }
 
     std::printf("makespan        %10.3f ms\n", result.seconds * 1e3);

@@ -83,30 +83,16 @@ template <typename T> class MpmcQueue
         }
         cell->value = std::move(value);
         cell->sequence.store(pos + 1, std::memory_order_release);
-        // Occupancy high-watermark. Reading the live consumer cursor
-        // here would put producer-consumer coherence traffic on every
-        // push, so the guard works off a *stale* head cache: head only
-        // grows, so `pos + 1 - head_cache_` overestimates occupancy
-        // and the guard can never miss a true new peak. Only when the
-        // overestimate beats the recorded peak (at most capacity()
-        // times between genuine rises) do we refresh the cache from
-        // the real cursor and CAS-max the exact snapshot in. The
-        // snapshot races the consumer the same way sizeApprox() does —
-        // never above the count logically enqueued at some instant.
-        const std::size_t cached =
-            head_cache_.load(std::memory_order_relaxed);
-        const std::size_t upper = pos + 1 > cached ? pos + 1 - cached : 0;
-        if (upper > peak_.load(std::memory_order_relaxed)) {
-            const std::size_t head =
-                head_.load(std::memory_order_relaxed);
-            head_cache_.store(head, std::memory_order_relaxed);
-            const std::size_t occ = pos + 1 > head ? pos + 1 - head : 0;
-            std::size_t seen = peak_.load(std::memory_order_relaxed);
-            while (occ > seen &&
-                   !peak_.compare_exchange_weak(
-                       seen, occ, std::memory_order_relaxed))
-                ;
-        }
+        // Occupancy high-watermark from the live cursors, with the
+        // slack of sizeApprox(): never above the count logically
+        // enqueued at some instant.
+        const std::size_t head = head_.load(std::memory_order_relaxed);
+        const std::size_t occ = pos + 1 > head ? pos + 1 - head : 0;
+        std::size_t seen = peak_.load(std::memory_order_relaxed);
+        while (occ > seen &&
+               !peak_.compare_exchange_weak(seen, occ,
+                                            std::memory_order_relaxed))
+            ;
         return true;
     }
 
@@ -178,10 +164,6 @@ template <typename T> class MpmcQueue
     alignas(64) std::atomic<std::size_t> tail_{0}; ///< producers
     alignas(64) std::atomic<std::size_t> head_{0}; ///< consumers
     alignas(64) std::atomic<std::size_t> peak_{0}; ///< max occupancy
-    /** Stale copy of head_ for the watermark guard: head only grows,
-     *  so a stale value overestimates occupancy — conservative, and
-     *  a racing writeback that regresses it stays conservative too. */
-    alignas(64) std::atomic<std::size_t> head_cache_{0};
 };
 
 } // namespace tt::util

@@ -512,74 +512,76 @@ MetricsRegistry::clear()
 void
 MetricsRegistry::writeJson(std::ostream &os) const
 {
-    std::lock_guard lock(mutex_);
-    os << "{\n  \"counters\": {";
-    bool first = true;
-    for (const auto &[name, value] : counters_) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonName(name)
-           << "\": " << value;
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-    first = true;
-    for (const auto &[name, value] : gauges_) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonName(name)
-           << "\": " << jsonNumber(value);
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-    first = true;
-    for (const auto &[name, hist] : histograms_) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonName(name)
-           << "\": {\"count\": " << hist.count()
-           << ", \"mean\": " << jsonNumber(hist.mean())
-           << ", \"min\": " << jsonNumber(hist.min())
-           << ", \"max\": " << jsonNumber(hist.max())
-           << ", \"p50\": " << jsonNumber(hist.p50())
-           << ", \"p90\": " << jsonNumber(hist.p90())
-           << ", \"p95\": " << jsonNumber(hist.p95())
-           << ", \"p99\": " << jsonNumber(hist.p99())
-           << ", \"buckets\": [";
-        bool first_bucket = true;
-        for (int b = 0; b < hist.bucketCount(); ++b) {
-            if (hist.bucketHits(b) == 0)
-                continue;
-            if (!first_bucket)
-                os << ", ";
-            first_bucket = false;
-            os << "[" << jsonNumber(hist.bucketLowerBound(b)) << ", "
-               << (b == hist.bucketCount() - 1
-                       ? jsonNumber(hist.max())
-                       : jsonNumber(hist.bucketUpperBound(b)))
-               << ", " << hist.bucketHits(b) << "]";
+    visit([&os](const View &view) {
+        os << "{\n  \"counters\": {";
+        bool first = true;
+        for (const auto &[name, value] : view.counters) {
+            os << (first ? "\n" : ",\n") << "    \"" << jsonName(name)
+               << "\": " << value;
+            first = false;
         }
-        os << "]}";
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "}\n}\n";
+        os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
+        first = true;
+        for (const auto &[name, value] : view.gauges) {
+            os << (first ? "\n" : ",\n") << "    \"" << jsonName(name)
+               << "\": " << jsonNumber(value);
+            first = false;
+        }
+        os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
+        first = true;
+        for (const auto &[name, hist] : view.histograms) {
+            os << (first ? "\n" : ",\n") << "    \"" << jsonName(name)
+               << "\": {\"count\": " << hist.count()
+               << ", \"mean\": " << jsonNumber(hist.mean())
+               << ", \"min\": " << jsonNumber(hist.min())
+               << ", \"max\": " << jsonNumber(hist.max())
+               << ", \"p50\": " << jsonNumber(hist.p50())
+               << ", \"p90\": " << jsonNumber(hist.p90())
+               << ", \"p95\": " << jsonNumber(hist.p95())
+               << ", \"p99\": " << jsonNumber(hist.p99())
+               << ", \"buckets\": [";
+            bool first_bucket = true;
+            for (int b = 0; b < hist.bucketCount(); ++b) {
+                if (hist.bucketHits(b) == 0)
+                    continue;
+                if (!first_bucket)
+                    os << ", ";
+                first_bucket = false;
+                os << "[" << jsonNumber(hist.bucketLowerBound(b)) << ", "
+                   << (b == hist.bucketCount() - 1
+                           ? jsonNumber(hist.max())
+                           : jsonNumber(hist.bucketUpperBound(b)))
+                   << ", " << hist.bucketHits(b) << "]";
+            }
+            os << "]}";
+            first = false;
+        }
+        os << (first ? "" : "\n  ") << "}\n}\n";
+    });
 }
 
 std::string
 MetricsRegistry::summaryTable() const
 {
-    std::lock_guard lock(mutex_);
     TablePrinter table({"metric", "type", "count", "value/mean", "p50",
                         "p90", "p95", "p99", "max"});
-    for (const auto &[name, value] : counters_)
-        table.addRow({name, "counter", "", std::to_string(value), "",
-                      "", "", "", ""});
-    for (const auto &[name, value] : gauges_)
-        table.addRow({name, "gauge", "", TablePrinter::num(value, 3),
-                      "", "", "", "", ""});
-    for (const auto &[name, hist] : histograms_) {
-        table.addRow({name, "histogram", std::to_string(hist.count()),
-                      TablePrinter::num(hist.mean(), 6),
-                      TablePrinter::num(hist.p50(), 6),
-                      TablePrinter::num(hist.p90(), 6),
-                      TablePrinter::num(hist.p95(), 6),
-                      TablePrinter::num(hist.p99(), 6),
-                      TablePrinter::num(hist.max(), 6)});
-    }
+    visit([&table](const View &view) {
+        for (const auto &[name, value] : view.counters)
+            table.addRow({name, "counter", "", std::to_string(value), "",
+                          "", "", "", ""});
+        for (const auto &[name, value] : view.gauges)
+            table.addRow({name, "gauge", "", TablePrinter::num(value, 3),
+                          "", "", "", "", ""});
+        for (const auto &[name, hist] : view.histograms) {
+            table.addRow({name, "histogram", std::to_string(hist.count()),
+                          TablePrinter::num(hist.mean(), 6),
+                          TablePrinter::num(hist.p50(), 6),
+                          TablePrinter::num(hist.p90(), 6),
+                          TablePrinter::num(hist.p95(), 6),
+                          TablePrinter::num(hist.p99(), 6),
+                          TablePrinter::num(hist.max(), 6)});
+        }
+    });
     return table.str();
 }
 

@@ -189,9 +189,9 @@ std::uint64_t wallNanos();
 
 /**
  * Stride of the sampled wall-cost counters: a per-event cost (a trace
- * record, a health verdict) times the last event of every this many
- * and charges the stride times the delta, so the clock pair that
- * measures the event does not cost more than the event itself.
+ * record) times the last event of every this many and charges the
+ * stride times the delta, so the clock pair that measures the event
+ * does not cost more than the event itself.
  */
 inline constexpr std::uint64_t kWallCostSampleStride = 64;
 
@@ -292,6 +292,25 @@ class MetricsRegistry
     /** Drop every metric. Interned ids stay valid: their next write
      *  re-creates the name. */
     void clear();
+
+    /** Every metric the registry holds, each kind in name order. */
+    struct View
+    {
+        const std::map<std::string, std::int64_t> &counters;
+        const std::map<std::string, double> &gauges;
+        const std::map<std::string, Histogram> &histograms;
+    };
+
+    /** Call `f(view)` under the registry mutex: one walk of every
+     *  metric, nothing copied or searched. `f` must not call back
+     *  into the registry. */
+    template <typename F>
+    void
+    visit(F &&f) const
+    {
+        std::lock_guard lock(mutex_);
+        f(View{counters_, gauges_, histograms_});
+    }
 
     /** Render every metric as one JSON object. */
     void writeJson(std::ostream &os) const;

@@ -61,7 +61,7 @@ status=$?
 # Five repetitions per benchmark, so the script compares medians, not
 # one noisy sample.
 if ! "$bench" \
-    --benchmark_filter='HostDispatch|HostRuntimePairDispatch|MpmcQueue|ShardedGate|SimDispatch' \
+    --benchmark_filter='HostDispatch|HostRuntimePairDispatch|MpmcQueue|MtlGate|SimDispatch' \
     --benchmark_min_time=0.1 --benchmark_repetitions=5 \
     --json-out "$work_dir/bench_micro.json" >/dev/null 2>&1; then
     echo "bench_micro_runtime failed"

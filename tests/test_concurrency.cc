@@ -3,8 +3,9 @@
  * Tests of the lock-free hot-path primitives (util/concurrency) and
  * of the bound they jointly enforce through the engine: the Vyukov
  * MPMC ring (full/empty/wrap, no lost or duplicated elements under
- * contention), the sharded admission gate (never exceeds the bound
- * under racing admitters), the per-worker metric shards (interned
+ * contention), the MTL admission gate (never exceeds the bound
+ * under racing admitters, never refuses with room), the per-worker
+ * metric shards (interned
  * ids fold exactly while workers publish and intern), and the
  * end-to-end invariant that concurrent memory tasks never exceed the
  * MTL while `peak_mem_in_flight` reports the true maximum exactly.
@@ -23,7 +24,7 @@
 #include "runtime/runtime.hh"
 #include "stream/builder.hh"
 #include "util/concurrency/mpmc_queue.hh"
-#include "util/concurrency/sharded_gate.hh"
+#include "util/concurrency/mtl_gate.hh"
 #include "util/stats.hh"
 
 namespace {
@@ -31,7 +32,7 @@ namespace {
 using tt::Histogram;
 using tt::obs::ShardedMetrics;
 using tt::util::MpmcQueue;
-using tt::util::ShardedGate;
+using tt::util::MtlGate;
 
 TEST(MpmcQueue, CapacityRoundsUpToPowerOfTwo)
 {
@@ -57,6 +58,7 @@ TEST(MpmcQueue, FullPushFailsAndFifoOrderHolds)
         EXPECT_TRUE(queue.tryPush(i));
     EXPECT_FALSE(queue.tryPush(99)); // full
     EXPECT_EQ(queue.sizeApprox(), 4u);
+    EXPECT_EQ(queue.peakApprox(), 4u);
     for (int i = 0; i < 4; ++i) {
         int out = -1;
         ASSERT_TRUE(queue.tryPop(out));
@@ -83,6 +85,7 @@ TEST(MpmcQueue, WrapsManyLapsWithoutCorruption)
         }
     }
     EXPECT_TRUE(queue.emptyApprox());
+    EXPECT_EQ(queue.peakApprox(), 5u); // the most queued at once
 }
 
 TEST(MpmcQueue, ConcurrentProducersConsumersLoseNothing)
@@ -131,68 +134,78 @@ TEST(MpmcQueue, ConcurrentProducersConsumersLoseNothing)
     EXPECT_TRUE(queue.emptyApprox());
 }
 
-TEST(ShardedGate, SingleThreadBoundSemantics)
+TEST(MtlGate, SingleThreadBoundSemantics)
 {
-    ShardedGate gate(4);
+    MtlGate gate(4);
     EXPECT_FALSE(gate.tryAcquire(0, 0)); // bound 0 always rejects
     EXPECT_FALSE(gate.tryAcquire(0, -1));
     EXPECT_TRUE(gate.tryAcquire(0, 2));
     EXPECT_TRUE(gate.tryAcquire(1, 2));
     EXPECT_FALSE(gate.tryAcquire(2, 2)); // at bound
     EXPECT_EQ(gate.current(), 2);
-    gate.release(0);
+    gate.release();
     EXPECT_EQ(gate.current(), 1);
     EXPECT_TRUE(gate.tryAcquire(3, 2)); // slot reopened
-    gate.release(1);
-    gate.release(3);
+    gate.release();
+    gate.release();
     EXPECT_EQ(gate.current(), 0);
     EXPECT_EQ(gate.peak(), 2); // exact when serialized
 }
 
-TEST(ShardedGate, NeverExceedsBoundUnderContention)
+TEST(MtlGate, NeverExceedsBoundUnderContention)
 {
-    // T racing threads hammer acquire/release against a small bound;
-    // an independent atomic census of holders must never exceed it.
+    // T racing threads hammer acquire/release against a bound; an
+    // independent atomic census of holders must never exceed it. A
+    // bound of at least T always has room, so the exact gate then
+    // refuses nothing however the threads interleave.
     constexpr int kThreads = 8;
-    constexpr long kBound = 3;
     constexpr int kIterations = 20000;
-    ShardedGate gate(kThreads);
-    std::atomic<long> in_use{0};
-    std::atomic<long> observed_max{0};
-    std::atomic<bool> violated{false};
+    for (const long bound : {3L, long{kThreads}}) {
+        MtlGate gate(kThreads);
+        std::atomic<long> in_use{0};
+        std::atomic<long> observed_max{0};
+        std::atomic<long> admitted{0};
+        std::atomic<bool> violated{false};
 
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            for (int i = 0; i < kIterations; ++i) {
-                if (!gate.tryAcquire(static_cast<std::size_t>(t),
-                                     kBound)) {
-                    std::this_thread::yield();
-                    continue;
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                for (int i = 0; i < kIterations; ++i) {
+                    if (!gate.tryAcquire(static_cast<std::size_t>(t),
+                                         bound)) {
+                        std::this_thread::yield();
+                        continue;
+                    }
+                    admitted.fetch_add(1, std::memory_order_relaxed);
+                    const long now =
+                        in_use.fetch_add(1, std::memory_order_seq_cst) + 1;
+                    if (now > bound)
+                        violated.store(true, std::memory_order_relaxed);
+                    long prev =
+                        observed_max.load(std::memory_order_relaxed);
+                    while (prev < now &&
+                           !observed_max.compare_exchange_weak(
+                               prev, now, std::memory_order_relaxed)) {
+                    }
+                    in_use.fetch_sub(1, std::memory_order_seq_cst);
+                    gate.release();
                 }
-                const long now =
-                    in_use.fetch_add(1, std::memory_order_seq_cst) + 1;
-                if (now > kBound)
-                    violated.store(true, std::memory_order_relaxed);
-                long prev =
-                    observed_max.load(std::memory_order_relaxed);
-                while (prev < now &&
-                       !observed_max.compare_exchange_weak(
-                           prev, now, std::memory_order_relaxed)) {
-                }
-                in_use.fetch_sub(1, std::memory_order_seq_cst);
-                gate.release(static_cast<std::size_t>(t));
-            }
-        });
+            });
+        }
+        for (auto &thread : threads)
+            thread.join();
+
+        EXPECT_FALSE(violated.load()) << "more than " << bound
+                                      << " holders observed at once";
+        EXPECT_EQ(gate.current(), 0);
+        EXPECT_GE(observed_max.load(), 1);
+        EXPECT_GE(gate.peak(), observed_max.load());
+        EXPECT_LE(gate.peak(), bound);
+        EXPECT_EQ(gate.admitFailures() + admitted.load(), gate.folds());
+        if (bound >= kThreads) {
+            EXPECT_EQ(gate.admitFailures(), 0) << "bound " << bound;
+        }
     }
-    for (auto &thread : threads)
-        thread.join();
-
-    EXPECT_FALSE(violated.load()) << "more than " << kBound
-                                  << " holders observed at once";
-    EXPECT_EQ(gate.current(), 0);
-    EXPECT_LE(gate.peak(), kBound);
-    EXPECT_GE(observed_max.load(), 1);
 }
 
 /** The registry's copy of `name` equals `expected` exactly. */

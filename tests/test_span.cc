@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -622,6 +623,67 @@ TEST(OpenMetrics, RendersRegistrySnapshot)
     const std::string bare = tt::obs::openMetricsText(metrics);
     EXPECT_EQ(bare.find("obs_snapshot_time_seconds"),
               std::string::npos);
+}
+
+/**
+ * The whole exposition text of a registry holding every kind of
+ * entry, pinned byte for byte: counters written by name and by slot,
+ * an interned counter and histogram that were never written (absent,
+ * as before their first write), gauges, and histograms written by
+ * name and by slot with their own geometry.
+ */
+TEST(OpenMetrics, RendersEveryKindExactly)
+{
+    tt::MetricsRegistry metrics;
+    metrics.add("runtime.jobs_admitted", 40);
+    metrics.add(metrics.counterId("runtime.worker_parks"), 7);
+    metrics.counterId("runtime.interned_only");
+    metrics.set("9weird.gauge", 1.5);
+    metrics.setMax("runtime.mem_in_flight_peak", 3.0);
+    metrics.set("obs.rate", 0.000123456789);
+    metrics.histogramId("runtime.unwritten_seconds");
+    const tt::Histogram::Options depth{
+        .min_value = 1.0, .growth = 2.0, .buckets = 24};
+    const auto id = metrics.histogramId("runtime.ready_memory_depth", depth);
+    for (int i = 0; i < 50; ++i) {
+        const tt::MetricsRegistry::Observation sample{
+            id, static_cast<double>(i % 9)};
+        metrics.observe(std::span(&sample, 1));
+    }
+    for (int i = 1; i <= 100; ++i)
+        metrics.observe("runtime.tm_seconds.mtl=2", 1e-6 * i);
+
+    const std::string body =
+        "# TYPE runtime_jobs_admitted counter\n"
+        "runtime_jobs_admitted_total 40\n"
+        "# TYPE runtime_worker_parks counter\n"
+        "runtime_worker_parks_total 7\n"
+        "# TYPE _9weird_gauge gauge\n"
+        "_9weird_gauge 1.5\n"
+        "# TYPE obs_rate gauge\n"
+        "obs_rate 0.000123457\n"
+        "# TYPE runtime_mem_in_flight_peak gauge\n"
+        "runtime_mem_in_flight_peak 3\n"
+        "# TYPE runtime_ready_memory_depth summary\n"
+        "runtime_ready_memory_depth{quantile=\"0.5\"} 4.19048\n"
+        "runtime_ready_memory_depth{quantile=\"0.9\"} 8\n"
+        "runtime_ready_memory_depth{quantile=\"0.95\"} 8\n"
+        "runtime_ready_memory_depth{quantile=\"0.99\"} 8\n"
+        "runtime_ready_memory_depth_sum 190\n"
+        "runtime_ready_memory_depth_count 50\n"
+        "# TYPE runtime_tm_seconds_mtl_2 summary\n"
+        "runtime_tm_seconds_mtl_2{quantile=\"0.5\"} 5.06415e-05\n"
+        "runtime_tm_seconds_mtl_2{quantile=\"0.9\"} 9.01531e-05\n"
+        "runtime_tm_seconds_mtl_2{quantile=\"0.95\"} 9.50766e-05\n"
+        "runtime_tm_seconds_mtl_2{quantile=\"0.99\"} 9.90153e-05\n"
+        "runtime_tm_seconds_mtl_2_sum 0.00505\n"
+        "runtime_tm_seconds_mtl_2_count 100\n";
+    EXPECT_EQ(tt::obs::openMetricsText(metrics, 0.0125),
+              body +
+                  "# TYPE obs_snapshot_time_seconds gauge\n"
+                  "obs_snapshot_time_seconds 0.0125\n"
+                  "# EOF\n");
+    EXPECT_EQ(tt::obs::openMetricsText(metrics), body + "# EOF\n");
 }
 
 /**
