@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <tuple>
 
 #include "core/sample_guard.hh"
 #include "obs/live.hh"
@@ -21,12 +22,11 @@ using stream::TaskKind;
 
 namespace {
 
+/** Trace events kept per context (a zero capacity keeps one). */
 std::size_t
-ringCapacity(const EngineOptions &options, int task_count)
+traceCapacity(const EngineOptions &options)
 {
-    const auto wanted = std::min(
-        options.trace_capacity, static_cast<std::size_t>(task_count));
-    return std::max<std::size_t>(1, wanted);
+    return std::max<std::size_t>(options.trace_capacity, 1);
 }
 
 /** `task`'s index in its PairSlot's per-task arrays. */
@@ -431,65 +431,23 @@ Engine::onRetryTimer(int context)
 }
 
 void
-Engine::recordAttemptEvent(int context, TaskId id,
-                           const AttemptOutcome &outcome)
-{
-    const Task &task = graph_.task(id);
-    PairSlot &pair = pairs_[static_cast<std::size_t>(task.pair)];
-    const std::size_t side = sideOf(task);
-    pair.start[side] = outcome.start;
-    pair.end[side] = outcome.end;
-    pair.worker[side] = static_cast<std::int16_t>(context);
-
-    obs::TaskEvent event;
-    event.task = id;
-    event.pair = task.pair;
-    event.phase = task.phase;
-    event.is_memory = task.kind == TaskKind::Memory;
-    event.worker = context;
-    event.start = outcome.start;
-    event.end = outcome.end;
-    event.mtl = pair.mtl[side];
-    event.attempt = pair.attempts[side];
-    ContextSlot &slot = contexts_[static_cast<std::size_t>(context)];
-    if (outcome.has_counters) {
-        // The delta covers this (successful) attempt's body only --
-        // failed attempts never reach here, so retries are never
-        // merged into one event.
-        event.has_counters = true;
-        event.counters = outcome.counters;
-        // Context-local aggregation, folded in finishResult.
-        slot.saw_counters = true;
-        slot.counters += outcome.counters;
-        if (!pair_counters_.empty())
-            pair_counters_[static_cast<std::size_t>(task.pair)][side] =
-                outcome.counters;
-    }
-    // A ring store costs less than the clock pair that would time it,
-    // so only the last record of each kWallCostSampleStride this
-    // context makes is timed, and stands for the stride (the last, so
-    // the cold first record is never multiplied).
-    obs::RecordRing<obs::TaskEvent> &ring = tracer_->ring(context);
-    if ((ring.recorded() + 1) % kWallCostSampleStride != 0) {
-        ring.record(event);
-        return;
-    }
-    const std::uint64_t t0 = wallNanos();
-    ring.record(event);
-    slot.trace_record_ns += kWallCostSampleStride * (wallNanos() - t0);
-}
-
-void
 Engine::completeAttempt(int context, TaskId id,
                         const AttemptOutcome &outcome)
 {
     const auto c = static_cast<std::size_t>(context);
     ContextSlot &slot = contexts_[c];
-    recordAttemptEvent(context, id, outcome);
     const Task &task = graph_.task(id);
     const bool memory = task.kind == TaskKind::Memory;
     const auto p = static_cast<std::size_t>(task.pair);
     PairSlot &pair = pairs_[p];
+    // The successful attempt, which the trace event and the span show
+    // after the run (a failed attempt never reaches here).
+    const std::size_t side = sideOf(task);
+    pair.start[side] = outcome.start;
+    pair.end[side] = outcome.end;
+    pair.worker[side] = static_cast<std::int16_t>(context);
+    if (outcome.has_counters && !pair_counters_.empty())
+        pair_counters_[p][side] = outcome.counters;
     // This completion's histogram observations, published together
     // under one lock once the ready depths are read.
     std::array<obs::ShardedMetrics::Observation, 6> batch;
@@ -921,9 +879,23 @@ Engine::hotPathTotals() const
     // The push scan probes the gate exactly before admitting, so gate
     // rejections stay 0 on single-dispatcher backends by
     // construction.
-    return {gate_->admitFailures(), gate_->folds(), tracer_->dropped(),
+    return {gate_->admitFailures(), gate_->folds(), traceDropped(),
             span_ring_->dropped(),
-            tracer_->recorded() + span_ring_->recorded()};
+            static_cast<std::uint64_t>(tasksDone()) +
+                span_ring_->recorded()};
+}
+
+std::uint64_t
+Engine::traceDropped() const
+{
+    const std::size_t cap = traceCapacity(options_);
+    std::uint64_t dropped = 0;
+    for (const ContextSlot &slot : contexts_) {
+        const auto done = static_cast<std::size_t>(
+            slot.done.load(std::memory_order_relaxed));
+        dropped += done > cap ? done - cap : 0;
+    }
+    return dropped;
 }
 
 void
@@ -1096,14 +1068,12 @@ Engine::crashDump()
                      "tt: runtime progress: scheduler lock held "
                      "(worker wedged mid-dispatch), %d tasks total\n",
                      graph_.taskCount());
-    if (tracer_.has_value())
-        std::fprintf(
-            stderr,
-            "tt: runtime trace: %llu events recorded, %llu dropped; "
-            "%ld task retries\n",
-            static_cast<unsigned long long>(tracer_->recorded()),
-            static_cast<unsigned long long>(tracer_->dropped()),
-            task_retries_.load(std::memory_order_relaxed));
+    std::fprintf(stderr,
+                 "tt: runtime trace: %d events recorded, %llu dropped; "
+                 "%ld task retries\n",
+                 tasksDone(),
+                 static_cast<unsigned long long>(traceDropped()),
+                 task_retries_.load(std::memory_order_relaxed));
 }
 
 RunResult
@@ -1156,7 +1126,6 @@ Engine::run(ExecutionBackend &backend)
         hot_ids_.jobs_deadline_missed =
             metrics.counterId("runtime.jobs_deadline_missed");
     }
-    tracer_.emplace(contexts, ringCapacity(options_, graph_.taskCount()));
     span_ring_.emplace(std::max<std::size_t>(
         1, std::min(options_.span_capacity, n_pairs)));
     // One entry per pair at most, so the logs never reallocate mid-run.
@@ -1241,20 +1210,10 @@ RunResult
 Engine::finishResult()
 {
     std::lock_guard lock(mutex_);
-    // Every attempt delivered before drive() returned, so every shard
-    // -- metric, hw-counter -- is quiescent; fold the stragglers.
+    // Every attempt delivered before drive() returned, so every metric
+    // shard is quiescent; fold the stragglers.
     if (metric_shards_.has_value())
         metric_shards_->fold();
-    bool saw_counters = false;
-    obs::perf::CounterSet counter_totals;
-    std::uint64_t trace_record_ns = 0;
-    for (const ContextSlot &slot : contexts_) {
-        trace_record_ns += slot.trace_record_ns;
-        if (!slot.saw_counters)
-            continue;
-        saw_counters = true;
-        counter_totals += slot.counters;
-    }
     const int done = tasksDone();
     RunResult result;
     result.failed = run_failed_.load(std::memory_order_relaxed);
@@ -1283,11 +1242,13 @@ Engine::finishResult()
     // The gate tracks the peak (monotonic CAS-max over the folded
     // shard sum at every successful admit).
     result.peak_mem_in_flight = static_cast<int>(gate_->peak());
-    result.trace = tracer_->merged();
-    result.trace_dropped = tracer_->dropped();
-    const std::uint64_t spans_t0 = wallNanos();
+    // The trace and the spans are views of the pair slots, built once
+    // here: their build is what recording them costs the run.
+    const std::uint64_t build_t0 = wallNanos();
+    result.trace = buildTrace();
+    result.trace_dropped = traceDropped();
     result.spans = buildSpans();
-    trace_record_ns += wallNanos() - spans_t0;
+    const std::uint64_t trace_record_ns = wallNanos() - build_t0;
     result.spans_dropped = span_ring_->dropped();
     result.pin_failures = backend_->pinFailures();
 
@@ -1344,8 +1305,12 @@ Engine::finishResult()
         result.phases.push_back(std::move(pr));
     }
 
-    result.has_counters = saw_counters;
-    result.counters = counter_totals;
+    for (const auto &sides : pair_counters_)
+        for (const std::optional<obs::perf::CounterSet> &delta : sides)
+            if (delta) {
+                result.has_counters = true;
+                result.counters += *delta;
+            }
 
     if (health_.has_value()) {
         result.health_enabled = true;
@@ -1428,23 +1393,72 @@ Engine::finishResult()
             // Published whenever a provider is configured -- zeros
             // under the null fallback -- so host and sim runs expose
             // the identical metric-name schema either way.
+            const obs::perf::CounterSet &totals = result.counters;
             metrics->add("runtime.perf.llc_misses",
-                         static_cast<std::int64_t>(
-                             counter_totals.llc_misses));
-            metrics->add(
-                "runtime.perf.cycles",
-                static_cast<std::int64_t>(counter_totals.cycles));
+                         static_cast<std::int64_t>(totals.llc_misses));
+            metrics->add("runtime.perf.cycles",
+                         static_cast<std::int64_t>(totals.cycles));
             metrics->add("runtime.perf.stalled_cycles",
-                         static_cast<std::int64_t>(
-                             counter_totals.stalled_cycles));
+                         static_cast<std::int64_t>(totals.stalled_cycles));
             metrics->add("runtime.perf.instructions",
-                         static_cast<std::int64_t>(
-                             counter_totals.instructions));
+                         static_cast<std::int64_t>(totals.instructions));
         }
     }
 
     backend_->finalize(result);
     return result;
+}
+
+std::vector<obs::TaskEvent>
+Engine::buildTrace() const
+{
+    std::vector<obs::TaskEvent> trace;
+    trace.reserve(static_cast<std::size_t>(tasksDone()));
+    for (const Task &task : graph_.tasks()) {
+        const auto p = static_cast<std::size_t>(task.pair);
+        const std::size_t side = sideOf(task);
+        const PairSlot &slot = pairs_[p];
+        if (slot.worker[side] < 0)
+            continue; // never completed
+        obs::TaskEvent &event = trace.emplace_back();
+        event.task = task.id;
+        event.pair = task.pair;
+        event.phase = task.phase;
+        event.is_memory = task.kind == TaskKind::Memory;
+        event.worker = slot.worker[side];
+        event.start = slot.start[side];
+        event.end = slot.end[side];
+        event.mtl = slot.mtl[side];
+        event.attempt = slot.attempts[side];
+        if (!pair_counters_.empty() && pair_counters_[p][side]) {
+            event.has_counters = true;
+            event.counters = *pair_counters_[p][side];
+        }
+    }
+    if (traceDropped() > 0) {
+        // Keep each context's latest events: a context runs one
+        // attempt at a time, so (end, start, task) is the order it
+        // completed them in.
+        std::sort(trace.begin(), trace.end(),
+                  [](const obs::TaskEvent &a, const obs::TaskEvent &b) {
+                      return std::tie(a.worker, b.end, b.start, b.task) <
+                             std::tie(b.worker, a.end, a.start, a.task);
+                  });
+        const std::size_t cap = traceCapacity(options_);
+        std::vector<std::size_t> kept(contexts_.size(), 0);
+        std::size_t n = 0;
+        for (const obs::TaskEvent &event : trace)
+            if (kept[static_cast<std::size_t>(event.worker)]++ < cap)
+                trace[n++] = event;
+        trace.resize(n);
+    }
+    // Task ids are unique, so this order is total.
+    std::sort(trace.begin(), trace.end(),
+              [](const obs::TaskEvent &a, const obs::TaskEvent &b) {
+                  return std::tie(a.start, a.end, a.task) <
+                         std::tie(b.start, b.end, b.task);
+              });
+    return trace;
 }
 
 std::vector<obs::JobSpan>

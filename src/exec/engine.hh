@@ -42,6 +42,7 @@
 #include "load/arrival.hh"
 #include "obs/health.hh"
 #include "obs/metric_shards.hh"
+#include "obs/ring.hh"
 #include "obs/trace.hh"
 #include "stream/task_graph.hh"
 #include "util/concurrency/mpmc_queue.hh"
@@ -77,10 +78,12 @@ struct EngineOptions
     bool pin_affinity = true;
 
     /**
-     * Per-context event-trace ring capacity. The rings are sized to
-     * min(trace_capacity, task count), so the default traces every
-     * task of any reasonable graph; shrink it to bound memory on
-     * huge graphs (the oldest events are then dropped and counted).
+     * Trace events kept per execution context: RunResult::trace
+     * holds each context's latest trace_capacity events (by end
+     * time), and the older ones are counted as dropped. It bounds
+     * only the output: the trace is built after the run from the pair
+     * slots, and the run reserves no memory for it. The default
+     * traces every task of any reasonable graph.
      */
     std::size_t trace_capacity = 1 << 16;
 
@@ -119,13 +122,13 @@ struct EngineOptions
      * (wall time on the host backend, simulated time on the sim
      * backend); 0 disables it. A run that has not drained by then is
      * assumed wedged (stalled worker, livelocked policy). On the
-     * host the watchdog dumps diagnostics -- crash-dump hooks flush
-     * bound trace rings and metrics -- and terminates the process
-     * with kWatchdogExitCode, because wedged threads cannot be
-     * unwound. On the sim (and any backend without real threads) it
-     * fails the run in-band through the same diagnostics path:
-     * `failed`/`watchdog_fired`/`failure_reason` are set and run()
-     * returns normally.
+     * host the watchdog dumps diagnostics -- the crash-dump hooks
+     * print progress and trace totals and flush bound metrics -- and
+     * terminates the process with kWatchdogExitCode, because wedged
+     * threads cannot be unwound. On the sim (and any backend without
+     * real threads) it fails the run in-band through the same
+     * diagnostics path: `failed`/`watchdog_fired`/`failure_reason`
+     * are set and run() returns normally.
      */
     double watchdog_seconds = 0.0;
 
@@ -145,10 +148,10 @@ struct EngineOptions
     /**
      * Optional hardware-counter source (not owned; see
      * obs/perf/counters.hh). When set, the backend brackets every
-     * task-attempt body with counter reads, the per-attempt delta
-     * rides on the attempt's obs::TaskEvent (retried attempts are
-     * recorded separately, never merged), and the engine publishes
-     * "runtime.perf.*" aggregate counters plus the
+     * task-attempt body with counter reads, the successful attempt's
+     * delta rides on its obs::TaskEvent and span attempt (a failed
+     * attempt's only on its span attempt, never merged), and the
+     * engine publishes "runtime.perf.*" aggregate counters plus the
      * "runtime.perf_unavailable" gauge (1 when the provider degraded
      * to null -- e.g. perf_event_open refused in a container -- in
      * which case the run proceeds unchanged with zero reads).
@@ -274,10 +277,12 @@ struct RunResult
     /** Peak number of concurrently executing memory tasks. */
     int peak_mem_in_flight = 0;
 
-    /** Merged per-context event trace, ordered by start time. */
+    /** One event per completed task, ordered by (start, end, task),
+     *  built once drive() returned from the pair slots; each context
+     *  keeps its latest EngineOptions::trace_capacity events. */
     std::vector<obs::TaskEvent> trace;
 
-    /** Events lost to trace-ring overwrites (0 unless capped). */
+    /** Events the trace capacity left out (0 unless capped). */
     std::uint64_t trace_dropped = 0;
 
     /** Per-job causal spans in terminal order (see obs/span.hh),
@@ -308,7 +313,8 @@ struct RunResult
     /** True when the run carried hardware-counter attribution. */
     bool has_counters = false;
 
-    /** Whole-run counter totals (sum of per-event deltas). */
+    /** Whole-run counter totals (sum of the successful attempts'
+     *  deltas). */
     obs::perf::CounterSet counters;
 
     // --- open-loop job accounting (zero for closed-loop runs) ---
@@ -497,7 +503,8 @@ class ExecutionBackend
  * admission against policy.currentMtl(), pair timing and sample
  * delivery (with fault-plan corruption mirroring), bounded retries
  * with exponential backoff, clean run failure, the watchdog and
- * observation ticks, trace rings and metrics.
+ * observation ticks, and metrics; the trace and the job spans are
+ * built from the pair slots after the run.
  *
  * Thread-safe, with one scheduler state for every backend: MPMC
  * ready rings, one atomic admission counter standing in for the
@@ -505,13 +512,13 @@ class ExecutionBackend
  * attempts, times, MTLs, workers, hand-off link) and one per context
  * (its reservation, retry state and progress). The per-task fast
  * path -- dispatch through tryDispatch(), MTL admission, completion,
- * successor unlock, trace and metric publication -- is lock-free. A
+ * successor unlock, metric publication -- is lock-free. A
  * compute completion does its pair-local work, pushes its pair onto
  * a lock-free hand-off list and goes back to work; whichever thread
  * takes the combiner token drains the list into the policy under
  * the mutex. The mutex covers only what must stay serialized with
  * the policy: sample delivery, retries, failures, arrivals, phase
- * barriers, watchdog and finish. Job spans are built after the run.
+ * barriers, watchdog and finish.
  *
  * Push vs. pull only decides who pops. Worker threads (host) call
  * tryDispatch() from nextAttempt(), and a worker whose memory task
@@ -592,10 +599,10 @@ class Engine
      * aligned slot, so that no per-attempt write lands on a line
      * another context writes. Other threads touch only the atomics
      * (the retry timer and a failing run move `retry` and release
-     * `running` under mutex_; finish checks and time-series rows read
-     * `running` and `done`) and `retry_token`, under mutex_. The
-     * other plain fields belong to the context's own completions and
-     * its worker; finishResult reads them once drive() returned.
+     * `running` under mutex_; finish checks, time-series rows and the
+     * health ticks read `running` and `done`) and `retry_token`,
+     * under mutex_. `mtl_ids` belongs to the context's own
+     * completions.
      */
     struct alignas(64) ContextSlot
     {
@@ -611,14 +618,9 @@ class Engine
         std::atomic<RetryState> retry{RetryState::None};
         ExecutionBackend::TimerToken retry_token = 0; ///< under mutex_
         /** Tasks this context completed, counted by the completion
-         *  itself before it releases the context. */
+         *  itself before it releases the context; the trace drops
+         *  all but the latest trace_capacity of them. */
         std::atomic<int> done{0};
-        /** Wall ns spent recording this context's trace events,
-         *  estimated from the last record of each
-         *  kWallCostSampleStride. */
-        std::uint64_t trace_record_ns = 0;
-        bool saw_counters = false;
-        obs::perf::CounterSet counters; ///< hw-counter totals
         /** tm/tc ids by MTL, interned by this context the first time
          *  it measures a pair at that MTL. */
         std::vector<MtlIds> mtl_ids;
@@ -632,9 +634,9 @@ class Engine
      * writes. Per-task arrays are indexed by stream::TaskKind, memory
      * 0 and compute 1. The pair's dependency chain (dispatch, memory
      * completion, compute dispatch and completion, the hand-off's
-     * link CAS) orders every access to the plain fields. With the
-     * failed-attempt log and the arrival stamps they hold everything
-     * a span is built from after the run.
+     * link CAS) orders every access to the plain fields. They hold
+     * every trace event, and with the failed-attempt log and the
+     * arrival stamps everything a span is built from after the run.
      */
     struct alignas(64) PairSlot
     {
@@ -645,7 +647,9 @@ class Engine
         std::array<double, 2> start{}; ///< successful attempt's start
         std::array<double, 2> end{};   ///< ... and end
         std::array<std::int16_t, 2> mtl{};    ///< MTL at first dispatch
-        std::array<std::int16_t, 2> worker{}; ///< successful attempt's context
+        /** Successful attempt's context; -1 until the task completes,
+         *  so a task has a trace event once it is not. */
+        std::array<std::int16_t, 2> worker{-1, -1};
         stream::PairId next = kNoPair; ///< hand-off link, older pair
         bool deadline_missed = false;  ///< open-loop verdict
     };
@@ -710,10 +714,16 @@ class Engine
     void emitTimeseriesRowLocked();
     /** Cumulative hot-path totals the health ticks difference. */
     obs::HotPathTotals hotPathTotals() const;
+    /** Completed tasks beyond each context's trace_capacity. */
+    std::uint64_t traceDropped() const;
     /** Best-effort diagnostics dump (crash hook / watchdog path). */
     void crashDump();
     /** Assemble the RunResult after drive() returned. */
     RunResult finishResult();
+    /** The trace: an event per completed task, from the pair slots,
+     *  each context's latest trace_capacity by (end, start, task),
+     *  ordered by (start, end, task) (after drive() returned). */
+    std::vector<obs::TaskEvent> buildTrace() const;
     /** The spans of the pairs in span_ring_, oldest first, built
      *  from the pair slots, the failed-attempt log, the arrival
      *  stamps and the job log (after drive() returned). */
@@ -723,8 +733,6 @@ class Engine
 
     /** Push a newly ready task onto its kind's ring. */
     void enqueueReady(stream::TaskId id);
-    void recordAttemptEvent(int context, stream::TaskId id,
-                            const AttemptOutcome &outcome);
     /** Release `id`'s successors made ready; pull mode keeps a
      *  memory task's own compute partner and returns it instead of
      *  enqueueing it (kInvalidTask when none was kept). */
@@ -795,7 +803,6 @@ class Engine
         MetricsRegistry::CounterId jobs_deadline_missed;
     };
     HotIds hot_ids_;
-    std::optional<obs::Tracer> tracer_; ///< one ring per context
     /** Per pair, its span's arrival on the engine clock: the
      *  admission stamp (open loop, shed jobs included) or the instant
      *  its memory task became ready (closed loop). Written before the
@@ -859,9 +866,8 @@ class Engine
     // Self-observability: wall-clock nanoseconds spent inside
     // observability code (steady clock on every backend -- this is
     // the *real* cost of tracing, not simulated time), published as
-    // obs.overhead.* counters. Trace-event recording accumulates per
-    // context (ContextSlot::trace_record_ns) and finishResult adds
-    // the span build; time-series rows accumulate here.
+    // obs.overhead.* counters. Time-series rows accumulate here;
+    // finishResult times the trace and span build itself.
     std::uint64_t obs_sampler_ns_ = 0;
 
     /** Streaming health engine (options_.health.enabled), driven

@@ -230,7 +230,7 @@ HealthEngine::onTickWindow(const TickWindowSample &sample)
              failure_ratio, kGateFailureRatio, sample.time);
 
     // drop_rate: dropped share of everything offered to the trace
-    // ring and span buffer this window.
+    // and the span ring this window.
     const long drops = sample.trace_dropped + sample.span_dropped;
     const double denom = static_cast<double>(
         std::max<long>(1, sample.records + drops));

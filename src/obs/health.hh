@@ -17,13 +17,13 @@
  *  - *Tick windows* close on the engine's health tick (sim-time on
  *    the simulator; onTick) and carry the deltas of the cumulative
  *    hot-path totals the engine reads there — MTL-gate refusals
- *    and admission attempts, trace/span records and drops — plus the
- *    measured-vs-model memory-time sums of the pairs measured since
- *    the last tick (onPairMeasured: T_m and the MTL it ran under).
- *    These feed `gate_saturation`, `drop_rate` and `model_bound`.
- *    They are deterministic under sim time and best-effort live
- *    signals on the host, where the hot path runs free of the
- *    engine clock.
+ *    and admission attempts, trace events and span records and
+ *    their drops — plus the measured-vs-model memory-time sums of
+ *    the pairs measured since the last tick (onPairMeasured: T_m
+ *    and the MTL it ran under). These feed `gate_saturation`,
+ *    `drop_rate` and `model_bound`. They are deterministic under sim
+ *    time and best-effort live signals on the host, where the hot
+ *    path runs free of the engine clock.
  *
  * onDrain flushes the partial job window and one last tick window.
  * onJobWindow/onTickWindow are the detector core; tests drive them
@@ -189,9 +189,9 @@ struct TickWindowSample
     long gate_failures = 0; ///< MTL-gate refusals this window
     long gate_folds = 0;    ///< MTL-gate admission attempts this window
 
-    long trace_dropped = 0; ///< trace-ring drops this window
+    long trace_dropped = 0; ///< trace events past the cap this window
     long span_dropped = 0;  ///< span-buffer drops this window
-    long records = 0;       ///< trace + span records this window
+    long records = 0;       ///< trace events + span records this window
 
     int pair_samples = 0;    ///< completed pairs this window
     double sum_tm = 0.0;     ///< measured memory seconds
@@ -203,9 +203,9 @@ struct HotPathTotals
 {
     long gate_failures = 0;          ///< MTL-gate refusals
     long gate_folds = 0;             ///< MTL-gate admission attempts
-    std::uint64_t trace_dropped = 0; ///< trace-ring drops
+    std::uint64_t trace_dropped = 0; ///< trace events past the cap
     std::uint64_t span_dropped = 0;  ///< span-buffer drops
-    std::uint64_t records = 0;       ///< trace + span records
+    std::uint64_t records = 0;       ///< trace events + span records
 };
 
 /**

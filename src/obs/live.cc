@@ -90,6 +90,8 @@ LiveFileSink::LiveFileSink(std::string path, MetricsRegistry &metrics)
 void
 LiveFileSink::snapshot(double now_seconds)
 {
+    if (!ok_)
+        return; // a failed write disabled the sink
     const std::uint64_t t0 = wallNanos();
     const std::string text = openMetricsText(metrics_, now_seconds);
     const std::string tmp = path_ + ".tmp";
@@ -97,17 +99,15 @@ LiveFileSink::snapshot(double now_seconds)
         std::ofstream os(tmp, std::ios::trunc);
         os << text;
         if (!os) {
-            if (ok_)
-                tt_warn("live-metrics snapshot to '", tmp,
-                        "' failed; disabling further snapshots");
+            tt_warn("live-metrics snapshot to '", tmp,
+                    "' failed; disabling further snapshots");
             ok_ = false;
             return;
         }
     }
     if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-        if (ok_)
-            tt_warn("live-metrics rename to '", path_,
-                    "' failed; disabling further snapshots");
+        tt_warn("live-metrics rename to '", path_,
+                "' failed; disabling further snapshots");
         ok_ = false;
         return;
     }

@@ -59,8 +59,9 @@ std::string openMetricsText(const MetricsRegistry &metrics,
 /**
  * Periodic OpenMetrics file snapshots. snapshot() renders to
  * `path + ".tmp"` and renames over `path`, so a concurrent reader
- * (ttstat in file mode) never sees a torn snapshot. Write failures
- * warn once and latch ok() false without failing the run.
+ * (ttstat in file mode) never sees a torn snapshot. A write failure
+ * warns once and latches ok() false without failing the run; later
+ * snapshots then return at once.
  */
 class LiveFileSink
 {

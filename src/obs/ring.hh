@@ -1,13 +1,13 @@
 /**
  * @file
- * Fixed-capacity record ring: the storage behind the per-context
- * trace rings (trace.hh) and the run's pairs in terminal order, from
- * which exec::Engine builds the spans (span.hh).
+ * Fixed-capacity record ring: the storage behind the run's pairs in
+ * terminal order, from which exec::Engine builds the spans (span.hh)
+ * after the run.
  *
- * The rules are the same for every record type:
- *  - one writer at a time -- a trace ring belongs to one execution
- *    context, and terminal pairs are recorded under exec::Engine's
- *    run mutex -- so record() needs no synchronisation of its own;
+ * The rules:
+ *  - one writer at a time -- exec::Engine records terminal pairs
+ *    under its run mutex -- so record() needs no synchronisation of
+ *    its own;
  *  - the storage is reserved up front, so recording never
  *    allocates for the ring itself;
  *  - when full, the oldest record is overwritten and counted in
@@ -41,16 +41,6 @@ class RecordRing
     {
         tt_assert(capacity_ > 0, "ring capacity must be positive");
         data_.reserve(capacity_);
-    }
-
-    /** Vector-relocation support for building a ring per context
-     *  only -- the atomic counter makes the default move deleted.
-     *  Never valid once the writer records concurrently. */
-    RecordRing(RecordRing &&other) noexcept
-        : capacity_(other.capacity_),
-          recorded_(other.recorded_.load(std::memory_order_relaxed)),
-          data_(std::move(other.data_))
-    {
     }
 
     /** Append one record, overwriting the oldest when full. */

@@ -3,7 +3,7 @@
  * Per-job causal spans: the telemetry record of one job (one
  * memory/compute pair) from arrival to its terminal state.
  *
- * The trace ring (trace.hh) answers "what ran where"; a JobSpan
+ * The task trace (trace.hh) answers "what ran where"; a JobSpan
  * answers "where did *this job's* response time go". Each span
  * holds the job's arrival, admission verdict, every dispatch attempt
  * (including failed attempts and the retry backoff each was granted)
@@ -16,12 +16,12 @@
  * The identity holds by construction (queue_wait is defined as the
  * non-executing remainder), so per-job components always sum to the
  * measured response. exec::Engine builds the spans once the run is
- * over, from what the run recorded anyway: each pair's slot (times,
- * workers, attempt counts), its failed-attempt log, the arrival
- * stamps and the admission log. While the run is live it records
- * only each pair's id, under its run mutex, into a RecordRing
- * (ring.hh) in terminal order; when full, the oldest ids are
- * overwritten and counted in dropped() (published as
+ * over, next to the trace, from what the run recorded anyway: each
+ * pair's slot (times, workers, attempt counts), its failed-attempt
+ * log, the arrival stamps and the admission log. While the run is
+ * live it records only each pair's id, under its run mutex, into a
+ * RecordRing (ring.hh) in terminal order; when full, the oldest ids
+ * are overwritten and counted in dropped() (published as
  * `obs.spans_dropped`), so the spans are those of the last pairs to
  * finish. chrome_trace.hh renders spans as flow events linking the
  * arrival instant to the completing worker slice; analyzer.hh

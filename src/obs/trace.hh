@@ -1,18 +1,16 @@
 /**
  * @file
- * Low-overhead event tracing shared by the real-thread runtime and
- * the simulator.
+ * The run's task trace, shared by the real-thread runtime and the
+ * simulator.
  *
- * Each execution context (a host worker thread, a simulated hardware
- * context) records TaskEvents into its own fixed-capacity
- * RecordRing (ring.hh): one writer per ring, no locks and no
- * allocation on the hot path after construction, so tracing stays
- * cheap enough to leave on. When a run drains, exec::Engine calls
- * Tracer::merged() -- strictly after drive() returned -- to drain
- * every ring into one start-time-ordered event stream. TraceData
- * couples that stream with the policy's MTL transition log and the
- * graph's phase names; chrome_trace.hh renders it in the Chrome
- * trace-event format for chrome://tracing/Perfetto.
+ * A TaskEvent is one task's successful attempt. Tracing costs the
+ * run nothing while it is live: the engine keeps each pair's times,
+ * contexts, MTLs and attempt counts in its pair slots anyway, and
+ * once drive() returned exec::Engine builds one (start, end,
+ * task)-ordered event stream from them. TraceData couples that
+ * stream with the policy's MTL transition log and the graph's phase
+ * names; chrome_trace.hh renders it in the Chrome trace-event format
+ * for chrome://tracing/Perfetto.
  */
 
 #ifndef TT_OBS_TRACE_HH
@@ -26,12 +24,11 @@
 #include "core/audit.hh"
 #include "obs/health.hh"
 #include "obs/perf/counters.hh"
-#include "obs/ring.hh"
 #include "obs/span.hh"
 
 namespace tt::obs {
 
-/** One executed task, as recorded by the worker that ran it. */
+/** One executed task: its successful attempt. */
 struct TaskEvent
 {
     std::int32_t task = -1;  ///< task id within the graph
@@ -51,42 +48,8 @@ struct TaskEvent
 };
 
 /**
- * Per-worker ring registry. Worker i writes only through ring(i), so
- * recording needs no synchronisation; merged() must only be called
- * once the workers are quiescent (the engine calls it after drive()
- * returned).
- */
-class Tracer
-{
-  public:
-    Tracer(int workers, std::size_t capacity_per_worker);
-
-    int workers() const { return static_cast<int>(rings_.size()); }
-
-    RecordRing<TaskEvent> &ring(int worker);
-    const RecordRing<TaskEvent> &ring(int worker) const;
-
-    /** Drain every ring into one stream sorted by (start, end,
-     *  task): a k-way merge of the rings, each already in start order
-     *  (one out of order is sorted on its own first), so the result
-     *  is the whole-trace sort's. The merge runs in place over the
-     *  appended rings, so the trace is held once. The rings are empty
-     *  afterwards, their counters kept. */
-    std::vector<TaskEvent> merged();
-
-    /** Total events recorded across all rings. */
-    std::uint64_t recorded() const;
-
-    /** Total events lost to ring overwrites across all rings. */
-    std::uint64_t dropped() const;
-
-  private:
-    std::vector<RecordRing<TaskEvent>> rings_;
-};
-
-/**
  * Everything the exporter needs, decoupled from which runtime
- * produced it: the merged event stream, the policy's (time, MTL)
+ * produced it: the task event stream, the policy's (time, MTL)
  * transition log, its decision audit records, and the graph's phase
  * names (indexed by TaskEvent::phase).
  */

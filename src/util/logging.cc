@@ -90,7 +90,7 @@ terminate(const char *kind, const std::string &msg, const char *file,
 {
     std::fprintf(stderr, "%s: %s (%s:%d)\n", kind, msg.c_str(), file, line);
     std::fflush(stderr);
-    // Let bound trace rings / metrics registries flush their
+    // Let running engines / bound metrics registries flush their
     // diagnostics before the process dies, so a failed run still
     // leaves artefacts to debug from.
     runCrashDumpHooks();

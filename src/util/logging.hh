@@ -25,8 +25,8 @@ namespace tt {
  * when the process is about to terminate abnormally -- a tt_panic /
  * tt_fatal / failed tt_assert, or a runtime watchdog firing. Long
  * running components (the runtimes, ttsim) register a hook that
- * flushes their diagnostics -- trace rings, metrics registries --
- * so a failed run still leaves artefacts. Hooks must be best-effort:
+ * flushes their diagnostics -- progress and trace totals, metrics
+ * registries -- so a failed run still leaves artefacts. Hooks must be best-effort:
  * they run on the crashing thread while other threads may still be
  * live, and any exception they throw is swallowed.
  */

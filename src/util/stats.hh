@@ -188,14 +188,6 @@ class Histogram
 std::uint64_t wallNanos();
 
 /**
- * Stride of the sampled wall-cost counters: a per-event cost (a trace
- * record) times the last event of every this many and charges the
- * stride times the delta, so the clock pair that measures the event
- * does not cost more than the event itself.
- */
-inline constexpr std::uint64_t kWallCostSampleStride = 64;
-
-/**
  * Thread-safe registry of named metrics: monotonic counters, last- or
  * max-value gauges, and log-bucket Histogram distributions. Policies
  * and runtimes publish into one registry during a run; afterwards it

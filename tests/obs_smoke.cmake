@@ -2,9 +2,10 @@
 # `cmake -P` (see tests/CMakeLists.txt): ttsim writes a time-series
 # file, ttreport writes report JSON from two seeded runs, the --diff
 # gate exits 0 on identical runs and non-zero on an injected
-# regression, and the live-telemetry path (--live-metrics + ttstat)
-# serves valid OpenMetrics on both backends. Expects -DTTSIM=,
-# -DTTREPORT=, -DTTSTAT=, -DWORK_DIR=.
+# regression, the live-telemetry path (--live-metrics + ttstat)
+# serves valid OpenMetrics on both backends, and the Chrome trace is
+# deterministic on the simulator and complete on the host. Expects
+# -DTTSIM=, -DTTREPORT=, -DTTSTAT=, -DWORK_DIR=.
 
 foreach(var TTSIM TTREPORT TTSTAT WORK_DIR)
     if(NOT DEFINED ${var})
@@ -269,6 +270,50 @@ endif()
 if(NOT quiet_alerts MATCHES "slo_burn")
     message(FATAL_ERROR
             "ttstat --alerts did not render the detector table")
+endif()
+
+# 1l. The Chrome trace: two identically seeded sim runs with injected
+# faults and hardware counters write byte-identical trace files, and a
+# host run's trace holds one task slice ("ph":"X") per task.
+foreach(name a b)
+    execute_process(
+        COMMAND "${TTSIM}" --workload synthetic --policy dynamic
+                --pairs 64 --quiet --perf-counters
+                --inject-seed 42 --inject-fail-p 0.1
+                --inject-straggler 0.1 --inject-stall-p 0.05
+                --inject-stall-ms 1
+                --trace-out "${WORK_DIR}/chaos_${name}.trace.json"
+        OUTPUT_QUIET
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+                "ttsim seeded chaos run '${name}' failed (rc=${rc})")
+    endif()
+endforeach()
+execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files
+            "${WORK_DIR}/chaos_a.trace.json"
+            "${WORK_DIR}/chaos_b.trace.json"
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+            "identically seeded sim runs wrote different Chrome traces")
+endif()
+execute_process(
+    COMMAND "${TTSIM}" --host --workload synthetic --policy dynamic
+            --pairs 64 --quiet
+            --trace-out "${WORK_DIR}/host.trace.json"
+    OUTPUT_QUIET
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "ttsim --host --trace-out failed (rc=${rc})")
+endif()
+file(READ "${WORK_DIR}/host.trace.json" host_trace)
+string(REGEX MATCHALL "\"ph\":\"X\"" host_slices "${host_trace}")
+list(LENGTH host_slices host_slice_count)
+if(NOT host_slice_count EQUAL 128)
+    message(FATAL_ERROR
+            "host trace holds ${host_slice_count} task slices, want 128")
 endif()
 
 # 2. Two identical seeded runs produce identical reports: diff passes.

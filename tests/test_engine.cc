@@ -408,20 +408,76 @@ TEST(EngineMock, EmptyGraphDrainsImmediately)
     EXPECT_EQ(result.mtl_trace.front().second, 1);
 }
 
+/**
+ * A capped trace is the uncapped trace of the same run less each
+ * context's earliest events: a context keeps its latest k, by end
+ * time, and the rest count as dropped.
+ */
 TEST(EngineMock, TraceCapacityBoundsMemoryAndCountsDrops)
 {
     const TaskGraph graph = pairsGraph(16);
-    tt::core::StaticMtlPolicy policy(2, 2);
-    EngineOptions options;
-    options.trace_capacity = 2;
-    MockBackend backend(graph, 2);
-    Engine engine(graph, policy, options);
-    const auto result = engine.run(backend);
+    const auto run = [&graph](std::size_t capacity) {
+        tt::core::StaticMtlPolicy policy(2, 2);
+        EngineOptions options;
+        options.trace_capacity = capacity;
+        MockBackend backend(graph, 2);
+        Engine engine(graph, policy, options);
+        return engine.run(backend);
+    };
+    constexpr std::size_t k = 2;
+    const auto full = run(EngineOptions{}.trace_capacity);
+    const auto capped = run(k);
+    ASSERT_FALSE(full.failed);
+    ASSERT_FALSE(capped.failed);
+    EXPECT_EQ(capped.samples.size(), 16u); // scheduling unaffected
+    ASSERT_EQ(full.trace.size(),
+              static_cast<std::size_t>(graph.taskCount()));
+    EXPECT_EQ(full.trace_dropped, 0u);
 
-    EXPECT_FALSE(result.failed);
-    EXPECT_EQ(result.samples.size(), 16u); // scheduling unaffected
-    EXPECT_LE(result.trace.size(), 4u);    // 2 rings x capacity 2
-    EXPECT_GT(result.trace_dropped, 0u);
+    // Each context's events, latest first by (end, start, task).
+    std::vector<std::vector<const tt::obs::TaskEvent *>> latest(2);
+    for (const tt::obs::TaskEvent &event : full.trace)
+        latest[static_cast<std::size_t>(event.worker)].push_back(&event);
+    std::vector<bool> kept(full.trace.size(), true);
+    std::uint64_t dropped = 0;
+    for (auto &events : latest) {
+        std::sort(events.begin(), events.end(),
+                  [](const tt::obs::TaskEvent *a,
+                     const tt::obs::TaskEvent *b) {
+                      if (a->end != b->end)
+                          return a->end > b->end;
+                      if (a->start != b->start)
+                          return a->start > b->start;
+                      return a->task > b->task;
+                  });
+        for (std::size_t i = k; i < events.size(); ++i) {
+            kept[static_cast<std::size_t>(events[i] - full.trace.data())] =
+                false;
+            ++dropped;
+        }
+    }
+    std::vector<tt::obs::TaskEvent> want;
+    for (std::size_t i = 0; i < full.trace.size(); ++i)
+        if (kept[i])
+            want.push_back(full.trace[i]);
+
+    EXPECT_GT(dropped, 0u);
+    EXPECT_EQ(capped.trace_dropped, dropped);
+    ASSERT_EQ(capped.trace.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const tt::obs::TaskEvent &got = capped.trace[i];
+        const tt::obs::TaskEvent &exp = want[i];
+        EXPECT_TRUE(got.task == exp.task && got.pair == exp.pair &&
+                    got.phase == exp.phase &&
+                    got.is_memory == exp.is_memory &&
+                    got.worker == exp.worker && got.start == exp.start &&
+                    got.end == exp.end && got.mtl == exp.mtl &&
+                    got.attempt == exp.attempt &&
+                    got.has_counters == exp.has_counters &&
+                    got.counters == exp.counters)
+            << "event " << i << ": task " << got.task << " vs "
+            << exp.task;
+    }
 }
 
 /**

@@ -5,8 +5,9 @@
  * contract -- a seeded burst overload must produce the identical
  * ordered (rule, edge, window) sequence on real threads and on
  * simulated time -- the detector overhead budget (obs.overhead.
- * health_ns under 3% of makespan with every detector enabled), and
- * the sim's ring and gate telemetry contract.
+ * health_ns under 3% of makespan with every detector enabled), the
+ * sim's ring and gate telemetry contract, and the drop rate of a sim
+ * run with a capped trace.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/policy.hh"
@@ -593,6 +595,54 @@ TEST(SimTelemetry, ThrottledRunReportsRingsWithoutGateRejections)
     EXPECT_EQ(result.peak_mem_in_flight, 1);
     EXPECT_EQ(metrics.gauge("runtime.peak_mem_in_flight"), 1.0);
     EXPECT_GT(metrics.gauge("runtime.ring_peak_memory"), 0.0);
+}
+
+/**
+ * The drop-rate detector sees real trace drops: a sim run whose
+ * trace keeps 8 events per context, of about 64 each, on an 80 us
+ * health tick. Its drop_rate edges with their drop ratios, the drop
+ * counter it publishes and the run's own drop count are pinned
+ * against values recorded when each context still wrote its events
+ * into a ring during the run.
+ */
+TEST(SimTelemetry, TraceCapacityDropsDriveTheDropRate)
+{
+    const auto config = tt::cpu::MachineConfig::i7_860_1dimm();
+    tt::workloads::SyntheticParams params;
+    params.pairs = 128;
+    const TaskGraph graph =
+        tt::workloads::buildSyntheticSim(config, params);
+
+    tt::MetricsRegistry metrics;
+    EngineOptions options;
+    options.metrics = &metrics;
+    options.trace_capacity = 8;
+    options.health.enabled = true;
+    options.health.tick_seconds = 80e-6;
+    StaticMtlPolicy policy(2, config.contexts());
+    tt::cpu::SimMachine machine(config);
+    tt::simrt::SimRuntime sim(machine, graph, policy, options);
+    const tt::exec::RunResult result = sim.run();
+
+    ASSERT_FALSE(result.failed);
+    // (rule, edge, window, dropped share of the window's records).
+    using Edge = std::tuple<std::string, AlertEdge, std::uint64_t, double>;
+    std::vector<Edge> edges;
+    for (const AlertEvent &alert : result.alerts)
+        if (alert.rule == "drop_rate")
+            edges.emplace_back(alert.rule, alert.edge, alert.window,
+                               alert.observed);
+    const std::vector<Edge> want{
+        {"drop_rate", AlertEdge::Fired, 24, 1.0 / 3.0},
+        {"drop_rate", AlertEdge::Cleared, 103, 0.0},
+        {"drop_rate", AlertEdge::Fired, 105, 0.5},
+        {"drop_rate", AlertEdge::Cleared, 110, 0.0},
+        {"drop_rate", AlertEdge::Fired, 114, 1.0 / 3.0}};
+    EXPECT_EQ(edges, want);
+    // 256 tasks on 4 contexts, 8 kept on each.
+    EXPECT_EQ(metrics.counter("trace.events_dropped"), 224);
+    EXPECT_EQ(result.trace_dropped, 224u);
+    EXPECT_EQ(result.trace.size(), 32u);
 }
 
 } // namespace

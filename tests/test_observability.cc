@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests of the runtime observability layer: the per-worker trace
- * rings and their merge (against the whole-trace sort it replaced),
- * the log-bucket histogram, the thread-safe
+ * Tests of the runtime observability layer: the record ring, the
+ * log-bucket histogram, the thread-safe
  * metrics registry, the shared Chrome exporter, and the host
  * runtime's end-to-end trace/metrics production (including that
  * per-task MTL annotations agree with the policy's mtlTrace(), that
@@ -17,8 +16,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
-#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +27,7 @@
 #include "cpu/sim_machine.hh"
 #include "load/arrival.hh"
 #include "obs/chrome_trace.hh"
+#include "obs/ring.hh"
 #include "obs/trace.hh"
 #include "runtime/runtime.hh"
 #include "simrt/sim_runtime.hh"
@@ -44,7 +42,6 @@ using tt::core::DynamicThrottlePolicy;
 using tt::obs::RecordRing;
 using tt::obs::TaskEvent;
 using tt::obs::TraceData;
-using tt::obs::Tracer;
 
 TaskEvent
 eventAt(double start, int task = 0, int worker = 0)
@@ -88,167 +85,6 @@ TEST(TraceRing, WrapsOverwritingOldestAndCountsDrops)
     EXPECT_EQ(ring.size(), 0u);
     EXPECT_EQ(ring.recorded(), 10u);
     EXPECT_EQ(ring.dropped(), 6u);
-}
-
-TEST(Tracer, MergeSortsAcrossWorkerRings)
-{
-    Tracer tracer(3, 16);
-    // Interleaved starts across workers, recorded out of global
-    // order (each worker's own record order is chronological).
-    tracer.ring(0).record(eventAt(0.0, 0, 0));
-    tracer.ring(0).record(eventAt(3.0, 3, 0));
-    tracer.ring(1).record(eventAt(1.0, 1, 1));
-    tracer.ring(1).record(eventAt(4.0, 4, 1));
-    tracer.ring(2).record(eventAt(2.0, 2, 2));
-
-    const auto merged = tracer.merged();
-    ASSERT_EQ(merged.size(), 5u);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(merged[static_cast<std::size_t>(i)].task, i);
-    EXPECT_EQ(tracer.recorded(), 5u);
-    EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-/** The order Tracer::merged() used to get from one std::sort over
- *  every ring's events. */
-bool
-sortedBefore(const TaskEvent &a, const TaskEvent &b)
-{
-    if (a.start != b.start)
-        return a.start < b.start;
-    if (a.end != b.end)
-        return a.end < b.end;
-    return a.task < b.task;
-}
-
-bool
-sameEvent(const TaskEvent &a, const TaskEvent &b)
-{
-    return a.task == b.task && a.pair == b.pair && a.phase == b.phase &&
-           a.is_memory == b.is_memory && a.worker == b.worker &&
-           a.start == b.start && a.end == b.end && a.mtl == b.mtl &&
-           a.attempt == b.attempt && a.has_counters == b.has_counters &&
-           a.counters == b.counters;
-}
-
-/**
- * The k-way merge gives exactly what sorting the whole trace gave,
- * field by field, on seeded traces of 1 to 8 rings. Times sit on a
- * coarse grid, so starts (and whole (start, end) keys) tie within and
- * across rings, and some events have zero length. Ring 0 wraps and
- * drops its oldest events; in the last ring, runs of zero-length
- * events at one instant are recorded in descending task order, and
- * one seed shuffles that ring outright, so it is out of
- * (start, end, task) order and must be sorted on its own.
- */
-TEST(TraceMerge, MatchesSortOnSeededRings)
-{
-    constexpr std::size_t kCapacity = 48;
-    for (int rings = 1; rings <= 8; ++rings) {
-        for (std::uint32_t seed = 1; seed <= 6; ++seed) {
-            std::mt19937 rng(seed * 131 + static_cast<std::uint32_t>(rings));
-            const auto pick = [&rng](int n) {
-                return static_cast<int>(rng() % static_cast<unsigned>(n));
-            };
-            // Task ids unique across the trace, uncorrelated with time.
-            std::vector<int> ids(static_cast<std::size_t>(rings) * 80);
-            std::iota(ids.begin(), ids.end(), 0);
-            std::shuffle(ids.begin(), ids.end(), rng);
-            std::size_t next_id = 0;
-
-            Tracer tracer(rings, kCapacity);
-            std::vector<TaskEvent> survivors;
-            std::uint64_t dropped = 0;
-            for (int w = 0; w < rings; ++w) {
-                const bool wraps = w == 0;
-                const bool last = w == rings - 1; // ring 0 when alone
-                const int count = wraps ? 70 : 20 + pick(20);
-                std::vector<TaskEvent> events;
-                double t = 1e-6 * pick(4);
-                while (static_cast<int>(events.size()) < count) {
-                    // A burst of zero-length events at one instant,
-                    // recorded in descending task order.
-                    const int burst = last && pick(3) == 0 ? 2 + pick(3) : 1;
-                    std::vector<int> burst_ids;
-                    for (int b = 0; b < burst; ++b)
-                        burst_ids.push_back(ids[next_id++]);
-                    std::sort(burst_ids.rbegin(), burst_ids.rend());
-                    for (int b = 0; b < burst; ++b) {
-                        TaskEvent e;
-                        e.task = burst_ids[static_cast<std::size_t>(b)];
-                        e.pair = e.task / 2;
-                        e.phase = pick(3);
-                        e.is_memory = pick(2) == 0;
-                        e.worker = w;
-                        e.start = t;
-                        e.end = burst > 1 || pick(4) == 0
-                                    ? t
-                                    : t + 1e-6 * (1 + pick(3));
-                        e.mtl = 1 + pick(4);
-                        e.attempt = pick(3);
-                        e.has_counters = pick(2) == 0;
-                        if (e.has_counters)
-                            e.counters = {static_cast<std::uint64_t>(pick(100)),
-                                          static_cast<std::uint64_t>(pick(100)),
-                                          static_cast<std::uint64_t>(pick(100)),
-                                          static_cast<std::uint64_t>(pick(100))};
-                        events.push_back(e);
-                    }
-                    t = events.back().end + 1e-6 * pick(2);
-                }
-                if (last && seed == 6)
-                    std::shuffle(events.begin(), events.end(), rng);
-                for (const TaskEvent &e : events)
-                    tracer.ring(w).record(e);
-                const std::size_t keep = std::min(events.size(), kCapacity);
-                dropped += events.size() - keep;
-                survivors.insert(survivors.end(),
-                                 events.end() - static_cast<std::ptrdiff_t>(keep),
-                                 events.end());
-            }
-            std::sort(survivors.begin(), survivors.end(), sortedBefore);
-
-            const std::vector<TaskEvent> merged = tracer.merged();
-            ASSERT_EQ(merged.size(), survivors.size())
-                << rings << " rings, seed " << seed;
-            for (std::size_t i = 0; i < merged.size(); ++i)
-                ASSERT_TRUE(sameEvent(merged[i], survivors[i]))
-                    << rings << " rings, seed " << seed << ", event " << i
-                    << ": task " << merged[i].task << " vs "
-                    << survivors[i].task;
-            EXPECT_EQ(tracer.dropped(), dropped);
-            EXPECT_GT(dropped, 0u);
-        }
-    }
-}
-
-TEST(Tracer, ConcurrentWorkersRecordWithoutInterference)
-{
-    // Each worker owns its ring: concurrent recording must need no
-    // synchronisation and lose nothing. (This test is part of the
-    // "concurrency" ctest label exercised under TSan.)
-    const int workers = 4;
-    const int per_worker = 5000;
-    Tracer tracer(workers, per_worker);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-        threads.emplace_back([&tracer, w] {
-            for (int i = 0; i < per_worker; ++i) {
-                tracer.ring(w).record(
-                    eventAt(static_cast<double>(i), i, w));
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-
-    EXPECT_EQ(tracer.recorded(),
-              static_cast<std::uint64_t>(workers * per_worker));
-    EXPECT_EQ(tracer.dropped(), 0u);
-    const auto merged = tracer.merged();
-    EXPECT_EQ(merged.size(),
-              static_cast<std::size_t>(workers * per_worker));
 }
 
 TEST(HistogramTest, BucketBoundariesAreExact)

@@ -2,10 +2,11 @@
  * @file
  * Live-telemetry contracts: per-job causal spans (assembly under
  * retries, shedding and deadline misses; the additive critical-path
- * decomposition; every field pinned on six sim runs), the bounded
- * span ring, the OpenMetrics exposition format, the critical-path
- * report section's diff contract, and the self-observability budget
- * (obs.overhead.* under 3% of makespan on the host backend).
+ * decomposition; every span and trace field pinned on six sim runs),
+ * the bounded span ring, the OpenMetrics exposition format and the
+ * snapshot sink's failure latch, the critical-path report section's
+ * diff contract, and the self-observability budget (obs.overhead.*
+ * under 3% of makespan on the host backend).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <span>
 #include <sstream>
 #include <string>
@@ -428,19 +430,47 @@ spanDigest(const std::vector<JobSpan> &spans)
     return hash.value();
 }
 
+/** Hash of every field of every trace event, in order, and of the
+ *  trace's drop count; doubles by their bits. */
+std::uint64_t
+traceDigest(const tt::exec::RunResult &result)
+{
+    FieldHash hash;
+    hash.add(result.trace.size());
+    for (const tt::obs::TaskEvent &event : result.trace) {
+        hash.add(event.task);
+        hash.add(event.pair);
+        hash.add(event.phase);
+        hash.add(event.is_memory);
+        hash.add(event.worker);
+        hash.add(event.start);
+        hash.add(event.end);
+        hash.add(event.mtl);
+        hash.add(event.attempt);
+        hash.add(event.has_counters);
+        hash.add(event.counters.llc_misses);
+        hash.add(event.counters.cycles);
+        hash.add(event.counters.stalled_cycles);
+        hash.add(event.counters.instructions);
+    }
+    hash.add(result.trace_dropped);
+    return hash.value();
+}
+
 /** What a pinned run must reproduce. */
 struct SpanPin
 {
     std::size_t spans = 0;
     std::uint64_t dropped = 0;
     std::uint64_t digest = 0;
+    std::uint64_t trace = 0; ///< traceDigest
 };
 
 SpanPin
 pinOf(const tt::exec::RunResult &result)
 {
     return {result.spans.size(), result.spans_dropped,
-            spanDigest(result.spans)};
+            spanDigest(result.spans), traceDigest(result)};
 }
 
 void
@@ -450,6 +480,8 @@ expectPin(const SpanPin &got, const SpanPin &want)
     EXPECT_EQ(got.dropped, want.dropped);
     EXPECT_EQ(got.digest, want.digest)
         << "digest 0x" << std::hex << got.digest;
+    EXPECT_EQ(got.trace, want.trace)
+        << "trace digest 0x" << std::hex << got.trace;
 }
 
 /**
@@ -458,7 +490,10 @@ expectPin(const SpanPin &got, const SpanPin &want)
  * run was live: closed-loop dynamic scheduling with synthesized
  * counters over two phases and cross-pair edges, granted retries
  * with stalls, two runs that exhaust their retries, bursty open-loop
- * load with shedding and deadline misses, and a capped span store.
+ * load with shedding and deadline misses, and a capped span store
+ * whose trace is capped too. A second digest pins every field of
+ * every trace event and the trace's drop count, recorded when each
+ * context still wrote its events into a ring during the run.
  */
 TEST(SpanPin, SimRunsKeepEverySpanField)
 {
@@ -486,7 +521,8 @@ TEST(SpanPin, SimRunsKeepEverySpanField)
         const auto result = sim.run();
         ASSERT_FALSE(result.failed);
         ASSERT_TRUE(result.has_counters);
-        expectPin(pinOf(result), {80, 0, 0x864d501aca08e4baULL});
+        expectPin(pinOf(result),
+                  {80, 0, 0x864d501aca08e4baULL, 0x27cc0b3a417518b4ULL});
     }
     {
         SCOPED_TRACE("fault retries with stalls");
@@ -504,13 +540,16 @@ TEST(SpanPin, SimRunsKeepEverySpanField)
         const auto result = runSim(graph, options, 2);
         ASSERT_FALSE(result.failed);
         ASSERT_GT(result.task_retries, 0);
-        expectPin(pinOf(result), {48, 0, 0xeb522d7664b08924ULL});
+        expectPin(pinOf(result),
+                  {48, 0, 0xeb522d7664b08924ULL, 0xfa09d8367606f78aULL});
     }
     // Seed 24 exhausts a compute task's retries; seed 29 a memory
     // task's, and a second task fails terminally in the failed run.
     for (const auto &[seed, pin] :
-         {std::pair<std::uint64_t, SpanPin>{24, {85, 0, 0x249abb85b740a52cULL}},
-          std::pair<std::uint64_t, SpanPin>{29, {42, 0, 0xcda946f68bdfcb59ULL}}}) {
+         {std::pair<std::uint64_t, SpanPin>{
+              24, {85, 0, 0x249abb85b740a52cULL, 0x26e8a6ce1d530982ULL}},
+          std::pair<std::uint64_t, SpanPin>{
+              29, {42, 0, 0xcda946f68bdfcb59ULL, 0x4e2f92edf9498096ULL}}}) {
         SCOPED_TRACE("retries exhausted, seed " + std::to_string(seed));
         const TaskGraph graph = simGraph(96);
         tt::fault::FaultConfig config;
@@ -552,7 +591,8 @@ TEST(SpanPin, SimRunsKeepEverySpanField)
         ASSERT_FALSE(result.failed);
         ASSERT_GT(result.jobs_shed, 0);
         ASSERT_GT(result.jobs_deadline_missed, 0);
-        expectPin(pinOf(result), {96, 0, 0x80e0e9dd30ba405eULL});
+        expectPin(pinOf(result),
+                  {96, 0, 0x80e0e9dd30ba405eULL, 0xdb2f3c9989ad5b08ULL});
     }
     {
         SCOPED_TRACE("span capacity below the pair count");
@@ -564,11 +604,14 @@ TEST(SpanPin, SimRunsKeepEverySpanField)
         EngineOptions options;
         options.fault_plan = &plan;
         options.span_capacity = 12;
+        options.trace_capacity = 16; // of about 40 events per context
         options.retry_backoff_seconds = 20e-6;
         const auto result = runSim(graph, options, 2);
         ASSERT_FALSE(result.failed);
         ASSERT_GT(result.spans_dropped, 0u);
-        expectPin(pinOf(result), {12, 28, 0xf7a6603c55b5e5b0ULL});
+        ASSERT_GT(result.trace_dropped, 0u);
+        expectPin(pinOf(result),
+                  {12, 28, 0xf7a6603c55b5e5b0ULL, 0x048c5314c3784e33ULL});
     }
 }
 
@@ -684,6 +727,32 @@ TEST(OpenMetrics, RendersEveryKindExactly)
                   "obs_snapshot_time_seconds 0.0125\n"
                   "# EOF\n");
     EXPECT_EQ(tt::obs::openMetricsText(metrics), body + "# EOF\n");
+}
+
+/**
+ * A snapshot file sink whose write failed stays off: once the
+ * directory it writes into appears, a later snapshot still writes
+ * nothing, and the sink keeps reporting the failure.
+ */
+TEST(LiveFileSink, FailedWriteDisablesLaterSnapshots)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "live_file_sink_latch";
+    fs::remove_all(dir);
+    tt::MetricsRegistry metrics;
+    metrics.add("obs.spans_dropped", 1);
+    tt::obs::LiveFileSink sink((dir / "live.prom").string(), metrics);
+
+    sink.snapshot(0.0); // the directory does not exist yet
+    EXPECT_FALSE(sink.ok());
+    ASSERT_TRUE(fs::create_directory(dir));
+    sink.snapshot(1.0);
+    EXPECT_FALSE(fs::exists(dir / "live.prom"));
+    EXPECT_FALSE(fs::exists(dir / "live.prom.tmp"));
+    EXPECT_EQ(sink.snapshots(), 0u);
+    EXPECT_FALSE(sink.ok());
+    fs::remove_all(dir);
 }
 
 /**
