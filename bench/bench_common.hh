@@ -20,6 +20,7 @@
 #include "cpu/machine_config.hh"
 #include "simrt/sim_runtime.hh"
 #include "stream/task_graph.hh"
+#include "util/json.hh"
 
 namespace tt::bench {
 
@@ -87,7 +88,7 @@ class BenchJson
     }
     void config(const std::string &key, const std::string &v)
     {
-        appendField(config_, key, stringLiteral(v));
+        appendField(config_, key, json::quote(v));
     }
 
     /** Start the next result row. */
@@ -100,7 +101,7 @@ class BenchJson
     }
     void value(const std::string &key, const std::string &v)
     {
-        appendField(rows_.back(), key, stringLiteral(v));
+        appendField(rows_.back(), key, json::quote(v));
     }
 
     /**
@@ -113,7 +114,7 @@ class BenchJson
             return true;
         std::ofstream out(path_);
         if (out) {
-            out << "{\"bench\": " << stringLiteral(name_)
+            out << "{\"bench\": " << json::quote(name_)
                 << ",\n \"config\": {" << config_
                 << "},\n \"results\": [";
             for (std::size_t i = 0; i < rows_.size(); ++i)
@@ -143,23 +144,12 @@ class BenchJson
         return buf;
     }
 
-    static std::string stringLiteral(const std::string &raw)
-    {
-        std::string out = "\"";
-        for (char c : raw) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        return out + "\"";
-    }
-
     static void appendField(std::string &dst, const std::string &key,
                             const std::string &literal)
     {
         if (!dst.empty())
             dst += ", ";
-        dst += stringLiteral(key) + ": " + literal;
+        dst += json::quote(key) + ": " + literal;
     }
 
     std::string name_;

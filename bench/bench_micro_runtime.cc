@@ -26,7 +26,6 @@
 #include "cpu/machine_config.hh"
 #include "mem/dram_channel.hh"
 #include "obs/live.hh"
-#include "obs/ring.hh"
 #include "runtime/runtime.hh"
 #include "sim/event_queue.hh"
 #include "simrt/sim_runtime.hh"
@@ -330,21 +329,6 @@ BM_SimDispatch64Contexts(benchmark::State &state)
 // across runs, which is what lets check_regression.py include this
 // benchmark in the dispatch gate.
 BENCHMARK(BM_SimDispatch64Contexts)->Iterations(8);
-
-void
-BM_SpanBufferRecord(benchmark::State &state)
-{
-    // Per-job span cost while a run is live: the engine records the
-    // terminal pair's id into the bounded span ring, which is already
-    // wrapping, and builds the spans after the run.
-    tt::obs::RecordRing<tt::stream::PairId> buffer(4096);
-    tt::stream::PairId pair = 0;
-    for (auto _ : state) {
-        buffer.record(++pair);
-        benchmark::DoNotOptimize(buffer.recorded());
-    }
-}
-BENCHMARK(BM_SpanBufferRecord);
 
 void
 BM_OpenMetricsRender(benchmark::State &state)

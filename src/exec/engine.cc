@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <tuple>
 
 #include "core/sample_guard.hh"
@@ -22,11 +23,11 @@ using stream::TaskKind;
 
 namespace {
 
-/** Trace events kept per context (a zero capacity keeps one). */
+/** Records an output capacity keeps (a zero capacity keeps one). */
 std::size_t
-traceCapacity(const EngineOptions &options)
+outputCap(std::size_t capacity)
 {
-    return std::max<std::size_t>(options.trace_capacity, 1);
+    return std::max<std::size_t>(capacity, 1);
 }
 
 /** `task`'s index in its PairSlot's per-task arrays. */
@@ -229,7 +230,7 @@ Engine::admitJobLocked(const load::JobSpec &job)
         ++jobs_shed_;
         if (metrics != nullptr)
             metrics->add(hot_ids_.jobs_shed);
-        span_ring_->record(job.pair);
+        terminal_pairs_.push_back(job.pair);
     } else {
         ++jobs_admitted_;
         if (metrics != nullptr)
@@ -402,7 +403,7 @@ Engine::failAttemptLocked(int context, TaskId id,
                         " failed after " +
                         std::to_string(options_.max_task_retries) +
                         " retries: " + outcome.error);
-    span_ring_->record(task.pair);
+    terminal_pairs_.push_back(task.pair);
 }
 
 void
@@ -610,7 +611,7 @@ Engine::completePairLocked(stream::PairId pair)
                 metrics->add(hot_ids_.jobs_deadline_missed);
         }
     }
-    span_ring_->record(pair);
+    terminal_pairs_.push_back(pair);
 
     if (--phase_remaining_ == 0 &&
         current_phase_ + 1 < graph_.phaseCount()) {
@@ -879,16 +880,16 @@ Engine::hotPathTotals() const
     // The push scan probes the gate exactly before admitting, so gate
     // rejections stay 0 on single-dispatcher backends by
     // construction.
+    const std::size_t spans = terminal_pairs_.size();
     return {gate_->admitFailures(), gate_->folds(), traceDropped(),
-            span_ring_->dropped(),
-            static_cast<std::uint64_t>(tasksDone()) +
-                span_ring_->recorded()};
+            spans - std::min(spans, outputCap(options_.span_capacity)),
+            static_cast<std::uint64_t>(tasksDone()) + spans};
 }
 
 std::uint64_t
 Engine::traceDropped() const
 {
-    const std::size_t cap = traceCapacity(options_);
+    const std::size_t cap = outputCap(options_.trace_capacity);
     std::uint64_t dropped = 0;
     for (const ContextSlot &slot : contexts_) {
         const auto done = static_cast<std::size_t>(
@@ -1126,9 +1127,8 @@ Engine::run(ExecutionBackend &backend)
         hot_ids_.jobs_deadline_missed =
             metrics.counterId("runtime.jobs_deadline_missed");
     }
-    span_ring_.emplace(std::max<std::size_t>(
-        1, std::min(options_.span_capacity, n_pairs)));
     // One entry per pair at most, so the logs never reallocate mid-run.
+    terminal_pairs_.reserve(n_pairs);
     samples_.reserve(n_pairs);
     if (open_loop_) {
         job_log_.reserve(n_pairs);
@@ -1249,7 +1249,7 @@ Engine::finishResult()
     result.trace_dropped = traceDropped();
     result.spans = buildSpans();
     const std::uint64_t trace_record_ns = wallNanos() - build_t0;
-    result.spans_dropped = span_ring_->dropped();
+    result.spans_dropped = terminal_pairs_.size() - result.spans.size();
     result.pin_failures = backend_->pinFailures();
 
     // Corrupted samples (injected or from a glitched clock) stay in
@@ -1444,7 +1444,7 @@ Engine::buildTrace() const
                       return std::tie(a.worker, b.end, b.start, b.task) <
                              std::tie(b.worker, a.end, a.start, a.task);
                   });
-        const std::size_t cap = traceCapacity(options_);
+        const std::size_t cap = outputCap(options_.trace_capacity);
         std::vector<std::size_t> kept(contexts_.size(), 0);
         std::size_t n = 0;
         for (const obs::TaskEvent &event : trace)
@@ -1462,7 +1462,7 @@ Engine::buildTrace() const
 }
 
 std::vector<obs::JobSpan>
-Engine::buildSpans()
+Engine::buildSpans() const
 {
     // Each pair's failed attempts as a list of log indices, oldest
     // first. A pair's attempts run one after another along its
@@ -1484,7 +1484,8 @@ Engine::buildSpans()
             job_of[static_cast<std::size_t>(job.pair)] = &job;
     }
 
-    const std::vector<stream::PairId> terminal = span_ring_->drain();
+    const auto terminal = std::span(terminal_pairs_).last(
+        std::min(terminal_pairs_.size(), outputCap(options_.span_capacity)));
     std::vector<obs::JobSpan> spans(terminal.size());
     for (std::size_t k = 0; k < terminal.size(); ++k) {
         const stream::PairId pair = terminal[k];

@@ -42,7 +42,6 @@
 #include "load/arrival.hh"
 #include "obs/health.hh"
 #include "obs/metric_shards.hh"
-#include "obs/ring.hh"
 #include "obs/trace.hh"
 #include "stream/task_graph.hh"
 #include "util/concurrency/mpmc_queue.hh"
@@ -178,11 +177,11 @@ struct EngineOptions
     load::AdmissionConfig admission;
 
     /**
-     * Per-run span capacity (see obs/span.hh): the engine keeps the
-     * last min(span_capacity, pair count) pairs to reach a terminal
-     * state and builds their spans after the run. Older pairs are
-     * overwritten and counted in the `obs.spans_dropped` counter and
-     * RunResult::spans_dropped.
+     * Spans kept per run (see obs/span.hh): RunResult::spans holds
+     * the spans of the latest span_capacity pairs to reach a terminal
+     * state, and the older ones are counted in the `obs.spans_dropped`
+     * counter and RunResult::spans_dropped. Like trace_capacity it
+     * bounds only the output: the spans are built after the run.
      */
     std::size_t span_capacity = 1 << 16;
 
@@ -291,7 +290,7 @@ struct RunResult
      *  the pair's memory task became ready. */
     std::vector<obs::JobSpan> spans;
 
-    /** Spans lost to span-store overwrites (0 unless capped). */
+    /** Spans the span capacity left out (0 unless capped). */
     std::uint64_t spans_dropped = 0;
 
     /** Per-phase aggregates (phase order). */
@@ -724,10 +723,10 @@ class Engine
      *  each context's latest trace_capacity by (end, start, task),
      *  ordered by (start, end, task) (after drive() returned). */
     std::vector<obs::TaskEvent> buildTrace() const;
-    /** The spans of the pairs in span_ring_, oldest first, built
-     *  from the pair slots, the failed-attempt log, the arrival
-     *  stamps and the job log (after drive() returned). */
-    std::vector<obs::JobSpan> buildSpans();
+    /** The latest span_capacity spans, oldest first, built from
+     *  terminal_pairs_, the pair slots, the failed-attempt log, the
+     *  arrival stamps and the job log (after drive() returned). */
+    std::vector<obs::JobSpan> buildSpans() const;
 
     // --- lock-free fast path helpers ---
 
@@ -748,8 +747,8 @@ class Engine
     /** Complete every handed-off pair, in push order. */
     void drainPairsLocked();
     /** Pair-completion critical section, run by the drainer: hand the
-     *  sample to the policy and the health engine, append it, record
-     *  the pair in span_ring_, trip the phase barrier. */
+     *  sample to the policy and the health engine, append it, log
+     *  the pair in terminal_pairs_, trip the phase barrier. */
     void completePairLocked(stream::PairId pair);
     /** Tasks completed so far, summed over the context slots. */
     int tasksDone() const;
@@ -857,11 +856,9 @@ class Engine
      *  (RunResult::retries) and the spans' failed attempts. */
     std::vector<FailedAttempt> failed_attempts_;
 
-    // Pairs in terminal order, recorded only under mutex_
-    // (admitJobLocked, failAttemptLocked, completePairLocked), so the
-    // ring has one writer at a time; buildSpans drains it once and
-    // builds each pair's span (see obs/span.hh).
-    std::optional<obs::RecordRing<stream::PairId>> span_ring_;
+    // Pairs in terminal order, once each, appended only under mutex_
+    // (admitJobLocked, failAttemptLocked, completePairLocked).
+    std::vector<stream::PairId> terminal_pairs_;
 
     // Self-observability: wall-clock nanoseconds spent inside
     // observability code (steady clock on every backend -- this is

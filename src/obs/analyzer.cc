@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <map>
 #include <queue>
@@ -458,39 +457,6 @@ jsonNum(double value)
     return os.str();
 }
 
-std::string
-jsonStr(const std::string &text)
-{
-    std::string out = "\"";
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
 void
 writeDist(const DistSummary &d, std::ostream &os)
 {
@@ -519,7 +485,7 @@ void
 writeDecision(const core::MtlDecision &d, std::ostream &os)
 {
     os << "{\"time\": " << jsonNum(d.time)
-       << ", \"reason\": " << jsonStr(decisionReasonName(d.reason))
+       << ", \"reason\": " << json::quote(decisionReasonName(d.reason))
        << ", \"from_mtl\": " << d.from_mtl
        << ", \"to_mtl\": " << d.to_mtl
        << ", \"window_tm\": " << jsonNum(d.window_tm)
@@ -543,7 +509,7 @@ writeDecision(const core::MtlDecision &d, std::ostream &os)
 void
 writeReportJson(const Report &report, std::ostream &os)
 {
-    os << "{\n  \"policy\": " << jsonStr(report.policy)
+    os << "{\n  \"policy\": " << json::quote(report.policy)
        << ",\n  \"cores\": " << report.cores
        << ",\n  \"makespan\": " << jsonNum(report.makespan)
        << ",\n  \"trace\": {\"events\": " << report.trace_events
@@ -619,8 +585,8 @@ writeReportJson(const Report &report, std::ostream &os)
         for (std::size_t i = 0; i < h.rules.size(); ++i) {
             const HealthRuleSummary &r = h.rules[i];
             os << (i > 0 ? ",\n    " : "\n    ");
-            os << "{\"rule\": " << jsonStr(r.rule)
-               << ", \"severity\": " << jsonStr(r.severity)
+            os << "{\"rule\": " << json::quote(r.rule)
+               << ", \"severity\": " << json::quote(r.severity)
                << ", \"fired\": " << r.fired
                << ", \"cleared\": " << r.cleared << ", \"active\": "
                << (r.active ? "true" : "false") << "}";
@@ -633,7 +599,7 @@ writeReportJson(const Report &report, std::ostream &os)
         const PhaseReport &p = report.phases[i];
         os << (i > 0 ? ",\n    " : "\n    ");
         os << "{\"phase\": " << p.phase
-           << ", \"name\": " << jsonStr(p.name)
+           << ", \"name\": " << json::quote(p.name)
            << ", \"start\": " << jsonNum(p.start)
            << ", \"end\": " << jsonNum(p.end)
            << ", \"duration\": " << jsonNum(p.end - p.start)

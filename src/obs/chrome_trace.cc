@@ -4,35 +4,9 @@
 #include <iomanip>
 #include <sstream>
 
+#include "util/json.hh"
+
 namespace tt::obs {
-
-namespace {
-
-/** Escape a string for a JSON literal (names are simple, but be safe). */
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (char c : raw) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 void
 writeChromeTrace(const TraceData &data, std::ostream &os)
@@ -61,8 +35,8 @@ writeChromeTrace(const TraceData &data, std::ostream &os)
            << (event.is_memory ? "memory" : "compute")
            << "\",\"ts\":" << event.start * 1e6
            << ",\"dur\":" << (event.end - event.start) * 1e6
-           << ",\"args\":{\"phase\":\"" << jsonEscape(phase_name)
-           << "\",\"mtl\":" << event.mtl;
+           << ",\"args\":{\"phase\":" << json::quote(phase_name)
+           << ",\"mtl\":" << event.mtl;
         if (event.has_counters)
             os << ",\"llc_misses\":" << event.counters.llc_misses
                << ",\"stalled_cycles\":"
@@ -209,10 +183,10 @@ writeChromeTrace(const TraceData &data, std::ostream &os)
     for (const AlertEvent &alert : data.alerts) {
         sep();
         os << "  {\"ph\":\"i\",\"pid\":0,\"tid\":0,\"s\":\"g\","
-           << "\"cat\":\"health\",\"name\":\"alert "
-           << jsonEscape(alert.rule) << " "
-           << alertEdgeName(alert.edge) << "\",\"ts\":"
-           << alert.time * 1e6 << ",\"args\":{"
+           << "\"cat\":\"health\",\"name\":"
+           << json::quote("alert " + alert.rule + " " +
+                          alertEdgeName(alert.edge))
+           << ",\"ts\":" << alert.time * 1e6 << ",\"args\":{"
            << "\"severity\":\"" << alertSeverityName(alert.severity)
            << "\",\"edge\":\"" << alertEdgeName(alert.edge)
            << "\",\"window\":" << alert.window

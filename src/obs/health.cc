@@ -36,19 +36,12 @@ HealthEngine::HealthEngine(const HealthConfig &config,
                            MetricsRegistry *metrics)
     : config_(config), metrics_(metrics)
 {
-    config_.alert_capacity =
-        std::max<std::size_t>(1, config_.alert_capacity);
-
-    slo_burn_ = {"slo_burn", AlertSeverity::Critical,
-                 config_.slo_burn_enabled};
+    slo_burn_ = {"slo_burn", AlertSeverity::Critical, true};
     queue_growth_ = {"queue_growth", AlertSeverity::Warning, true};
-    gate_saturation_ = {"gate_saturation", AlertSeverity::Warning,
-                        config_.gate_saturation_enabled};
-    drop_rate_ = {"drop_rate", AlertSeverity::Warning,
-                  config_.drop_rate_enabled};
+    gate_saturation_ = {"gate_saturation", AlertSeverity::Warning, true};
+    drop_rate_ = {"drop_rate", AlertSeverity::Warning, true};
     model_bound_ = {"model_bound", AlertSeverity::Critical,
-                    config_.model_bound_enabled &&
-                        config_.model_tml > 0.0};
+                    config_.model_tml > 0.0};
 
     if (metrics_ == nullptr)
         return;
@@ -229,15 +222,18 @@ HealthEngine::onTickWindow(const TickWindowSample &sample)
     evaluate(gate_saturation_, saturated, sample.window,
              failure_ratio, kGateFailureRatio, sample.time);
 
-    // drop_rate: dropped share of everything offered to the trace
-    // and the span ring this window.
+    // drop_rate: dropped share of the trace events and spans the run
+    // produced this window. A window that produced none says nothing
+    // about the drop rate, so it leaves the streaks alone.
     const long drops = sample.trace_dropped + sample.span_dropped;
-    const double denom = static_cast<double>(
-        std::max<long>(1, sample.records + drops));
-    const double drop_ratio = static_cast<double>(drops) / denom;
-    evaluate(drop_rate_, drop_ratio >= kDropRateThreshold,
-             sample.window, drop_ratio, kDropRateThreshold,
-             sample.time);
+    if (sample.records + drops > 0) {
+        const double drop_ratio =
+            static_cast<double>(drops) /
+            static_cast<double>(sample.records + drops);
+        evaluate(drop_rate_, drop_ratio >= kDropRateThreshold,
+                 sample.window, drop_ratio, kDropRateThreshold,
+                 sample.time);
+    }
 
     // model_bound: measured memory seconds against the Sec. IV-C
     // queuing fit T_mb = T_ml + b * T_ql summed over the window's
@@ -292,7 +288,7 @@ HealthEngine::append(AlertEvent event)
                           event.rule,
                       1);
     }
-    if (alerts_.size() >= config_.alert_capacity) {
+    if (alerts_.size() >= kHealthAlertCapacity) {
         alerts_.erase(alerts_.begin());
         ++alerts_dropped_;
         if (metrics_ != nullptr)

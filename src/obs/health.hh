@@ -106,6 +106,8 @@ inline constexpr int kHealthWindowJobs = 16;
 inline constexpr int kHealthFireWindows = 2;
 /** Consecutive healthy windows before an active rule clears. */
 inline constexpr int kHealthClearWindows = 2;
+/** Fired/cleared edges retained; the oldest are evicted beyond it. */
+inline constexpr std::size_t kHealthAlertCapacity = 1024;
 
 // slo_burn (job windows, critical)
 /** SLO attainment target; the miss budget is 1 - target. */
@@ -130,7 +132,8 @@ inline constexpr double kGateFailureRatio = 0.5;
 inline constexpr long kGateMinFolds = 16;
 
 // drop_rate (tick windows, warning)
-/** Dropped share of (records + drops) that breaches. */
+/** Dropped share of (records + drops) that breaches; a window with
+ *  neither is skipped. */
 inline constexpr double kDropRateThreshold = 0.01;
 
 // model_bound (tick windows, critical)
@@ -139,7 +142,8 @@ inline constexpr double kDropRateThreshold = 0.01;
 inline constexpr double kModelBoundFactor = 2.0;
 
 /**
- * Detector configuration. Defaults are conservative enough that a
+ * Detector configuration: every rule runs, `model_bound` only with a
+ * model fit. The constants above are conservative enough that a
  * healthy closed-loop run emits no alerts; overload runs (deadline
  * storms, arrival bursts against a configured admission fit) trip
  * `slo_burn` within a few windows.
@@ -150,15 +154,6 @@ struct HealthConfig
 
     /** Seconds per hot-path tick window (sim-time on sim); > 0. */
     double tick_seconds = 0.01;
-
-    /** Fired/cleared edges retained; oldest evicted beyond this. */
-    std::size_t alert_capacity = 1024;
-
-    /** Per-rule enables (`queue_growth` is always on). */
-    bool slo_burn_enabled = true;
-    bool gate_saturation_enabled = true;
-    bool drop_rate_enabled = true;
-    bool model_bound_enabled = true;
 
     /** Fitted per-task memory service times (seconds) for
      *  `model_bound`. Zero tml disables the detector; the engine
@@ -190,7 +185,7 @@ struct TickWindowSample
     long gate_folds = 0;    ///< MTL-gate admission attempts this window
 
     long trace_dropped = 0; ///< trace events past the cap this window
-    long span_dropped = 0;  ///< span-buffer drops this window
+    long span_dropped = 0;  ///< spans past the cap this window
     long records = 0;       ///< trace events + span records this window
 
     int pair_samples = 0;    ///< completed pairs this window
@@ -204,7 +199,7 @@ struct HotPathTotals
     long gate_failures = 0;          ///< MTL-gate refusals
     long gate_folds = 0;             ///< MTL-gate admission attempts
     std::uint64_t trace_dropped = 0; ///< trace events past the cap
-    std::uint64_t span_dropped = 0;  ///< span-buffer drops
+    std::uint64_t span_dropped = 0;  ///< spans past the cap
     std::uint64_t records = 0;       ///< trace events + span records
 };
 

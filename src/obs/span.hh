@@ -19,13 +19,14 @@
  * over, next to the trace, from what the run recorded anyway: each
  * pair's slot (times, workers, attempt counts), its failed-attempt
  * log, the arrival stamps and the admission log. While the run is
- * live it records only each pair's id, under its run mutex, into a
- * RecordRing (ring.hh) in terminal order; when full, the oldest ids
- * are overwritten and counted in dropped() (published as
- * `obs.spans_dropped`), so the spans are those of the last pairs to
- * finish. chrome_trace.hh renders spans as flow events linking the
- * arrival instant to the completing worker slice; analyzer.hh
- * aggregates the critical-path components per priority class.
+ * live it appends only each pair's id, under its run mutex, to a log
+ * in terminal order, one entry per pair. The span capacity bounds
+ * only the output: the spans are those of the last pairs to finish,
+ * and the older ones are counted as dropped (published as
+ * `obs.spans_dropped`). chrome_trace.hh renders spans as flow events
+ * linking the arrival instant to the completing worker slice;
+ * analyzer.hh aggregates the critical-path components per priority
+ * class.
  */
 
 #ifndef TT_OBS_SPAN_HH

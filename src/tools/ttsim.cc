@@ -34,8 +34,7 @@
  *   --no-pin     host mode: skip CPU-affinity pinning
  *   --trace      print the full schedule trace (sim only)
  *   --trace-out FILE    write the schedule as Chrome trace events
- *                       (load in chrome://tracing or Perfetto);
- *                       --chrome-trace is an alias
+ *                       (load in chrome://tracing or Perfetto)
  *   --metrics-out FILE  write the run's metrics registry as JSON
  *   --metrics-summary   print the metrics registry as a table
  *   --health            enable the streaming health detectors
@@ -279,9 +278,9 @@ main(int argc, char **argv)
         "hysteresis",     "ratio",          "footprint-kb",
         "pairs",          "dim",            "host",
         "threads",        "count",          "no-pin",
-        "trace",          "trace-out",      "chrome-trace",
-        "metrics-out",    "metrics-summary", "perf-counters",
-        "quiet",          "health",
+        "trace",          "trace-out",      "metrics-out",
+        "metrics-summary", "perf-counters", "quiet",
+        "health",
         "timeseries-out", "timeseries-interval-us",
         "live-metrics",   "live-interval-us",
         "inject-seed",    "inject-fail-p",  "inject-straggler",
@@ -568,8 +567,7 @@ main(int argc, char **argv)
     tt::MetricsRegistry metrics;
     policy->bindMetrics(&metrics);
 
-    const std::string trace_path = flags.getString(
-        "trace-out", flags.getString("chrome-trace", ""));
+    const std::string trace_path = flags.getString("trace-out", "");
     const std::string metrics_path = flags.getString("metrics-out", "");
     const std::string timeseries_path =
         flags.getString("timeseries-out", "");
@@ -618,11 +616,88 @@ main(int argc, char **argv)
         return true;
     };
 
-    // Open-loop admission/SLO summary, shared by both backends.
-    const auto printOpenLoopSummary =
-        [&](const tt::exec::RunResult &result) {
-            if (!arrival_plan)
-                return;
+    // On abnormal termination (watchdog, tt_assert) still leave the
+    // metrics JSON behind for post-mortems; the hooks run before the
+    // process exits.
+    int metrics_hook = -1;
+    if (!metrics_path.empty())
+        metrics_hook = tt::registerCrashDumpHook([&metrics,
+                                                  metrics_path] {
+            std::ofstream out(metrics_path);
+            if (out)
+                metrics.writeJson(out);
+        });
+    (void)metrics_hook;
+
+    const bool perf_counters = flags.getBool("perf-counters");
+
+    // The post-run report, one for both backends: the host adds its
+    // trace-event count, the sim its T_m/T_c ratio, its DRAM line and
+    // the --trace dump. Returns the exit code.
+    const auto report = [&](const tt::exec::RunResult &result) -> int {
+        if (result.task_retries > 0 || result.task_failures > 0)
+            std::printf("task retries    %10ld  (%ld gave up)\n",
+                        result.task_retries, result.task_failures);
+        if (result.failed) {
+            std::fprintf(stderr, "run failed: %s\n",
+                         result.failure_reason.c_str());
+            if (!metrics_path.empty())
+                writeMetricsFile(metrics_path, metrics);
+            // Only the sim fails a run in-band on the watchdog.
+            return result.watchdog_fired ? tt::exec::kWatchdogExitCode
+                                         : 4;
+        }
+
+        std::printf("makespan        %10.3f ms\n", result.seconds * 1e3);
+        std::printf("avg T_m / T_c   %10.1f / %.1f us",
+                    result.avg_tm * 1e6, result.avg_tc * 1e6);
+        if (!host_mode)
+            std::printf("  (ratio %.2f%%)",
+                        100.0 * result.avg_tm / result.avg_tc);
+        std::printf("\n");
+        if (!host_mode)
+            std::printf("DRAM accesses   %10llu  (bus utilisation "
+                        "%.1f%%)\n",
+                        static_cast<unsigned long long>(
+                            result.dram_accesses),
+                        result.bus_utilisation * 100.0);
+        std::printf("peak mem tasks  %10d\n", result.peak_mem_in_flight);
+        if (perf_counters)
+            printCounterSummary(result);
+        if (result.pin_failures > 0)
+            std::printf("pin failures    %10ld  (workers ran "
+                        "unpinned)\n",
+                        result.pin_failures);
+        const int final_mtl = result.mtl_trace.empty()
+                                  ? n
+                                  : result.mtl_trace.back().second;
+        std::printf("final MTL       %10d  (%ld selections, probe "
+                    "fraction %.2f%%, %ld stale pairs)\n",
+                    final_mtl, result.policy_stats.selections,
+                    result.monitor_overhead * 100.0,
+                    result.policy_stats.stale_pairs);
+        if (host_mode)
+            std::printf("trace events    %10zu  (%llu dropped)\n",
+                        result.trace.size(),
+                        static_cast<unsigned long long>(
+                            result.trace_dropped));
+        if (result.trace_dropped > 0)
+            std::fprintf(stderr,
+                         "warning: %llu trace events dropped (over the "
+                         "per-context trace capacity) -- attribution "
+                         "reports will be incomplete; see "
+                         "trace.events_dropped\n",
+                         static_cast<unsigned long long>(
+                             result.trace_dropped));
+        if (result.spans_dropped > 0)
+            std::fprintf(stderr,
+                         "warning: %llu job spans dropped (over the "
+                         "span capacity) -- critical-path attribution "
+                         "will be incomplete; see obs.spans_dropped\n",
+                         static_cast<unsigned long long>(
+                             result.spans_dropped));
+
+        if (arrival_plan) {
             std::printf("jobs offered    %10ld  (admitted %ld, "
                         "delayed %ld, shed %ld, missed %ld)\n",
                         result.jobs_offered, result.jobs_admitted,
@@ -636,12 +711,8 @@ main(int argc, char **argv)
                         response.p99 * 1e6);
             std::printf("slo attainment  %9.1f%%\n",
                         result.slo_attainment * 100.0);
-        };
-    // Health-alert summary, shared by both backends.
-    const auto printHealthSummary =
-        [&](const tt::exec::RunResult &result) {
-            if (!result.health_enabled)
-                return;
+        }
+        if (result.health_enabled) {
             std::uint64_t fired = 0;
             std::uint64_t critical = 0;
             for (const tt::obs::AlertEvent &alert : result.alerts)
@@ -662,33 +733,40 @@ main(int argc, char **argv)
                              "warning: a critical health alert was "
                              "still active when the run drained; see "
                              "obs.alerts_active.* in the metrics\n");
-        };
+        }
 
-    // Exit-5 gate: completed, but attainment under the threshold.
-    const auto sloFailed = [&](const tt::exec::RunResult &result) {
+        if (!trace_path.empty() &&
+            !writeTraceFile(trace_path,
+                            tt::exec::toTraceData(graph, result)))
+            return 1;
+        if (!metrics_path.empty() &&
+            !writeMetricsFile(metrics_path, metrics))
+            return 1;
+        if (!finishTimeseries())
+            return 1;
+        if (flags.getBool("metrics-summary"))
+            std::printf("\n%s", metrics.summaryTable().c_str());
+
+        if (!host_mode && flags.getBool("trace")) {
+            std::printf("\nschedule trace (task kind pair phase "
+                        "context start_us end_us mtl):\n");
+            for (const auto &entry : result.trace) {
+                std::printf("%5d %s %5d %3d %3d %12.2f %12.2f %3d\n",
+                            entry.task, entry.is_memory ? "M" : "C",
+                            entry.pair, entry.phase, entry.worker,
+                            entry.start * 1e6, entry.end * 1e6,
+                            entry.mtl);
+            }
+        }
+
+        // Exit 5: completed, but attainment under the threshold.
         if (!arrival_plan || slo_fail_threshold < 0.0 ||
             result.slo_attainment >= slo_fail_threshold)
-            return false;
-        std::fprintf(stderr,
-                     "SLO attainment %.3f below threshold %.3f\n",
+            return 0;
+        std::fprintf(stderr, "SLO attainment %.3f below threshold %.3f\n",
                      result.slo_attainment, slo_fail_threshold);
-        return true;
+        return 5;
     };
-
-    // On abnormal termination (watchdog, tt_assert) still leave the
-    // metrics JSON behind for post-mortems; the hooks run before the
-    // process exits.
-    int metrics_hook = -1;
-    if (!metrics_path.empty())
-        metrics_hook = tt::registerCrashDumpHook([&metrics,
-                                                  metrics_path] {
-            std::ofstream out(metrics_path);
-            if (out)
-                metrics.writeJson(out);
-        });
-    (void)metrics_hook;
-
-    const bool perf_counters = flags.getBool("perf-counters");
 
     // Both backends run one set of engine options. Times count on the
     // engine clock: wall time with --host, simulated time otherwise,
@@ -743,71 +821,7 @@ main(int argc, char **argv)
         if (live_server)
             live_server->stop();
 
-        if (result.task_retries > 0 || result.task_failures > 0)
-            std::printf("task retries    %10ld  (%ld gave up)\n",
-                        result.task_retries, result.task_failures);
-        if (result.failed) {
-            std::fprintf(stderr, "run failed: %s\n",
-                         result.failure_reason.c_str());
-            if (!metrics_path.empty())
-                writeMetricsFile(metrics_path, metrics);
-            return 4;
-        }
-
-        std::printf("makespan        %10.3f ms\n",
-                    result.seconds * 1e3);
-        std::printf("avg T_m / T_c   %10.1f / %.1f us\n",
-                    result.avg_tm * 1e6, result.avg_tc * 1e6);
-        std::printf("peak mem tasks  %10d\n",
-                    result.peak_mem_in_flight);
-        if (perf_counters)
-            printCounterSummary(result);
-        if (result.pin_failures > 0)
-            std::printf("pin failures    %10ld  (workers ran "
-                        "unpinned)\n",
-                        result.pin_failures);
-        const int final_mtl = result.mtl_trace.empty()
-                                  ? n
-                                  : result.mtl_trace.back().second;
-        std::printf("final MTL       %10d  (%ld selections, probe "
-                    "fraction %.2f%%, %ld stale pairs)\n",
-                    final_mtl, result.policy_stats.selections,
-                    result.monitor_overhead * 100.0,
-                    result.policy_stats.stale_pairs);
-        std::printf("trace events    %10zu  (%llu dropped)\n",
-                    result.trace.size(),
-                    static_cast<unsigned long long>(
-                        result.trace_dropped));
-        if (result.trace_dropped > 0)
-            std::fprintf(stderr,
-                         "warning: %llu trace events dropped (ring "
-                         "full) -- attribution reports will be "
-                         "incomplete; see trace.events_dropped\n",
-                         static_cast<unsigned long long>(
-                             result.trace_dropped));
-        if (result.spans_dropped > 0)
-            std::fprintf(stderr,
-                         "warning: %llu job spans dropped (span "
-                         "buffer full) -- critical-path attribution "
-                         "will be incomplete; see obs.spans_dropped\n",
-                         static_cast<unsigned long long>(
-                             result.spans_dropped));
-
-        printOpenLoopSummary(result);
-        printHealthSummary(result);
-
-        if (!trace_path.empty() &&
-            !writeTraceFile(trace_path,
-                            tt::exec::toTraceData(graph, result)))
-            return 1;
-        if (!metrics_path.empty() &&
-            !writeMetricsFile(metrics_path, metrics))
-            return 1;
-        if (!finishTimeseries())
-            return 1;
-        if (flags.getBool("metrics-summary"))
-            std::printf("\n%s", metrics.summaryTable().c_str());
-        return sloFailed(result) ? 5 : 0;
+        return report(result);
     }
 
     tt::cpu::SimMachine sim_machine(machine);
@@ -839,66 +853,5 @@ main(int argc, char **argv)
             return 1;
     }
 
-    if (result.task_retries > 0 || result.task_failures > 0)
-        std::printf("task retries    %10ld  (%ld gave up)\n",
-                    result.task_retries, result.task_failures);
-    if (result.failed) {
-        std::fprintf(stderr, "run failed: %s\n",
-                     result.failure_reason.c_str());
-        if (!metrics_path.empty())
-            writeMetricsFile(metrics_path, metrics);
-        return result.watchdog_fired ? tt::exec::kWatchdogExitCode : 4;
-    }
-
-    std::printf("makespan        %10.3f ms\n", result.seconds * 1e3);
-    std::printf("avg T_m / T_c   %10.1f / %.1f us  (ratio %.2f%%)\n",
-                result.avg_tm * 1e6, result.avg_tc * 1e6,
-                100.0 * result.avg_tm / result.avg_tc);
-    std::printf("DRAM accesses   %10llu  (bus utilisation %.1f%%)\n",
-                static_cast<unsigned long long>(result.dram_accesses),
-                result.bus_utilisation * 100.0);
-    std::printf("peak mem tasks  %10d\n", result.peak_mem_in_flight);
-    if (perf_counters)
-        printCounterSummary(result);
-    const int final_mtl =
-        result.mtl_trace.empty() ? n : result.mtl_trace.back().second;
-    std::printf("final MTL       %10d  (%ld selections, probe "
-                "fraction %.2f%%, %ld stale pairs)\n",
-                final_mtl, result.policy_stats.selections,
-                result.monitor_overhead * 100.0,
-                result.policy_stats.stale_pairs);
-    if (result.spans_dropped > 0)
-        std::fprintf(stderr,
-                     "warning: %llu job spans dropped (span buffer "
-                     "full) -- critical-path attribution will be "
-                     "incomplete; see obs.spans_dropped\n",
-                     static_cast<unsigned long long>(
-                         result.spans_dropped));
-    printOpenLoopSummary(result);
-    printHealthSummary(result);
-
-    if (!trace_path.empty() &&
-        !writeTraceFile(trace_path,
-                        tt::exec::toTraceData(graph, result)))
-        return 1;
-    if (!metrics_path.empty() &&
-        !writeMetricsFile(metrics_path, metrics))
-        return 1;
-    if (!finishTimeseries())
-        return 1;
-    if (flags.getBool("metrics-summary"))
-        std::printf("\n%s", metrics.summaryTable().c_str());
-
-    if (flags.getBool("trace")) {
-        std::printf("\nschedule trace (task kind pair phase context "
-                    "start_us end_us mtl):\n");
-        for (const auto &entry : result.trace) {
-            std::printf("%5d %s %5d %3d %3d %12.2f %12.2f %3d\n",
-                        entry.task, entry.is_memory ? "M" : "C",
-                        entry.pair, entry.phase, entry.worker,
-                        entry.start * 1e6, entry.end * 1e6,
-                        entry.mtl);
-        }
-    }
-    return sloFailed(result) ? 5 : 0;
+    return report(result);
 }

@@ -1,6 +1,7 @@
 #include "util/json.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -317,6 +318,40 @@ std::optional<Value>
 parse(std::string_view text, std::string *error)
 {
     return Parser(text).parseDocument(error);
+}
+
+std::string
+quote(std::string_view text)
+{
+    std::string out = "\"";
+    out.reserve(text.size() + 2);
+    for (const char c : text) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    out += '"';
+    return out;
 }
 
 } // namespace tt::json

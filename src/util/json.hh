@@ -1,6 +1,7 @@
 /**
  * @file
- * Minimal JSON parser for the tools and tests.
+ * Minimal JSON parser for the tools and tests, and the one string
+ * quoting function the JSON writers share.
  *
  * The repo emits JSON in several places (metrics registry, Chrome
  * traces, ttreport reports); ttreport --diff and the golden-structure
@@ -60,6 +61,15 @@ struct Value
  */
 std::optional<Value> parse(std::string_view text,
                            std::string *error = nullptr);
+
+/**
+ * `text` as a JSON string literal, quotes included: `"` and `\`
+ * escaped, newline and tab as `\n` and `\t`, any other control
+ * character as `\u00XX`, every other byte as is. The metrics
+ * registry, the Chrome trace, the ttreport report and the bench
+ * results quote their strings through this.
+ */
+std::string quote(std::string_view text);
 
 } // namespace tt::json
 

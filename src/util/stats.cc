@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -443,20 +444,6 @@ sortedKeys(const Map &map)
     return names; // std::map iterates in key order already
 }
 
-/** Escape a metric name for a JSON literal. */
-std::string
-jsonName(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (char c : raw) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 std::string
 jsonNumber(double value)
 {
@@ -516,22 +503,22 @@ MetricsRegistry::writeJson(std::ostream &os) const
         os << "{\n  \"counters\": {";
         bool first = true;
         for (const auto &[name, value] : view.counters) {
-            os << (first ? "\n" : ",\n") << "    \"" << jsonName(name)
-               << "\": " << value;
+            os << (first ? "\n" : ",\n") << "    " << json::quote(name)
+               << ": " << value;
             first = false;
         }
         os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
         first = true;
         for (const auto &[name, value] : view.gauges) {
-            os << (first ? "\n" : ",\n") << "    \"" << jsonName(name)
-               << "\": " << jsonNumber(value);
+            os << (first ? "\n" : ",\n") << "    " << json::quote(name)
+               << ": " << jsonNumber(value);
             first = false;
         }
         os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
         first = true;
         for (const auto &[name, hist] : view.histograms) {
-            os << (first ? "\n" : ",\n") << "    \"" << jsonName(name)
-               << "\": {\"count\": " << hist.count()
+            os << (first ? "\n" : ",\n") << "    " << json::quote(name)
+               << ": {\"count\": " << hist.count()
                << ", \"mean\": " << jsonNumber(hist.mean())
                << ", \"min\": " << jsonNumber(hist.min())
                << ", \"max\": " << jsonNumber(hist.max())

@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests of the runtime observability layer: the record ring, the
- * log-bucket histogram, the thread-safe
- * metrics registry, the shared Chrome exporter, and the host
- * runtime's end-to-end trace/metrics production (including that
- * per-task MTL annotations agree with the policy's mtlTrace(), that
- * the registry serves worker-shard metrics while a run is live, and
- * that the hot-path histograms keep their names, counts and buckets).
+ * Tests of the runtime observability layer: the log-bucket
+ * histogram, the thread-safe metrics registry, the shared Chrome
+ * exporter, and the host runtime's end-to-end trace/metrics
+ * production (including that per-task MTL annotations agree with the
+ * policy's mtlTrace(), that the registry serves worker-shard metrics
+ * while a run is live, and that the hot-path histograms keep their
+ * names, counts and buckets).
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@
 #include "cpu/sim_machine.hh"
 #include "load/arrival.hh"
 #include "obs/chrome_trace.hh"
-#include "obs/ring.hh"
 #include "obs/trace.hh"
 #include "runtime/runtime.hh"
 #include "simrt/sim_runtime.hh"
@@ -39,7 +38,6 @@ namespace {
 using tt::Histogram;
 using tt::MetricsRegistry;
 using tt::core::DynamicThrottlePolicy;
-using tt::obs::RecordRing;
 using tt::obs::TaskEvent;
 using tt::obs::TraceData;
 
@@ -52,39 +50,6 @@ eventAt(double start, int task = 0, int worker = 0)
     event.start = start;
     event.end = start + 1.0;
     return event;
-}
-
-TEST(TraceRing, KeepsEventsInRecordOrder)
-{
-    RecordRing<TaskEvent> ring(8);
-    for (int i = 0; i < 5; ++i)
-        ring.record(eventAt(static_cast<double>(i), i));
-    EXPECT_EQ(ring.size(), 5u);
-    EXPECT_EQ(ring.recorded(), 5u);
-    EXPECT_EQ(ring.dropped(), 0u);
-    const auto events = ring.drain();
-    ASSERT_EQ(events.size(), 5u);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(events[static_cast<std::size_t>(i)].task, i);
-}
-
-TEST(TraceRing, WrapsOverwritingOldestAndCountsDrops)
-{
-    RecordRing<TaskEvent> ring(4);
-    for (int i = 0; i < 10; ++i)
-        ring.record(eventAt(static_cast<double>(i), i));
-    EXPECT_EQ(ring.size(), 4u);
-    EXPECT_EQ(ring.recorded(), 10u);
-    EXPECT_EQ(ring.dropped(), 6u);
-    const auto events = ring.drain();
-    ASSERT_EQ(events.size(), 4u);
-    // The four newest survive, oldest first.
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(events[static_cast<std::size_t>(i)].task, 6 + i);
-    // The drain moved the events out; the counters stay.
-    EXPECT_EQ(ring.size(), 0u);
-    EXPECT_EQ(ring.recorded(), 10u);
-    EXPECT_EQ(ring.dropped(), 6u);
 }
 
 TEST(HistogramTest, BucketBoundariesAreExact)

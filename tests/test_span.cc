@@ -3,7 +3,7 @@
  * Live-telemetry contracts: per-job causal spans (assembly under
  * retries, shedding and deadline misses; the additive critical-path
  * decomposition; every span and trace field pinned on six sim runs),
- * the bounded span ring, the OpenMetrics exposition format and the
+ * the span capacity, the OpenMetrics exposition format and the
  * snapshot sink's failure latch, the critical-path report section's
  * diff contract, and the self-observability budget (obs.overhead.*
  * under 3% of makespan on the host backend).
@@ -31,7 +31,6 @@
 #include "obs/analyzer.hh"
 #include "obs/live.hh"
 #include "obs/perf/sim_counter_provider.hh"
-#include "obs/ring.hh"
 #include "obs/span.hh"
 #include "runtime/runtime.hh"
 #include "simrt/sim_runtime.hh"
@@ -45,7 +44,6 @@ using tt::core::StaticMtlPolicy;
 using tt::exec::EngineOptions;
 using tt::obs::CriticalPath;
 using tt::obs::JobSpan;
-using tt::obs::RecordRing;
 using tt::obs::SpanOutcome;
 using tt::stream::PairSpec;
 using tt::stream::StreamProgramBuilder;
@@ -124,41 +122,6 @@ expectDecomposes(const JobSpan &span)
                 std::max(1e-12, cp.response * 0.01))
         << "pair " << span.pair;
     EXPECT_DOUBLE_EQ(cp.response, span.end - span.arrival);
-}
-
-TEST(SpanBuffer, OverwritesOldestAndCountsDrops)
-{
-    RecordRing<JobSpan> buffer(4);
-    EXPECT_EQ(buffer.capacity(), 4u);
-    for (int i = 0; i < 10; ++i) {
-        JobSpan span;
-        span.pair = i;
-        buffer.record(std::move(span));
-    }
-    EXPECT_EQ(buffer.size(), 4u);
-    EXPECT_EQ(buffer.recorded(), 10u);
-    EXPECT_EQ(buffer.dropped(), 6u);
-    const std::vector<JobSpan> spans = buffer.drain();
-    ASSERT_EQ(spans.size(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(spans[static_cast<std::size_t>(i)].pair, 6 + i)
-            << "oldest-first order after wrap";
-}
-
-TEST(SpanBuffer, HoldsEverythingUnderCapacity)
-{
-    RecordRing<JobSpan> buffer(16);
-    for (int i = 0; i < 5; ++i) {
-        JobSpan span;
-        span.pair = i;
-        buffer.record(std::move(span));
-    }
-    EXPECT_EQ(buffer.size(), 5u);
-    EXPECT_EQ(buffer.dropped(), 0u);
-    const std::vector<JobSpan> spans = buffer.drain();
-    ASSERT_EQ(spans.size(), 5u);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(spans[static_cast<std::size_t>(i)].pair, i);
 }
 
 TEST(Span, OutcomeNamesAreStable)

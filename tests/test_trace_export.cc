@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests of the Chrome trace-event exporter: structural JSON sanity,
- * event counts, and content checks against the recorded schedule.
+ * event counts, and content checks against the recorded schedule;
+ * and that it and the metrics registry quote any name as JSON.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "core/dynamic_policy.hh"
@@ -15,6 +17,7 @@
 #include "simrt/sim_runtime.hh"
 #include "stream/builder.hh"
 #include "util/json.hh"
+#include "util/stats.hh"
 
 namespace {
 
@@ -210,6 +213,56 @@ TEST(TraceExport, EscapesAwkwardPhaseNames)
         tt::obs::chromeTraceString(
             tt::exec::toTraceData(graph, result));
     EXPECT_NE(json.find("weird \\\"quoted\\\\name"), std::string::npos);
+}
+
+/**
+ * Names with control characters -- a tab and a \x01 -- still make
+ * parseable JSON, in the metrics registry and in the Chrome trace
+ * (phase and alert names), and read back as they were written.
+ */
+TEST(TraceExport, ControlCharactersInNamesRoundTrip)
+{
+    const std::string name = "tab\there\x01";
+    std::string error;
+
+    tt::MetricsRegistry metrics;
+    metrics.add(name, 3);
+    metrics.set(name, 0.5);
+    metrics.observe(name, 1e-3);
+    std::ostringstream registry;
+    metrics.writeJson(registry);
+    const auto doc = tt::json::parse(registry.str(), &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    for (const char *kind : {"counters", "gauges", "histograms"}) {
+        const tt::json::Value *section = doc->find(kind);
+        ASSERT_NE(section, nullptr) << kind;
+        EXPECT_NE(section->find(name), nullptr) << kind;
+    }
+
+    tt::obs::TraceData data;
+    data.phase_names = {name};
+    tt::obs::TaskEvent event;
+    event.task = 0;
+    event.pair = 0;
+    event.phase = 0;
+    event.worker = 0;
+    event.end = 1e-6;
+    data.events = {event};
+    tt::obs::AlertEvent alert;
+    alert.rule = name;
+    data.alerts = {alert};
+    const auto trace =
+        tt::json::parse(tt::obs::chromeTraceString(data), &error);
+    ASSERT_TRUE(trace.has_value()) << error;
+    bool saw_phase = false;
+    bool saw_alert = false;
+    for (const tt::json::Value &entry : trace->array) {
+        if (const tt::json::Value *args = entry.find("args"))
+            saw_phase |= args->stringAt("phase") == name;
+        saw_alert |= entry.stringAt("name") == "alert " + name + " fired";
+    }
+    EXPECT_TRUE(saw_phase);
+    EXPECT_TRUE(saw_alert);
 }
 
 } // namespace
