@@ -50,4 +50,18 @@ MachineConfig::power7()
     return config;
 }
 
+std::optional<MachineConfig>
+MachineConfig::byName(std::string_view name)
+{
+    if (name == "1dimm")
+        return i7_860_1dimm();
+    if (name == "2dimm")
+        return i7_860_2dimm();
+    if (name == "2dimm-smt")
+        return i7_860_2dimm_smt();
+    if (name == "power7")
+        return power7();
+    return std::nullopt;
+}
+
 } // namespace tt::cpu

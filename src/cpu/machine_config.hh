@@ -24,6 +24,9 @@
 #ifndef TT_CPU_MACHINE_CONFIG_HH
 #define TT_CPU_MACHINE_CONFIG_HH
 
+#include <optional>
+#include <string_view>
+
 #include "mem/mem_system.hh"
 
 namespace tt::cpu {
@@ -68,6 +71,12 @@ struct MachineConfig
      * DDR3-1333 channels. Used by bench_ext_power7.
      */
     static MachineConfig power7();
+
+    /**
+     * The preset a tool's `--machine` flag names: "1dimm", "2dimm",
+     * "2dimm-smt" or "power7"; nullopt for any other name.
+     */
+    static std::optional<MachineConfig> byName(std::string_view name);
 };
 
 } // namespace tt::cpu

@@ -838,8 +838,9 @@ Engine::onObsTick(ObsTick tick)
         std::lock_guard lock(mutex_);
         if (finished_)
             return;
-        // Every tick folds, so a live endpoint reading the registry
-        // is at most one tick behind the workers.
+        // Every tick folds, so the registry -- flushed by crash-dump
+        // hooks, polled by in-process readers -- is at most one tick
+        // behind the workers.
         if (metric_shards_.has_value())
             metric_shards_->fold();
         switch (tick) {
@@ -1185,7 +1186,10 @@ Engine::run(ExecutionBackend &backend)
             armObsTick(ObsTick::Timeseries);
         }
         // Worker threads publish through shards that only a fold
-        // makes visible, so they get the live tick without a sink too.
+        // makes visible, so they get the live tick without a sink
+        // too: the watchdog's crash-dump hooks flush the registry and
+        // in-process readers poll it, so it must stay at most one
+        // interval behind the workers.
         if (options_.live_sink != nullptr ||
             (pull_mode_ && options_.metrics != nullptr)) {
             if (options_.live_sink != nullptr)
@@ -1348,8 +1352,8 @@ Engine::finishResult()
         // Self-observability: what tracing/sampling cost in *wall*
         // nanoseconds. The zero-delta adds materialize the full
         // obs.overhead.* schema on every backend; the backends then
-        // add their counter-read share in finalize(), the live sinks
-        // charge live_export_ns as they serve, and the health engine
+        // add their counter-read share in finalize(), the live sink
+        // charges live_export_ns per snapshot, and the health engine
         // charged health_ns at drain.
         metrics->add("obs.overhead.trace_record_ns",
                      static_cast<std::int64_t>(trace_record_ns));

@@ -188,14 +188,14 @@ struct EngineOptions
     /**
      * Optional live OpenMetrics snapshot sink (not owned; see
      * obs/live.hh). When set, the engine rewrites the snapshot file
-     * every `live_interval_seconds` of engine-clock time plus once
-     * at drain -- on the sim backend that yields periodic
-     * *simulated-time* snapshots. The host backend typically serves
-     * live metrics through obs::LiveMetricsServer instead (real
-     * time, on demand). That server reads only the registry, so on a
-     * worker-thread backend with `metrics` set the engine folds the
-     * worker metric shards into the registry every
-     * `live_interval_seconds`, sink or no sink.
+     * under the scheduler mutex at run start, every
+     * `live_interval_seconds` of engine-clock time -- simulated time
+     * on the sim backend, wall time on worker threads -- and at
+     * drain. On a worker-thread backend with `metrics` set the
+     * engine also folds the worker metric shards into the registry
+     * every `live_interval_seconds`, sink or no sink: the watchdog's
+     * crash-dump hooks flush the registry and in-process readers
+     * poll it, so it stays at most one interval behind the workers.
      */
     obs::LiveFileSink *live_sink = nullptr;
 

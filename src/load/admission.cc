@@ -7,20 +7,6 @@
 namespace tt::load {
 
 const char *
-admissionDecisionName(AdmissionDecision decision)
-{
-    switch (decision) {
-      case AdmissionDecision::Accept:
-        return "accept";
-      case AdmissionDecision::Delay:
-        return "delay";
-      case AdmissionDecision::Shed:
-        return "shed";
-    }
-    return "?";
-}
-
-const char *
 shedReasonName(ShedReason reason)
 {
     switch (reason) {

@@ -51,9 +51,6 @@ enum class AdmissionDecision
     Shed,
 };
 
-/** Stable lower-case name ("accept"/"delay"/"shed"). */
-const char *admissionDecisionName(AdmissionDecision decision);
-
 /** Why a job was shed (None for admitted jobs). */
 enum class ShedReason
 {

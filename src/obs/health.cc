@@ -223,13 +223,16 @@ HealthEngine::onTickWindow(const TickWindowSample &sample)
              failure_ratio, kGateFailureRatio, sample.time);
 
     // drop_rate: dropped share of the trace events and spans the run
-    // produced this window. A window that produced none says nothing
-    // about the drop rate, so it leaves the streaks alone.
-    const long drops = sample.trace_dropped + sample.span_dropped;
-    if (sample.records + drops > 0) {
-        const double drop_ratio =
-            static_cast<double>(drops) /
-            static_cast<double>(sample.records + drops);
+    // produced this window. `records` already counts each dropped
+    // event and span, so a window that produced none dropped none and
+    // says nothing about the drop rate: it leaves the streaks alone.
+    // Worker threads count completions between the engine's reads of
+    // the two totals, hence the clamp.
+    if (sample.records > 0) {
+        const double drop_ratio = std::min(
+            1.0, static_cast<double>(sample.trace_dropped +
+                                     sample.span_dropped) /
+                     static_cast<double>(sample.records));
         evaluate(drop_rate_, drop_ratio >= kDropRateThreshold,
                  sample.window, drop_ratio, kDropRateThreshold,
                  sample.time);

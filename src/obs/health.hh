@@ -132,8 +132,8 @@ inline constexpr double kGateFailureRatio = 0.5;
 inline constexpr long kGateMinFolds = 16;
 
 // drop_rate (tick windows, warning)
-/** Dropped share of (records + drops) that breaches; a window with
- *  neither is skipped. */
+/** Dropped share of the window's records (which include the drops)
+ *  that breaches; a window with no records is skipped. */
 inline constexpr double kDropRateThreshold = 0.01;
 
 // model_bound (tick windows, critical)
@@ -186,7 +186,8 @@ struct TickWindowSample
 
     long trace_dropped = 0; ///< trace events past the cap this window
     long span_dropped = 0;  ///< spans past the cap this window
-    long records = 0;       ///< trace events + span records this window
+    long records = 0;       ///< trace events + span records this
+                            ///< window, dropped ones included
 
     int pair_samples = 0;    ///< completed pairs this window
     double sum_tm = 0.0;     ///< measured memory seconds
@@ -200,7 +201,8 @@ struct HotPathTotals
     long gate_folds = 0;             ///< MTL-gate admission attempts
     std::uint64_t trace_dropped = 0; ///< trace events past the cap
     std::uint64_t span_dropped = 0;  ///< spans past the cap
-    std::uint64_t records = 0;       ///< trace events + span records
+    std::uint64_t records = 0;       ///< trace events + span records,
+                                     ///< dropped ones included
 };
 
 /**

@@ -6,11 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -49,8 +44,7 @@ std::string
 openMetricsText(const MetricsRegistry &metrics, double snapshot_seconds)
 {
     // One walk under the registry mutex renders into memory; the
-    // caller writes the file or socket after the lock is released,
-    // so a live run never waits on a slow reader.
+    // caller writes the file after the lock is released.
     std::ostringstream os;
     metrics.visit([&os](const MetricsRegistry::View &view) {
         for (const auto &[raw, value] : view.counters) {
@@ -114,87 +108,6 @@ LiveFileSink::snapshot(double now_seconds)
     ++snapshots_;
     metrics_.add("obs.overhead.live_export_ns",
                  static_cast<std::int64_t>(wallNanos() - t0));
-}
-
-LiveMetricsServer::LiveMetricsServer(std::string path,
-                                     MetricsRegistry &metrics)
-    : path_(std::move(path)), metrics_(metrics)
-{
-}
-
-LiveMetricsServer::~LiveMetricsServer()
-{
-    stop();
-}
-
-bool
-LiveMetricsServer::start()
-{
-    sockaddr_un addr{};
-    if (path_.size() >= sizeof addr.sun_path) {
-        error_ = "socket path too long: " + path_;
-        return false;
-    }
-    addr.sun_family = AF_UNIX;
-    path_.copy(addr.sun_path, sizeof addr.sun_path - 1);
-
-    ::unlink(path_.c_str()); // stale socket from a previous run
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-        error_ = "socket() failed for " + path_;
-        return false;
-    }
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(listen_fd_, 8) != 0) {
-        error_ = "cannot bind/listen on " + path_;
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return false;
-    }
-    stop_.store(false, std::memory_order_relaxed);
-    thread_ = std::thread([this] { serveLoop(); });
-    return true;
-}
-
-void
-LiveMetricsServer::stop()
-{
-    if (listen_fd_ < 0)
-        return;
-    stop_.store(true, std::memory_order_relaxed);
-    if (thread_.joinable())
-        thread_.join();
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::unlink(path_.c_str());
-}
-
-void
-LiveMetricsServer::serveLoop()
-{
-    while (!stop_.load(std::memory_order_relaxed)) {
-        pollfd pfd{listen_fd_, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, 100);
-        if (ready <= 0 || (pfd.revents & POLLIN) == 0)
-            continue; // timeout: re-check the stop flag
-        const int client = ::accept(listen_fd_, nullptr, nullptr);
-        if (client < 0)
-            continue;
-        const std::uint64_t t0 = wallNanos();
-        const std::string text = openMetricsText(metrics_);
-        std::size_t sent = 0;
-        while (sent < text.size()) {
-            const ssize_t n = ::send(client, text.data() + sent,
-                                     text.size() - sent, MSG_NOSIGNAL);
-            if (n <= 0)
-                break; // reader went away mid-snapshot
-            sent += static_cast<std::size_t>(n);
-        }
-        ::close(client);
-        metrics_.add("obs.overhead.live_export_ns",
-                     static_cast<std::int64_t>(wallNanos() - t0));
-    }
 }
 
 } // namespace tt::obs

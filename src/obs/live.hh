@@ -1,7 +1,7 @@
 /**
  * @file
  * Live telemetry: OpenMetrics rendering of a MetricsRegistry plus
- * the two delivery mechanisms behind `ttsim --live-metrics PATH`.
+ * the file sink behind `ttsim --live-metrics PATH`.
  *
  * Every other observability surface (ttreport, metrics JSON, Chrome
  * traces, time series) is post-mortem -- written after the run
@@ -11,18 +11,14 @@
  *    format (counters as `_total`, gauges, histograms as summaries
  *    with p50/p90/p95/p99 quantile lines, `# EOF` terminator). The
  *    render is one walk of the registry under its mutex, into
- *    memory; the sinks write the file or socket after it.
- *
- *  - LiveMetricsServer serves snapshots over a Unix-domain socket
- *    from a background thread (host backend: real time, poll on
- *    demand). The protocol is trivial: connect, read one snapshot
- *    to EOF. `ttstat` is the bundled client.
+ *    memory; the sink writes the file after it.
  *
  *  - LiveFileSink rewrites a snapshot file atomically (write tmp +
- *    rename); the engine drives it on backend timers, which on the
- *    sim backend yields periodic *simulated-time* snapshots.
+ *    rename). The engine drives it on a backend timer on either
+ *    backend: simulated time on the sim, wall time on the host.
+ *    `ttstat` is the bundled reader.
  *
- * Both sinks charge their rendering cost to the
+ * The sink charges its rendering and writing cost to the
  * `obs.overhead.live_export_ns` counter so the observability layer
  * reports its own cost.
  */
@@ -30,10 +26,8 @@
 #ifndef TT_OBS_LIVE_HH
 #define TT_OBS_LIVE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 
 namespace tt {
 class MetricsRegistry;
@@ -59,9 +53,10 @@ std::string openMetricsText(const MetricsRegistry &metrics,
 /**
  * Periodic OpenMetrics file snapshots. snapshot() renders to
  * `path + ".tmp"` and renames over `path`, so a concurrent reader
- * (ttstat in file mode) never sees a torn snapshot. A write failure
- * warns once and latches ok() false without failing the run; later
- * snapshots then return at once.
+ * (ttstat) never sees a torn snapshot. A write failure warns once
+ * and latches ok() false without failing the run; later snapshots
+ * then return at once. Not thread-safe: the engine calls it under
+ * its scheduler mutex, the caller only after the run.
  */
 class LiveFileSink
 {
@@ -81,44 +76,6 @@ class LiveFileSink
     MetricsRegistry &metrics_;
     std::uint64_t snapshots_ = 0;
     bool ok_ = true;
-};
-
-/**
- * Unix-domain-socket OpenMetrics endpoint. start() binds `path`
- * (unlinking any stale socket), listens, and spawns one background
- * thread; every accepted connection receives one snapshot and is
- * closed. stop() (also run by the destructor) joins the thread and
- * unlinks the socket. The registry is thread-safe, so serving
- * concurrently with a live run is sound.
- */
-class LiveMetricsServer
-{
-  public:
-    /** `metrics` is borrowed and must outlive the server. */
-    LiveMetricsServer(std::string path, MetricsRegistry &metrics);
-    ~LiveMetricsServer();
-
-    LiveMetricsServer(const LiveMetricsServer &) = delete;
-    LiveMetricsServer &operator=(const LiveMetricsServer &) = delete;
-
-    /** Bind + listen + spawn; false (and error()) on failure. */
-    bool start();
-
-    /** Stop serving, join the thread, unlink the socket. */
-    void stop();
-
-    const std::string &path() const { return path_; }
-    const std::string &error() const { return error_; }
-
-  private:
-    void serveLoop();
-
-    std::string path_;
-    MetricsRegistry &metrics_;
-    std::string error_;
-    int listen_fd_ = -1;
-    std::thread thread_;
-    std::atomic<bool> stop_{false};
 };
 
 } // namespace tt::obs

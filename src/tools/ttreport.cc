@@ -217,20 +217,14 @@ main(int argc, char **argv)
     // ---- run mode: one simulated run, analysed in process ----------
     const std::string machine_name =
         flags.getString("machine", "1dimm");
-    tt::cpu::MachineConfig machine;
-    if (machine_name == "1dimm") {
-        machine = tt::cpu::MachineConfig::i7_860_1dimm();
-    } else if (machine_name == "2dimm") {
-        machine = tt::cpu::MachineConfig::i7_860_2dimm();
-    } else if (machine_name == "2dimm-smt") {
-        machine = tt::cpu::MachineConfig::i7_860_2dimm_smt();
-    } else if (machine_name == "power7") {
-        machine = tt::cpu::MachineConfig::power7();
-    } else {
+    const std::optional<tt::cpu::MachineConfig> preset =
+        tt::cpu::MachineConfig::byName(machine_name);
+    if (!preset) {
         std::fprintf(stderr, "unknown machine '%s'\n",
                      machine_name.c_str());
         return usage(argv[0]);
     }
+    const tt::cpu::MachineConfig machine = *preset;
     const int n = machine.contexts();
 
     const std::string workload =

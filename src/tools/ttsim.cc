@@ -55,15 +55,12 @@
  *   --timeseries-interval-us US  sampling interval           [100]
  *   --live-metrics PATH  expose the metrics registry live, in
  *                        OpenMetrics text format, while the run is
- *                        in flight: with --host a Unix-domain socket
- *                        at PATH served by a background thread (each
- *                        connection gets one snapshot); on the
- *                        simulator a file at PATH rewritten at each
- *                        simulated interval. Poll either with ttstat.
+ *                        in flight: a file at PATH rewritten at
+ *                        each interval, at drain and once after the
+ *                        run. Poll it with ttstat.
  *   --live-interval-us US  live interval: simulated time between
- *                        snapshot files on the simulator, wall time
- *                        between metric-shard folds into the served
- *                        registry with --host             [100000]
+ *                        snapshots on the simulator, wall time with
+ *                        --host                           [100000]
  *   --quiet      suppress the header
  *
  * Open-loop arrivals (robustness extension; see load/arrival.hh and
@@ -304,20 +301,14 @@ main(int argc, char **argv)
     // the hardware contexts).
     const std::string machine_name =
         flags.getString("machine", "1dimm");
-    tt::cpu::MachineConfig machine;
-    if (machine_name == "1dimm") {
-        machine = tt::cpu::MachineConfig::i7_860_1dimm();
-    } else if (machine_name == "2dimm") {
-        machine = tt::cpu::MachineConfig::i7_860_2dimm();
-    } else if (machine_name == "2dimm-smt") {
-        machine = tt::cpu::MachineConfig::i7_860_2dimm_smt();
-    } else if (machine_name == "power7") {
-        machine = tt::cpu::MachineConfig::power7();
-    } else {
+    const std::optional<tt::cpu::MachineConfig> preset =
+        tt::cpu::MachineConfig::byName(machine_name);
+    if (!preset) {
         std::fprintf(stderr, "unknown machine '%s'\n",
                      machine_name.c_str());
         return usage(argv[0]);
     }
+    const tt::cpu::MachineConfig machine = *preset;
     const int threads = static_cast<int>(flags.getInt("threads", 4));
     if (host_mode && threads < 1) {
         std::fprintf(stderr, "--threads must be >= 1\n");
@@ -785,6 +776,28 @@ main(int argc, char **argv)
         options.timeseries_interval_seconds = timeseries_interval;
     }
     options.live_interval_seconds = live_interval;
+    // Live metrics: the engine rewrites a snapshot file at each
+    // interval of its clock and at drain.
+    std::optional<tt::obs::LiveFileSink> live_sink;
+    if (!live_path.empty()) {
+        live_sink.emplace(live_path, metrics);
+        options.live_sink = &*live_sink;
+        if (!flags.getBool("quiet"))
+            std::printf("live metrics: snapshot file %s every %.0f us "
+                        "%s (poll with ttstat)\n",
+                        live_path.c_str(), live_interval * 1e6,
+                        host_mode ? "wall-clock" : "simulated");
+    }
+    // One more snapshot so the file carries the finished registry:
+    // the makespan and the backend's own gauges land after the drain.
+    const auto finish = [&](const tt::exec::RunResult &result) -> int {
+        if (live_sink) {
+            live_sink->snapshot(result.seconds);
+            if (!live_sink->ok())
+                return 1;
+        }
+        return report(result);
+    };
 
     if (host_mode) {
         options.threads = n;
@@ -796,32 +809,8 @@ main(int argc, char **argv)
             host_counters = tt::obs::perf::makeHostCounterProvider();
             options.counters = host_counters.get();
         }
-        // Live OpenMetrics endpoint: a background thread serving one
-        // snapshot per connection while the workers run. Losing the
-        // endpoint is an observability degradation, not a run
-        // failure.
-        std::optional<tt::obs::LiveMetricsServer> live_server;
-        if (!live_path.empty()) {
-            live_server.emplace(live_path, metrics);
-            if (!live_server->start()) {
-                std::fprintf(stderr,
-                             "warning: live metrics endpoint '%s' "
-                             "unavailable: %s\n",
-                             live_path.c_str(),
-                             live_server->error().c_str());
-                live_server.reset();
-            } else if (!flags.getBool("quiet")) {
-                std::printf("live metrics: unix socket %s (poll with "
-                            "ttstat)\n",
-                            live_path.c_str());
-            }
-        }
         tt::runtime::Runtime runtime(graph, *policy, options);
-        const auto result = runtime.run();
-        if (live_server)
-            live_server->stop();
-
-        return report(result);
+        return finish(runtime.run());
     }
 
     tt::cpu::SimMachine sim_machine(machine);
@@ -830,28 +819,7 @@ main(int argc, char **argv)
     tt::obs::perf::SimCounterProvider sim_counters;
     if (perf_counters)
         options.counters = &sim_counters;
-    // Live metrics on the simulator: the engine rewrites a snapshot
-    // file at each simulated interval (there is no wall-clock to
-    // serve a socket against).
-    std::optional<tt::obs::LiveFileSink> live_sink;
-    if (!live_path.empty()) {
-        live_sink.emplace(live_path, metrics);
-        options.live_sink = &*live_sink;
-        if (!flags.getBool("quiet"))
-            std::printf("live metrics: snapshot file %s every %.0f us "
-                        "simulated (poll with ttstat)\n",
-                        live_path.c_str(), live_interval * 1e6);
-    }
     tt::simrt::SimRuntime sim_runtime(sim_machine, graph, *policy,
                                       options);
-    const auto result = sim_runtime.run();
-    // One more snapshot so the file carries the backend-finalized
-    // end-of-run registry (sim.* gauges land after the drain).
-    if (live_sink) {
-        live_sink->snapshot(result.seconds);
-        if (!live_sink->ok())
-            return 1;
-    }
-
-    return report(result);
+    return finish(sim_runtime.run());
 }

@@ -1,14 +1,13 @@
 /**
  * @file
- * ttstat: poll a live ttsim metrics endpoint and print the
+ * ttstat: read a live ttsim metrics snapshot file and print the
  * OpenMetrics exposition.
  *
- * The endpoint is whatever `ttsim --live-metrics PATH` created: a
- * Unix-domain socket on the host backend (each connection receives
- * one snapshot and is closed) or a plain file of periodic snapshots
- * on the simulator backend. ttstat stats the path and picks the
- * right transport automatically, so the same command line works
- * against either backend:
+ * The file is whatever `ttsim --live-metrics PATH` writes: a
+ * snapshot rewritten atomically (tmp + rename) at each live interval
+ * -- simulated time on the simulator, wall time with --host -- and
+ * once more after the run, so the same command line works against
+ * either backend, during the run or after it:
  *
  *   ttstat /tmp/tt.metrics                  # one snapshot
  *   ttstat --watch --interval-ms 500 PATH   # poll until killed
@@ -22,26 +21,19 @@
  *   --alerts         print only the health-alert table (from the
  *                    run's obs_alerts_* series; needs ttsim --health)
  *
- * Exit codes: 0 success, 1 endpoint unreachable or read failed,
+ * Exit codes: 0 success, 1 snapshot file missing or unreadable,
  * 2 usage error, 3 a critical health alert was active in the last
  * snapshot (checked in every mode, so scripts can gate on it).
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include "util/flags.hh"
 
@@ -53,62 +45,17 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--watch] [--interval-ms M] [--count N] "
                  "[--alerts] PATH\n"
-                 "PATH is the --live-metrics endpoint of a ttsim run: "
-                 "a unix socket\n(host backend) or a snapshot file "
-                 "(sim backend).\n"
-                 "exit codes: 0 ok, 1 endpoint unreachable, 2 usage,\n"
+                 "PATH is the --live-metrics snapshot file of a ttsim "
+                 "run.\n"
+                 "exit codes: 0 ok, 1 file unreadable, 2 usage,\n"
                  "            3 critical health alert active\n",
                  argv0);
     return 2;
 }
 
-/** One snapshot over the socket: connect, read to EOF. */
+/** Read one snapshot file. */
 bool
-readSocket(const std::string &path, std::string &out)
-{
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-        std::fprintf(stderr, "socket: %s\n", std::strerror(errno));
-        return false;
-    }
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path)) {
-        std::fprintf(stderr, "socket path too long: '%s'\n",
-                     path.c_str());
-        ::close(fd);
-        return false;
-    }
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        std::fprintf(stderr, "connect '%s': %s\n", path.c_str(),
-                     std::strerror(errno));
-        ::close(fd);
-        return false;
-    }
-    char buffer[4096];
-    for (;;) {
-        const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            std::fprintf(stderr, "read '%s': %s\n", path.c_str(),
-                         std::strerror(errno));
-            ::close(fd);
-            return false;
-        }
-        if (n == 0)
-            break;
-        out.append(buffer, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    return true;
-}
-
-/** One snapshot from a sim-side file sink. */
-bool
-readFile(const std::string &path, std::string &out)
+fetch(const std::string &path, std::string &out)
 {
     std::ifstream in(path);
     if (!in) {
@@ -119,20 +66,6 @@ readFile(const std::string &path, std::string &out)
     buffer << in.rdbuf();
     out = buffer.str();
     return true;
-}
-
-/** Fetch one snapshot, picking the transport from the path's type. */
-bool
-fetch(const std::string &path, std::string &out)
-{
-    struct stat st{};
-    if (::stat(path.c_str(), &st) != 0) {
-        std::fprintf(stderr, "stat '%s': %s\n", path.c_str(),
-                     std::strerror(errno));
-        return false;
-    }
-    return S_ISSOCK(st.st_mode) ? readSocket(path, out)
-                                : readFile(path, out);
 }
 
 /** One detector's state scraped from an exposition snapshot. */
@@ -265,8 +198,8 @@ main(int argc, char **argv)
         "help", "watch", "interval-ms", "count", "alerts",
     };
     // The flag parser reads `--switch value` greedily, so a bare
-    // switch directly before PATH (`ttstat --alerts /tmp/tt.sock`)
-    // would swallow the endpoint. Pin the pure switches to `=1`.
+    // switch directly before PATH (`ttstat --alerts /tmp/tt.om`)
+    // would swallow the path. Pin the pure switches to `=1`.
     std::vector<std::string> arg_store(argv, argv + argc);
     std::vector<char *> arg_ptrs;
     for (std::string &arg : arg_store) {

@@ -30,11 +30,4 @@ envDouble(const char *name, double fallback)
     return value;
 }
 
-std::string
-envString(const char *name, const std::string &fallback)
-{
-    const char *raw = std::getenv(name);
-    return (raw && *raw) ? std::string(raw) : fallback;
-}
-
 } // namespace tt

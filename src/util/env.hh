@@ -11,7 +11,6 @@
 #define TT_UTIL_ENV_HH
 
 #include <cstdint>
-#include <string>
 
 namespace tt {
 
@@ -20,9 +19,6 @@ std::int64_t envInt(const char *name, std::int64_t fallback);
 
 /** Read a double env var; returns `fallback` if unset or invalid. */
 double envDouble(const char *name, double fallback);
-
-/** Read a string env var; returns `fallback` if unset. */
-std::string envString(const char *name, const std::string &fallback);
 
 } // namespace tt
 

@@ -8,8 +8,6 @@
 namespace tt {
 
 namespace {
-std::atomic<bool> g_verbose{true};
-
 std::mutex &
 hookMutex()
 {
@@ -68,18 +66,6 @@ runCrashDumpHooks() noexcept
         }
     }
     std::fflush(nullptr);
-}
-
-void
-setVerbose(bool verbose)
-{
-    g_verbose.store(verbose, std::memory_order_relaxed);
-}
-
-bool
-verbose()
-{
-    return g_verbose.load(std::memory_order_relaxed);
 }
 
 namespace detail {

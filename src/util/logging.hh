@@ -7,7 +7,6 @@
  * fatal()  -- the caller/user supplied an impossible configuration;
  *             exits with an error code.
  * warn()   -- something is suspicious but execution can continue.
- * inform() -- plain status output.
  */
 
 #ifndef TT_UTIL_LOGGING_HH
@@ -66,10 +65,6 @@ fold(Args &&...args)
 
 } // namespace detail
 
-/** Global verbosity: when false, inform() output is suppressed. */
-void setVerbose(bool verbose);
-bool verbose();
-
 } // namespace tt
 
 #define tt_panic(...)                                                       \
@@ -82,12 +77,6 @@ bool verbose();
 
 #define tt_warn(...)                                                        \
     ::tt::detail::message("warn", ::tt::detail::fold(__VA_ARGS__))
-
-#define tt_inform(...)                                                      \
-    do {                                                                    \
-        if (::tt::verbose())                                                \
-            ::tt::detail::message("info", ::tt::detail::fold(__VA_ARGS__)); \
-    } while (0)
 
 /** Assert-like check that survives NDEBUG builds. */
 #define tt_assert(cond, ...)                                                \

@@ -88,12 +88,6 @@ Rng::nextInt(std::int64_t lo, std::int64_t hi)
     return lo + static_cast<std::int64_t>(nextBounded(span));
 }
 
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
-}
-
 double
 Rng::nextGaussian(double mean, double stddev)
 {

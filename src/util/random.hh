@@ -36,9 +36,6 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t nextInt(std::int64_t lo, std::int64_t hi);
 
-    /** Bernoulli trial with probability p of true. */
-    bool nextBool(double p = 0.5);
-
     /** Approximately normal variate (sum-of-uniforms). */
     double nextGaussian(double mean, double stddev);
 

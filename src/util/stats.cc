@@ -107,22 +107,6 @@ mean(const std::vector<double> &xs)
 }
 
 double
-trimmedMean(std::vector<double> xs, std::size_t trim)
-{
-    if (xs.empty())
-        return 0.0;
-    tt_assert(2 * trim < xs.size(),
-              "trimmedMean would discard every sample");
-    std::sort(xs.begin(), xs.end());
-    double acc = 0.0;
-    const std::size_t lo = trim;
-    const std::size_t hi = xs.size() - trim;
-    for (std::size_t i = lo; i < hi; ++i)
-        acc += xs[i];
-    return acc / static_cast<double>(hi - lo);
-}
-
-double
 geometricMean(const std::vector<double> &xs)
 {
     if (xs.empty())
@@ -145,37 +129,6 @@ median(std::vector<double> xs)
     if (n % 2 == 1)
         return xs[n / 2];
     return 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
-SlidingWindow::SlidingWindow(std::size_t capacity)
-    : capacity_(capacity)
-{
-    tt_assert(capacity_ > 0, "SlidingWindow capacity must be positive");
-    data_.reserve(capacity_);
-}
-
-void
-SlidingWindow::add(double x)
-{
-    if (data_.size() < capacity_) {
-        data_.push_back(x);
-    } else {
-        data_[head_] = x;
-        head_ = (head_ + 1) % capacity_;
-    }
-}
-
-void
-SlidingWindow::reset()
-{
-    data_.clear();
-    head_ = 0;
-}
-
-double
-SlidingWindow::mean() const
-{
-    return tt::mean(data_);
 }
 
 Histogram::Histogram(const Options &options)

@@ -3,8 +3,6 @@
  * Small statistics helpers used by monitors, the simulator and the
  * benchmark harnesses.
  *
- * The paper (Sec. V) averages the middle 10 of 20 runs to suppress
- * measurement noise; trimmedMean() implements that estimator.
  * geometricMean() matches the "geometric mean of 12% improvement"
  * summary statistic used in the abstract.
  *
@@ -75,40 +73,11 @@ class RunningStat
 /** Arithmetic mean of a vector; 0 when empty. */
 double mean(const std::vector<double> &xs);
 
-/**
- * Mean of the middle samples after discarding the `trim` smallest and
- * `trim` largest values (the paper's middle-10-of-20 estimator is
- * trimmedMean(xs, 5) with 20 samples).
- */
-double trimmedMean(std::vector<double> xs, std::size_t trim);
-
 /** Geometric mean; all inputs must be positive. */
 double geometricMean(const std::vector<double> &xs);
 
 /** Median (of a copy); 0 when empty. */
 double median(std::vector<double> xs);
-
-/** Sliding window over the last `capacity` observations. */
-class SlidingWindow
-{
-  public:
-    explicit SlidingWindow(std::size_t capacity);
-
-    void add(double x);
-    void reset();
-
-    std::size_t size() const { return data_.size(); }
-    std::size_t capacity() const { return capacity_; }
-    bool full() const { return data_.size() == capacity_; }
-
-    /** Mean over the samples currently held. */
-    double mean() const;
-
-  private:
-    std::size_t capacity_;
-    std::size_t head_ = 0;
-    std::vector<double> data_;
-};
 
 /**
  * Fixed log-scale-bucket histogram.

@@ -3,7 +3,7 @@
 # file, ttreport writes report JSON from two seeded runs, the --diff
 # gate exits 0 on identical runs and non-zero on an injected
 # regression, the live-telemetry path (--live-metrics + ttstat)
-# serves valid OpenMetrics on both backends, and the Chrome trace is
+# writes valid OpenMetrics on both backends, and the Chrome trace is
 # deterministic on the simulator and complete on the host. Expects
 # -DTTSIM=, -DTTREPORT=, -DTTSTAT=, -DWORK_DIR=.
 
@@ -172,20 +172,30 @@ foreach(key "# EOF" "obs_spans_dropped_total"
 endforeach()
 
 # 1i. Live telemetry on the host: a background arrival-paced run
-# serves OpenMetrics over a unix socket, and ttstat polls it while the
-# run is still in flight (retrying until the listener is up).
+# rewrites its OpenMetrics snapshot file every 10 ms of wall time, and
+# ttstat polls it until a snapshot holds the workers' folded
+# runtime.tm_seconds histograms but not runtime.makespan_seconds,
+# which only the post-run snapshot carries. That snapshot must be
+# stamped before the drain (the makespan), so the live tick wrote it
+# while the run was in flight.
 find_program(SH_PROGRAM sh)
 if(SH_PROGRAM)
+    file(REMOVE "${WORK_DIR}/live_host.om")
     execute_process(
         COMMAND "${SH_PROGRAM}" -c
             "'${TTSIM}' --host --workload synthetic --policy dynamic \
                  --threads 2 --pairs 200 --count 32 --quiet \
                  --arrival-rate 2000 --slo-us 30000000 --queue-cap 64 \
-                 --live-metrics '${WORK_DIR}/live.sock' & \
+                 --live-metrics '${WORK_DIR}/live_host.om' \
+                 --live-interval-us 10000 > /dev/null & \
              pid=$!; ok=1; \
-             for i in $(seq 1 100); do \
-                 if '${TTSTAT}' '${WORK_DIR}/live.sock' \
-                         > '${WORK_DIR}/live_host.om' 2>/dev/null; then \
+             for i in $(seq 1 500); do \
+                 if '${TTSTAT}' '${WORK_DIR}/live_host.om' \
+                         > '${WORK_DIR}/live_host_mid.om' 2>/dev/null && \
+                     grep -q runtime_tm_seconds_mtl_ \
+                         '${WORK_DIR}/live_host_mid.om' && \
+                     ! grep -q runtime_makespan_seconds \
+                         '${WORK_DIR}/live_host_mid.om'; then \
                      ok=0; break; \
                  fi; \
                  sleep 0.01; \
@@ -194,16 +204,36 @@ if(SH_PROGRAM)
         RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR
-                "mid-run ttstat poll of the host unix socket failed "
-                "(rc=${rc})")
+                "no mid-run host snapshot with folded worker "
+                "histograms (rc=${rc})")
     endif()
-    file(READ "${WORK_DIR}/live_host.om" live_host)
+    file(READ "${WORK_DIR}/live_host_mid.om" live_host)
     if(NOT live_host MATCHES "# EOF")
         message(FATAL_ERROR
                 "mid-run host snapshot is not terminated OpenMetrics")
     endif()
+    # The file outlives the run, carrying the finished registry.
+    execute_process(
+        COMMAND "${TTSTAT}" "${WORK_DIR}/live_host.om"
+        OUTPUT_VARIABLE live_host_final
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0 OR
+       NOT live_host_final MATCHES "\nruntime_makespan_seconds ([^\n]+)")
+        message(FATAL_ERROR
+                "host run left no final snapshot (rc=${rc})")
+    endif()
+    set(drain_seconds "${CMAKE_MATCH_1}")
+    if(NOT live_host MATCHES "\nobs_snapshot_time_seconds ([^\n]+)")
+        message(FATAL_ERROR "mid-run host snapshot has no time stamp")
+    endif()
+    if(NOT CMAKE_MATCH_1 LESS drain_seconds)
+        message(FATAL_ERROR
+                "host snapshot with worker histograms was not written "
+                "mid-run (stamped ${CMAKE_MATCH_1} s, drain at "
+                "${drain_seconds} s)")
+    endif()
 else()
-    message(STATUS "obs_smoke: no sh on PATH, skipping host socket poll")
+    message(STATUS "obs_smoke: no sh on PATH, skipping host live poll")
 endif()
 
 # 1j. Streaming health detectors under a deadline storm: a bursty

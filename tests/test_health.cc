@@ -656,7 +656,7 @@ TEST(SimTelemetry, TraceCapacityDropsDriveTheDropRate)
         ASSERT_EQ(edges.size(), 1u);
         EXPECT_EQ(std::get<AlertEdge>(edges[0]), AlertEdge::Fired);
         if (tick_us == 80.0) {
-            const Edge want{"drop_rate", AlertEdge::Fired, 23, 0.5};
+            const Edge want{"drop_rate", AlertEdge::Fired, 23, 1.0};
             EXPECT_EQ(edges[0], want);
         }
         // 256 tasks on 4 contexts, 8 kept on each.

@@ -377,11 +377,12 @@ TEST(HostObservability, TraceCapacityCapDropsOldestNotNewest)
 }
 
 /**
- * obs::LiveMetricsServer reads only the registry, so on worker
- * threads the engine must fold the per-worker metric shards while the
- * run is live, with no file sink or time series to do it: a poller
- * reading the registry before the plan's last arrival (so before the
- * drain fold) sees memory-task timings.
+ * The watchdog's crash-dump hooks flush the registry and in-process
+ * readers poll it, so on worker threads the engine must fold the
+ * per-worker metric shards while the run is live, with no file sink
+ * or time series to do it: a poller reading the registry before the
+ * plan's last arrival (so before the drain fold) sees memory-task
+ * timings.
  */
 TEST(HostObservability, RegistryServesShardMetricsMidRun)
 {

@@ -795,8 +795,8 @@ TEST(Analyzer, CriticalPathSectionAndDiffContract)
 
 /**
  * Acceptance budget: total self-observability cost -- span assembly,
- * trace recording, counter reads, sampling, live export -- stays
- * under 3% of makespan on a real-thread run that exercises all of it.
+ * trace recording, counter reads, sampling -- stays under 3% of
+ * makespan on a real-thread run that exercises all of it.
  */
 TEST(Span, HostObservabilityOverheadUnderThreePercent)
 {
@@ -809,22 +809,15 @@ TEST(Span, HostObservabilityOverheadUnderThreePercent)
 
     StaticMtlPolicy policy(1, 2);
     tt::runtime::Runtime runtime(graph, policy, options);
-
-    tt::obs::LiveMetricsServer server("/tmp/tt_span_test.sock",
-                                      metrics);
-    const bool serving = server.start();
     const auto result = runtime.run();
-    server.stop();
     ASSERT_FALSE(result.failed);
-    EXPECT_TRUE(serving);
 
     [[maybe_unused]] const double overhead_seconds =
         1e-9 *
         static_cast<double>(
             metrics.counter("obs.overhead.trace_record_ns") +
             metrics.counter("obs.overhead.counter_read_ns") +
-            metrics.counter("obs.overhead.sampler_ns") +
-            metrics.counter("obs.overhead.live_export_ns"));
+            metrics.counter("obs.overhead.sampler_ns"));
     ASSERT_GT(result.seconds, 0.0);
     // The budget only means something on uninstrumented builds: the
     // sanitizers slow the recording paths (atomics, registry strings)

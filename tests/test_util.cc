@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit tests for the util library: statistics accumulators, trimmed
- * mean (the paper's middle-10-of-20 estimator), deterministic RNG,
- * table formatting and env knobs.
+ * Unit tests for the util library: statistics accumulators,
+ * deterministic RNG, table formatting and env knobs.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@ namespace {
 
 using tt::Rng;
 using tt::RunningStat;
-using tt::SlidingWindow;
 using tt::TablePrinter;
 
 TEST(RunningStat, BasicMoments)
@@ -68,22 +66,6 @@ TEST(RunningStat, MergeWithEmpty)
     EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
 }
 
-TEST(TrimmedMean, MiddleTenOfTwenty)
-{
-    // The paper's estimator: 20 runs, average the middle 10.
-    std::vector<double> xs;
-    for (int i = 1; i <= 20; ++i)
-        xs.push_back(static_cast<double>(i));
-    // middle ten are 6..15 -> mean 10.5
-    EXPECT_DOUBLE_EQ(tt::trimmedMean(xs, 5), 10.5);
-}
-
-TEST(TrimmedMean, RobustToOutliers)
-{
-    std::vector<double> xs{1.0, 1.0, 1.0, 1.0, 1000.0};
-    EXPECT_DOUBLE_EQ(tt::trimmedMean(xs, 1), 1.0);
-}
-
 TEST(GeometricMean, KnownValues)
 {
     EXPECT_DOUBLE_EQ(tt::geometricMean({4.0, 9.0}), 6.0);
@@ -96,21 +78,6 @@ TEST(Median, OddAndEven)
     EXPECT_DOUBLE_EQ(tt::median({3.0, 1.0, 2.0}), 2.0);
     EXPECT_DOUBLE_EQ(tt::median({4.0, 1.0, 2.0, 3.0}), 2.5);
     EXPECT_DOUBLE_EQ(tt::median({}), 0.0);
-}
-
-TEST(SlidingWindow, WrapsAround)
-{
-    SlidingWindow w(3);
-    w.add(1.0);
-    w.add(2.0);
-    EXPECT_FALSE(w.full());
-    EXPECT_DOUBLE_EQ(w.mean(), 1.5);
-    w.add(3.0);
-    EXPECT_TRUE(w.full());
-    w.add(10.0); // evicts 1.0
-    EXPECT_DOUBLE_EQ(w.mean(), 5.0);
-    w.reset();
-    EXPECT_EQ(w.size(), 0u);
 }
 
 TEST(Rng, DeterministicAcrossInstances)
@@ -279,8 +246,6 @@ TEST(Env, ParsesWithFallbacks)
     EXPECT_EQ(tt::envInt("TT_TEST_BAD", 7), 7);
     EXPECT_DOUBLE_EQ(tt::envDouble("TT_TEST_DOUBLE", 1.0), 2.5);
     EXPECT_DOUBLE_EQ(tt::envDouble("TT_TEST_MISSING", 1.0), 1.0);
-    EXPECT_EQ(tt::envString("TT_TEST_BAD", "d"), "xyz");
-    EXPECT_EQ(tt::envString("TT_TEST_MISSING", "d"), "d");
 }
 
 } // namespace
